@@ -33,7 +33,7 @@ from .algebra import (
     gcd,
     intersection_dimension_case,
     jacobian_minor,
-    jacobian_rank_deficient,
+    squarefree_part,
     zero_set_germ_included,
 )
 from .errors import (
@@ -625,8 +625,6 @@ def bounded_gap_curve_search(germ, dec, max_degree=2, coeff_grid=None):
     for i, j in monos:
         blocks[(i, j)] = f_pow[i] * g_pow[j]
 
-    from .algebra import squarefree_part
-
     h_bar = squarefree_part(dec.h)
     line_blocks = []
     for a, d in _near_origin_lines(
@@ -776,18 +774,23 @@ def witness_kind(witness):
 
 @dataclass(frozen=True)
 class Verdict:
+    """A decision, its witness, and what ``classify`` computed on the way.
+
+    ``decomposition`` is the gcd decomposition; it is None on the nested
+    branches, which decide without it.  ``prop_crit`` is the outcome of the
+    pencil criterion, None where the criterion did not run.
+    """
+
     status: Status
     witness: object
     subflat_label: SubflatLabel
     rationale: str
+    decomposition: object = None
+    prop_crit: object = None
 
 
-def classify(germ, cfg=None, search=None, probe_report=None):
-    """Full classification with a machine-checkable witness.
-
-    ``probe_report``, when given, is attached as the witness of an
-    Undetermined verdict; it never influences the decision.
-    """
+def classify(germ, cfg=None, search=None):
+    """Full classification with a machine-checkable witness."""
     cfg = cfg or SamplerConfig()
     search = search or GapCurveSearchParams()
     f, g = germ.f, germ.g
@@ -801,7 +804,8 @@ def classify(germ, cfg=None, search=None, probe_report=None):
         f_in_g = zero_set_germ_included(f, g)
 
     if g_in_f or f_in_g:
-        if jacobian_rank_deficient(germ):
+        nonzero_minor = first_nonzero_minor(germ)
+        if nonzero_minor is None:
             phi = image_curve_equation(germ)
             return Verdict(
                 status=Status.CURVE_IMAGE,
@@ -814,7 +818,7 @@ def classify(germ, cfg=None, search=None, probe_report=None):
                     "(branch selection is not decided)"
                 ),
             )
-        (i, j), minor = first_nonzero_minor(germ)
+        (i, j), minor = nonzero_minor
         direction = "g_in_f" if g_in_f else "f_in_g"
         return Verdict(
             status=Status.NOT_A_GERM,
@@ -837,6 +841,7 @@ def classify(germ, cfg=None, search=None, probe_report=None):
                 "f and g share no factor through 0: the central fibre has "
                 "codimension 2 and the image fills a target neighborhood"
             ),
+            decomposition=dec,
         )
 
     if dec.f_hat_is_unit or dec.g_hat_is_unit:
@@ -854,6 +859,8 @@ def classify(germ, cfg=None, search=None, probe_report=None):
                 "curve image is impossible without nested zero sets, so the "
                 "image is not a well-defined set germ"
             ),
+            decomposition=dec,
+            prop_crit=outcome,
         )
     if outcome.kind is PropCritKind.ESTABLISHED:
         return Verdict(
@@ -865,6 +872,8 @@ def classify(germ, cfg=None, search=None, probe_report=None):
                 "every pencil member meets Z(h) in codimension 2, so the image "
                 "fills a target neighborhood (probabilistic certificate)"
             ),
+            decomposition=dec,
+            prop_crit=outcome,
         )
 
     candidates = bounded_gap_curve_search(
@@ -880,17 +889,20 @@ def classify(germ, cfg=None, search=None, probe_report=None):
                 "central fibre, so the curve meets the image only at 0; the "
                 "image is neither locally open nor a curve"
             ),
+            decomposition=dec,
+            prop_crit=outcome,
         )
 
-    witness = ProbeOnlyWitness(probe_report) if probe_report is not None else None
     return Verdict(
         status=Status.UNDETERMINED,
-        witness=witness,
+        witness=None,
         subflat_label=SubflatLabel.UNKNOWN,
         rationale=(
             "no openness certificate and no gap witness within the search "
             f"bounds ({outcome.reason})"
         ),
+        decomposition=dec,
+        prop_crit=outcome,
     )
 
 

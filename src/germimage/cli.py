@@ -11,18 +11,16 @@ import json
 import sys
 import time
 
-from .algebra import decompose, jacobian_rank_deficient, zero_set_germ_included
+from .algebra import decompose, jacobian_rank_deficient
 from .classifier import (
     GapCurveSearchParams,
     PlaneCurveCandidate,
-    ProbeOnlyWitness,
-    Status,
     classify,
     find_gap_lines,
     is_gap_curve,
-    prop_crit_check,
     witness_kind,
 )
+from .corpus import load_corpus, run_corpus, summary_table
 from .errors import GermImageError, ImageContainsCurveError
 from .groebner import image_curve_equation
 from .parsing import (
@@ -44,7 +42,6 @@ from .report import (
     dumps_report,
     emit_occupancy_grid,
     occupancy_json,
-    prop_crit_json,
     residual_json,
     serialize_ratio,
     stability_json,
@@ -61,8 +58,6 @@ def _add_input_args(sub):
 
 def _resolve_input(args):
     if args.entry:
-        from .corpus import load_corpus
-
         entries = load_corpus(args.corpus_file)
         for entry in entries:
             if entry.name == args.entry:
@@ -103,9 +98,8 @@ def cmd_classify(args):
     search = _search_params(args)
     t0 = time.monotonic()
     verdict = classify(germ, cfg, search)
-    dec = decompose(germ)
 
-    probe_section = None
+    probe = None
     if args.probe:
         pcfg = _sampler(
             args,
@@ -115,34 +109,17 @@ def cmd_classify(args):
             grid_bins_per_axis=args.bins,
         )
         rep = ball_image_occupancy(germ, pcfg)
-        probe_section = occupancy_json(rep)
-        if verdict.status is Status.UNDETERMINED and verdict.witness is None:
-            import dataclasses
-
-            verdict = dataclasses.replace(verdict, witness=ProbeOnlyWitness(rep))
-
-    prop_section = None
-    if not dec.f_hat_is_unit and not dec.g_hat_is_unit and not dec.h.is_unit_germ():
-        f, g = germ.f, germ.g
-        nested = (
-            f.is_zero()
-            or g.is_zero()
-            or zero_set_germ_included(g, f)
-            or zero_set_germ_included(f, g)
-        )
-        if not nested:
-            prop_section = prop_crit_json(prop_crit_check(dec, cfg))
+        probe = (occupancy_json(rep), rep)
     elapsed = time.monotonic() - t0
 
-    report = build_classify_report(
+    verdict, report = build_classify_report(
         name=name,
         varnames=varnames,
         f_text=f_text,
         g_text=g_text,
+        germ=germ,
         verdict=verdict,
-        dec=dec,
-        prop_crit=prop_section,
-        probe=probe_section,
+        probe=probe,
         timing=elapsed if args.timing else None,
     )
     if args.json:
@@ -152,8 +129,8 @@ def cmd_classify(args):
         print(f"witness: {witness_kind(verdict.witness)}")
         print(f"subflat: {verdict.subflat_label.value}")
         print(f"because: {verdict.rationale}")
-        if probe_section:
-            print(f"probe:   occupancy {probe_section['occupied_fraction']:.4f}")
+        if probe:
+            print(f"probe:   occupancy {report['probe']['occupied_fraction']:.4f}")
     return 0
 
 
@@ -282,8 +259,6 @@ def cmd_probe(args):
 
 
 def cmd_corpus(args):
-    from .corpus import run_corpus, summary_table
-
     results, code = run_corpus(
         path=args.corpus_file,
         seed=args.seed,

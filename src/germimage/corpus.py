@@ -7,20 +7,12 @@ an optional probe protocol with frozen thresholds.
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.resources
+import os
 import time
 from dataclasses import dataclass, field
 
-from .algebra import decompose
-from .classifier import (
-    GapCurveSearchParams,
-    ProbeOnlyWitness,
-    Status,
-    classify,
-    prop_crit_check,
-    witness_kind,
-)
+from .classifier import GapCurveSearchParams, classify, witness_kind
 from .errors import GermImageError
 from .parsing import parse_map_germ
 from .probe import (
@@ -33,7 +25,6 @@ from .report import (
     build_classify_report,
     dumps_report,
     occupancy_json,
-    prop_crit_json,
     residual_json,
     stability_json,
 )
@@ -73,6 +64,7 @@ def shipped_corpus_path():
 
 def parse_corpus(text):
     entries = []
+    seen = set()
     block_name = None
     block = {}
 
@@ -108,6 +100,16 @@ def parse_corpus(text):
         if line.startswith("[") and line.endswith("]"):
             finish()
             block_name = line[1:-1].strip()
+            if block_name in ("", ".", "..") or any(c in block_name for c in "/\\"):
+                raise GermImageError(
+                    f"corpus line {lineno}: entry name {block_name!r} is not a "
+                    "plain file name"
+                )
+            if block_name in seen:
+                raise GermImageError(
+                    f"corpus line {lineno}: duplicate entry name {block_name!r}"
+                )
+            seen.add(block_name)
             block = {}
             continue
         if "=" not in line:
@@ -213,42 +215,19 @@ def run_entry(entry, seed=0, search=None, with_probe=True):
     probe_section, probe_ok, probe_rep = (None, True, None)
     if with_probe:
         probe_section, probe_ok, probe_rep = run_probe(entry, germ, verdict, seed)
-        if (
-            verdict.status is Status.UNDETERMINED
-            and verdict.witness is None
-            and probe_rep is not None
-            and entry.probe_kind == "occupancy"
-        ):
-            verdict = dataclasses.replace(verdict, witness=ProbeOnlyWitness(probe_rep))
     seconds = time.monotonic() - t0
 
-    dec = decompose(germ)
-    prop_section = None
-    if not dec.f_hat_is_unit and not dec.g_hat_is_unit and not dec.h.is_unit_germ():
-        f, g = germ.f, germ.g
-        from .algebra import zero_set_germ_included
-
-        nested = (
-            f.is_zero()
-            or g.is_zero()
-            or zero_set_germ_included(g, f)
-            or zero_set_germ_included(f, g)
-        )
-        if not nested:
-            prop_section = prop_crit_json(prop_crit_check(dec, cfg))
-
-    status_ok = verdict.status.value == entry.expected_status
-    witness_ok = entry.expected_witness in ("", witness_kind(verdict.witness))
-    report = build_classify_report(
+    verdict, report = build_classify_report(
         name=entry.name,
         varnames=entry.varnames,
         f_text=entry.f_text,
         g_text=entry.g_text,
+        germ=germ,
         verdict=verdict,
-        dec=dec,
-        prop_crit=prop_section,
-        probe=probe_section,
+        probe=(probe_section, probe_rep),
     )
+    status_ok = verdict.status.value == entry.expected_status
+    witness_ok = entry.expected_witness in ("", witness_kind(verdict.witness))
     report["expected"] = {
         "status": entry.expected_status,
         "witness": entry.expected_witness,
@@ -274,8 +253,6 @@ def run_corpus(path=None, seed=0, out_dir=None, with_probe=True, search=None):
     for entry in entries:
         results.append(run_entry(entry, seed=seed, search=search, with_probe=with_probe))
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         for res in results:
             with open(

@@ -19,6 +19,7 @@ from .algebra import gcd, jacobian_rank_deficient, squarefree_part
 from .errors import InternalConsistencyError, PreconditionError
 from .poly import (
     Polynomial,
+    compose_target,
     grevlex_key,
     monomial_div,
     monomial_divides,
@@ -262,8 +263,6 @@ def image_curve_equation(germ, verify=True):
     for extra in elim[1:]:
         phi = gcd(phi, extra)
     phi = squarefree_part(phi).monic()
-
-    from .poly import compose_target  # local import to avoid cycle at module load
 
     if not phi.constant_term().is_zero():
         raise InternalConsistencyError("image curve misses the origin")

@@ -1,45 +1,19 @@
 """Hot numeric kernels: batch polynomial evaluation and 4-D occupancy binning.
 
-Two interchangeable backends:
-
-* ``numba`` — ``@njit``-compiled loops, default when numba imports (it
-  comes with the optional ``numba`` extra: ``pip install germimage[numba]``);
-* ``numpy`` — vectorised fallback, selected by setting the environment
-  variable ``GERMIMAGE_NO_NUMBA=1`` (or automatically when numba is
-  missing).
-
-Both backends perform the identical sequence of IEEE multiply/add
-operations per output element (powers by repeated multiplication, terms
-accumulated in the polynomial's canonical order), so their results agree
-bit for bit; the determinism tests and ``benchmarks/bench_kernels.py``
-rely on that.
+One numpy backend.  Evaluation performs the same sequence of IEEE
+multiply/add operations per output element as :meth:`Polynomial.evaluate`
+(powers by repeated multiplication, terms accumulated in the polynomial's
+canonical order), so the two agree bit for bit; the determinism tests rely
+on that.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_FLAG = "GERMIMAGE_NO_NUMBA"
-
-
-def _numba_disabled_by_env():
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-try:
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
 
 
 def active_backend():
-    """Name of the backend used when none is requested explicitly."""
-    if _HAVE_NUMBA and not _numba_disabled_by_env():
-        return "numba"
+    """Name of the numeric backend, recorded with benchmark results."""
     return "numpy"
 
 
@@ -48,12 +22,12 @@ def active_backend():
 # ---------------------------------------------------------------------------
 
 
-# Both backends expand the complex multiply into the identical sequence of
-# real multiplies/adds, so their outputs agree bitwise (complex128 helpers
-# differ at the last ulp between numpy's vector path and scalar code).
+# The complex multiply is expanded into real multiplies/adds, the sequence
+# scalar code performs (numpy's complex128 vector path differs from it at
+# the last ulp).
 
 
-def _eval_terms_numpy(exps, cre, cim, pre, pim):
+def _eval_terms(exps, cre, cim, pre, pim):
     npts = pre.shape[0]
     acc_re = np.zeros(npts)
     acc_im = np.zeros(npts)
@@ -73,36 +47,6 @@ def _eval_terms_numpy(exps, cre, cim, pre, pim):
     return acc_re, acc_im
 
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _eval_terms_numba(exps, cre, cim, pre, pim):  # pragma: no cover - jitted
-        npts = pre.shape[0]
-        nterms = cre.shape[0]
-        nv = pre.shape[1]
-        out_re = np.zeros(npts)
-        out_im = np.zeros(npts)
-        for p in range(npts):
-            acc_re = 0.0
-            acc_im = 0.0
-            for t in range(nterms):
-                term_re = cre[t]
-                term_im = cim[t]
-                for v in range(nv):
-                    zr = pre[p, v]
-                    zi = pim[p, v]
-                    for _ in range(exps[t, v]):
-                        nr = term_re * zr - term_im * zi
-                        ni = term_re * zi + term_im * zr
-                        term_re = nr
-                        term_im = ni
-                acc_re = acc_re + term_re
-                acc_im = acc_im + term_im
-            out_re[p] = acc_re
-            out_im[p] = acc_im
-        return out_re, out_im
-
-
 def pack_polynomial(poly):
     """(exponent matrix, complex coefficient vector) in canonical term order."""
     nterms = len(poly.terms)
@@ -114,7 +58,7 @@ def pack_polynomial(poly):
     return exps, coeffs
 
 
-def evaluate_batch(poly, points, backend=None):
+def evaluate_batch(poly, points):
     """Evaluate ``poly`` at each row of ``points`` (complex128, shape (N, nvars)).
 
     Powers expand by repeated multiplication and terms accumulate in the
@@ -132,15 +76,7 @@ def evaluate_batch(poly, points, backend=None):
     cim = np.ascontiguousarray(coeffs.imag)
     pre = np.ascontiguousarray(points.real)
     pim = np.ascontiguousarray(points.imag)
-    backend = backend or active_backend()
-    if backend == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        out_re, out_im = _eval_terms_numba(exps, cre, cim, pre, pim)
-    elif backend == "numpy":
-        out_re, out_im = _eval_terms_numpy(exps, cre, cim, pre, pim)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    out_re, out_im = _eval_terms(exps, cre, cim, pre, pim)
     return out_re + 1j * out_im
 
 
@@ -149,7 +85,7 @@ def evaluate_batch(poly, points, backend=None):
 # ---------------------------------------------------------------------------
 
 
-def _bin_hits_numpy(u, v, radius, bins):
+def _bin_hits(u, v, radius, bins):
     r2 = radius * radius
     inside = (
         (u.real * u.real + u.imag * u.imag < r2)
@@ -170,34 +106,7 @@ def _bin_hits_numpy(u, v, radius, bins):
     return np.bincount(idx, minlength=bins**4).astype(np.int64)
 
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _bin_hits_numba(u, v, radius, bins):  # pragma: no cover - jitted
-        counts = np.zeros(bins**4, dtype=np.int64)
-        r2 = radius * radius
-        width = (2.0 * radius) / bins
-        for k in range(u.shape[0]):
-            mu = u[k].real * u[k].real + u[k].imag * u[k].imag
-            mv = v[k].real * v[k].real + v[k].imag * v[k].imag
-            if mu < r2 and mv < r2:
-                i0 = int((u[k].real + radius) / width)
-                i1 = int((u[k].imag + radius) / width)
-                i2 = int((v[k].real + radius) / width)
-                i3 = int((v[k].imag + radius) / width)
-                if i0 >= bins:
-                    i0 = bins - 1
-                if i1 >= bins:
-                    i1 = bins - 1
-                if i2 >= bins:
-                    i2 = bins - 1
-                if i3 >= bins:
-                    i3 = bins - 1
-                counts[((i0 * bins + i1) * bins + i2) * bins + i3] += 1
-        return counts
-
-
-def bin_hits(u, v, radius, bins, backend=None):
+def bin_hits(u, v, radius, bins):
     """Per-bin hit counts on the 4-D grid over the open target polydisk.
 
     The grid splits each of (Re u, Im u, Re v, Im v) into ``bins`` cells
@@ -209,14 +118,7 @@ def bin_hits(u, v, radius, bins, backend=None):
     v = np.ascontiguousarray(v, dtype=np.complex128)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("u and v must be 1-D arrays of equal length")
-    backend = backend or active_backend()
-    if backend == "numba":
-        if not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        return _bin_hits_numba(u, v, float(radius), int(bins))
-    if backend == "numpy":
-        return _bin_hits_numpy(u, v, float(radius), int(bins))
-    raise ValueError(f"unknown backend {backend!r}")
+    return _bin_hits(u, v, float(radius), int(bins))
 
 
 def centers_inside_polydisk(radius, bins):
@@ -227,13 +129,3 @@ def centers_inside_polydisk(radius, bins):
     u_in = (c2[:, None] + c2[None, :]) < radius * radius
     mask4 = u_in[:, :, None, None] & u_in[None, None, :, :]
     return mask4.reshape(-1)
-
-
-def warmup():
-    """Compile the jitted kernels on tiny inputs (no-op on the numpy path)."""
-    if active_backend() != "numba":
-        return
-    ones = np.ones((2, 1))
-    _eval_terms_numba(np.ones((1, 1), dtype=np.int64), np.ones(1), np.zeros(1), ones, ones)
-    z = np.zeros(2, dtype=np.complex128)
-    _bin_hits_numba(z, z, 1.0, 2)

@@ -8,8 +8,8 @@ equation; unstable image: bins occupied at a larger source radius but not
 at a smaller one) and are labeled as evidence wherever they surface.
 
 Determinism contract: every report is a pure function of the map and the
-config (the k-th sample depends only on (seed, k)), and both kernel
-backends produce bitwise-identical reports.
+config: the k-th sample depends only on (seed, k), and the numpy kernels
+evaluate bit for bit like :meth:`Polynomial.evaluate`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import bin_hits, centers_inside_polydisk, evaluate_batch
-from .poly import compose_target
 
 
 @dataclass(frozen=True)
@@ -111,18 +110,18 @@ def _occupancy_bitmap(counts, inside_mask):
     return (counts > 0) & inside_mask
 
 
-def ball_image_occupancy(germ, cfg, backend=None):
+def ball_image_occupancy(germ, cfg):
     """Occupancy of the image of the epsilon-ball inside the target polydisk.
 
     A grid cell counts as covered with a single hit; the denominator is the
     number of cells whose center lies inside the open polydisk.
     """
     pts = cfg.epsilon * unit_ball_samples(germ.n, cfg.samples, cfg.seed)
-    u = evaluate_batch(germ.f, pts, backend=backend)
-    v = evaluate_batch(germ.g, pts, backend=backend)
+    u = evaluate_batch(germ.f, pts)
+    v = evaluate_batch(germ.g, pts)
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
-    counts = bin_hits(u, v, r, bins, backend=backend)
+    counts = bin_hits(u, v, r, bins)
     inside = centers_inside_polydisk(r, bins)
     total = int(inside.sum())
     occupied = int(_occupancy_bitmap(counts, inside).sum())
@@ -139,7 +138,7 @@ def ball_image_occupancy(germ, cfg, backend=None):
     )
 
 
-def germ_stability_probe(germ, eps1, eps2, cfg, backend=None):
+def germ_stability_probe(germ, eps1, eps2, cfg):
     """One-sided occupancy divergence between two source radii.
 
     The same unit-ball sample is reused scaled by eps1 and by eps2, and the
@@ -159,13 +158,13 @@ def germ_stability_probe(germ, eps1, eps2, cfg, backend=None):
     bins = cfg.grid_bins_per_axis
     inside = centers_inside_polydisk(r, bins)
 
-    u2 = evaluate_batch(germ.f, eps2 * unit, backend=backend)
-    v2 = evaluate_batch(germ.g, eps2 * unit, backend=backend)
-    counts2 = bin_hits(u2, v2, r, bins, backend=backend)
+    u2 = evaluate_batch(germ.f, eps2 * unit)
+    v2 = evaluate_batch(germ.g, eps2 * unit)
+    counts2 = bin_hits(u2, v2, r, bins)
 
-    u1 = evaluate_batch(germ.f, eps1 * unit, backend=backend)
-    v1 = evaluate_batch(germ.g, eps1 * unit, backend=backend)
-    counts1 = bin_hits(u1, v1, r, bins, backend=backend) + counts2
+    u1 = evaluate_batch(germ.f, eps1 * unit)
+    v1 = evaluate_batch(germ.g, eps1 * unit)
+    counts1 = bin_hits(u1, v1, r, bins) + counts2
 
     bm1 = _occupancy_bitmap(counts1, inside)
     bm2 = _occupancy_bitmap(counts2, inside)
@@ -187,7 +186,7 @@ def germ_stability_probe(germ, eps1, eps2, cfg, backend=None):
     )
 
 
-def curve_residual_probe(germ, phi, cfg, backend=None):
+def curve_residual_probe(germ, phi, cfg):
     """|phi(f(x), g(x))| over sampled x.
 
     For a verified curve-image verdict this is zero up to floating
@@ -196,10 +195,10 @@ def curve_residual_probe(germ, phi, cfg, backend=None):
     if phi.is_zero():
         raise ValueError("residual probe needs a nonzero curve equation")
     pts = cfg.epsilon * unit_ball_samples(germ.n, cfg.samples, cfg.seed)
-    u = evaluate_batch(germ.f, pts, backend=backend)
-    v = evaluate_batch(germ.g, pts, backend=backend)
+    u = evaluate_batch(germ.f, pts)
+    v = evaluate_batch(germ.g, pts)
     uv = np.column_stack([u, v])
-    res = np.abs(evaluate_batch(phi, uv, backend=backend))
+    res = np.abs(evaluate_batch(phi, uv))
     return ResidualReport(
         max_residual=float(res.max()),
         mean_residual=float(res.mean()),
@@ -207,17 +206,3 @@ def curve_residual_probe(germ, phi, cfg, backend=None):
         samples=cfg.samples,
         seed=cfg.seed,
     )
-
-
-# re-exported for callers that want the exact identity behind the residual probe
-__all__ = [
-    "SamplerConfig",
-    "OccupancyReport",
-    "StabilityReport",
-    "ResidualReport",
-    "unit_ball_samples",
-    "ball_image_occupancy",
-    "germ_stability_probe",
-    "curve_residual_probe",
-    "compose_target",
-]

@@ -8,8 +8,10 @@ equal seeds are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+from .algebra import decompose
 from .classifier import (
     CodimTwoWitness,
     ContainmentWitness,
@@ -18,9 +20,11 @@ from .classifier import (
     GapLineWitness,
     ProbeOnlyWitness,
     PropCritCertificate,
+    Status,
     witness_kind,
 )
 from .parsing import format_polynomial, format_target_polynomial
+from .probe import OccupancyReport
 
 
 def serialize_fraction(q):
@@ -156,16 +160,28 @@ def residual_json(report):
 
 
 def build_classify_report(
-    name,
-    varnames,
-    f_text,
-    g_text,
-    verdict,
-    dec=None,
-    prop_crit=None,
-    probe=None,
-    timing=None,
+    name, varnames, f_text, g_text, germ, verdict, probe=None, timing=None
 ):
+    """Attach probe evidence to a verdict and assemble its classify report.
+
+    ``probe`` is a pair (JSON section, probe report) or None.  An occupancy
+    probe becomes the witness of an Undetermined verdict that has none; it
+    never changes the decision.  The decomposition and the criterion
+    outcome are read from the verdict; only a nested verdict, for which
+    ``classify`` does not decompose, has its decomposition computed here.
+
+    Returns ``(verdict, report)``.
+    """
+    section, probe_report = probe or (None, None)
+    if (
+        verdict.status is Status.UNDETERMINED
+        and verdict.witness is None
+        and isinstance(probe_report, OccupancyReport)
+    ):
+        verdict = dataclasses.replace(verdict, witness=ProbeOnlyWitness(probe_report))
+    dec = verdict.decomposition
+    if dec is None:
+        dec = decompose(germ)
     report = {
         "input": {
             "name": name,
@@ -174,16 +190,15 @@ def build_classify_report(
             "g": g_text,
         },
         "verdict": verdict_json(verdict, varnames),
+        "decomposition": decomposition_json(dec, varnames),
     }
-    if dec is not None:
-        report["decomposition"] = decomposition_json(dec, varnames)
-    if prop_crit is not None:
-        report["prop_crit"] = prop_crit
-    if probe is not None:
-        report["probe"] = probe
+    if verdict.prop_crit is not None:
+        report["prop_crit"] = prop_crit_json(verdict.prop_crit)
+    if section is not None:
+        report["probe"] = section
     if timing is not None:
         report["timing"] = {"seconds": timing}
-    return report
+    return verdict, report
 
 
 def dumps_report(report):

@@ -18,6 +18,7 @@ from germimage.classifier import (
     Status,
     SubflatLabel,
     find_gap_lines,
+    prop_crit_check,
     witness_kind,
 )
 from germimage.corpus import load_corpus, run_corpus
@@ -25,7 +26,7 @@ from germimage.groebner import TermOrder, buchberger, normal_form, s_polynomial
 from germimage.parsing import parse_polynomial
 from germimage.poly import MapGerm, Polynomial, compose_target
 from germimage.probe import SamplerConfig, germ_stability_probe
-from germimage import kernels
+from germimage.report import decomposition_json, prop_crit_json
 
 from _helpers import compose_case, factor_pool
 
@@ -42,7 +43,6 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def corpus_run():
-    kernels.warmup()  # compile the jitted kernels outside the timed region
     t0 = time.monotonic()
     results, code = run_corpus(seed=0)
     elapsed = time.monotonic() - t0
@@ -225,3 +225,32 @@ def test_criterion_7_subflat_labeling(corpus_run):
         # both label directions are actually exercised by the corpus
         labels = {res.verdict.subflat_label for res in by_name.values()}
         assert SubflatLabel.SUBFLAT in labels and SubflatLabel.NOT_SUBFLAT in labels
+
+
+def test_reports_match_a_fresh_recomputation(corpus_run):
+    """The decomposition and criterion sections equal an independent rerun.
+
+    The criterion applies when neither zero set contains the other, h(0) = 0
+    and both cofactors vanish at 0; elsewhere the section is absent.
+    """
+    by_name, _, _ = corpus_run
+    applied = set()
+    for name, res in by_name.items():
+        germ = res.entry.germ()
+        f, g = germ.f, germ.g
+        dec = decompose(germ)
+        assert res.report["decomposition"] == decomposition_json(dec, res.entry.varnames), name
+        nested = (
+            f.is_zero()
+            or g.is_zero()
+            or zero_set_germ_included(g, f)
+            or zero_set_germ_included(f, g)
+        )
+        if nested or dec.h.is_unit_germ() or dec.f_hat_is_unit or dec.g_hat_is_unit:
+            assert "prop_crit" not in res.report, name
+            continue
+        expected = prop_crit_json(prop_crit_check(dec, SamplerConfig(seed=0)))
+        assert res.report["prop_crit"] == expected, name
+        applied.add(name)
+    # both cases are exercised by the corpus
+    assert applied and applied != set(by_name)

@@ -1,11 +1,15 @@
 """CLI surface: subcommands, JSON schema stability, exit codes, CSV grid."""
 
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from germimage import algebra, classifier
 from germimage.cli import main
+from germimage.corpus import load_corpus, run_entry
 from germimage.probe import OccupancyReport
 from germimage.report import emit_occupancy_grid
 
@@ -47,6 +51,56 @@ def test_classify_json_schema(capsys):
     assert doc["decomposition"]["h"] == "x"
     assert doc["prop_crit"]["result"] == "GapLineFound"
     assert "timing" not in doc
+
+
+def test_classify_json_nested_germ_has_no_criterion(capsys):
+    code, out, _ = run_cli(
+        capsys, "--json", "classify", "--vars", "x,y", "--f", "x", "--g", "x*y"
+    )
+    assert code == 0
+    assert set(json.loads(out)) == {"input", "verdict", "decomposition"}
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of ``decompose`` and ``prop_crit_check`` under every name.
+
+    Each ``germimage`` module attribute bound to one of them is replaced by
+    a counting wrapper, so calls count whichever module makes them.
+    """
+    counts = {}
+    targets = {algebra.decompose: "decompose", classifier.prop_crit_check: "prop_crit_check"}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not mod_name.startswith("germimage"):
+            continue
+        for attr, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj) and obj in targets:
+                key = targets[obj]
+
+                def counted(*args, _fn=obj, _key=key, **kwargs):
+                    counts[_key] = counts.get(_key, 0) + 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def test_one_classification_pass_in_corpus_and_cli(call_counts, capsys):
+    """A report reuses what ``classify`` computed: each step runs once."""
+    (entry,) = [e for e in load_corpus() if e.name == "huckleberry"]
+    run_entry(entry)
+    assert call_counts == {"decompose": 1, "prop_crit_check": 1}
+
+    call_counts.clear()
+    code, _, _ = run_cli(capsys, "--json", "classify", "--entry", "huckleberry")
+    assert code == 0
+    assert call_counts == {"decompose": 1, "prop_crit_check": 1}
+
+    # a nested germ is decided without the decomposition; the report needs it once
+    call_counts.clear()
+    code, _, _ = run_cli(capsys, "--json", "classify", "--vars", "x,y", "--f", "x", "--g", "x*y")
+    assert code == 0
+    assert call_counts == {"decompose": 1}
 
 
 def test_classify_timing_flag(capsys):

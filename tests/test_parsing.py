@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from germimage.errors import NotAGermError, ParseError, UnknownVariableError
+from germimage.corpus import parse_corpus
+from germimage.errors import GermImageError, NotAGermError, ParseError, UnknownVariableError
 from germimage.parsing import (
     format_polynomial,
     parse_map_germ,
@@ -26,6 +27,28 @@ def test_parse_corpus_maps():
 
     germ2 = parse_map_germ(["x", "y", "z"], "x*y", "x*z")
     assert germ2.n == 3
+
+
+_ENTRY_BODY = "vars = x y\nf = x\ng = y\nexpected_status = LocallyOpen\n"
+
+
+def test_parse_corpus_rejects_duplicate_entry_names():
+    text = "[a]\n" + _ENTRY_BODY + "[b]\n" + _ENTRY_BODY + "[a]\n" + _ENTRY_BODY
+    with pytest.raises(GermImageError, match="corpus line 11: duplicate entry name 'a'"):
+        parse_corpus(text)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escape", "sub/a", "sub\\a", "/abs"])
+def test_parse_corpus_rejects_entry_names_that_are_not_file_names(name):
+    text = "# leading comment\n[" + name + "]\n" + _ENTRY_BODY
+    with pytest.raises(GermImageError, match="corpus line 2: entry name .* not a plain file name"):
+        parse_corpus(text)
+
+
+def test_parse_corpus_accepts_plain_names():
+    names = ["a", "huckleberry-chart", "a.b", "x_1"]
+    text = "".join(f"[{n}]\n" + _ENTRY_BODY for n in names)
+    assert [e.name for e in parse_corpus(text)] == names
 
 
 def test_parse_constant_term_rejected():

@@ -1,10 +1,7 @@
-"""Monte Carlo probes: determinism, nesting, backend equality, corroboration.
+"""Monte Carlo probes: determinism, nesting, kernel exactness, corroboration.
 
-The bitwise contract of ``germimage.kernels`` is checked in two halves:
-numba against numpy in ``test_backends_agree_bitwise``, which runs only
-where numba imports, and the default backend (numpy where numba is missing)
-against ``Polynomial.evaluate`` in ``test_batch_matches_scalar_evaluate``,
-which runs on every machine.
+``germimage.kernels`` has one numpy backend; its bitwise contract with
+``Polynomial.evaluate`` is checked in ``test_batch_matches_scalar_evaluate``.
 """
 
 import numpy as np
@@ -65,22 +62,8 @@ def test_occupancy_deterministic():
     assert r1.occupied_fraction == r2.occupied_fraction
 
 
-def test_backends_agree_bitwise():
-    """numba and numpy backends give bitwise-equal values and histograms."""
-    pytest.importorskip("numba")
-    cfg = SamplerConfig(epsilon=0.3, samples=50_000, seed=5)
-    pts = 0.3 * unit_ball_samples(3, 20_000, seed=2)
-    for poly in (OPENBALL.f, OPENBALL.g, x3 + y3.scale(3) * z3):
-        a = kernels.evaluate_batch(poly, pts, backend="numba")
-        b = kernels.evaluate_batch(poly, pts, backend="numpy")
-        assert np.array_equal(a, b)
-    ra = ball_image_occupancy(OPENBALL, cfg, backend="numba")
-    rb = ball_image_occupancy(OPENBALL, cfg, backend="numpy")
-    assert np.array_equal(ra.hit_histogram, rb.hit_histogram)
-
-
 def test_batch_matches_scalar_evaluate():
-    """The default backend agrees exactly with ``Polynomial.evaluate``."""
+    """Batch evaluation agrees exactly with ``Polynomial.evaluate``."""
     pts = 0.5 * unit_ball_samples(2, 64, seed=3)
     poly = x * x * y + y.scale(2) - x
     vals = kernels.evaluate_batch(poly, pts)
@@ -146,22 +129,3 @@ def test_curve_residual_examples():
     with pytest.raises(ValueError):
         curve_residual_probe(CUSP, Polynomial.zero(2), SamplerConfig())
 
-
-def test_env_flag_parsing(monkeypatch):
-    """The flag disables numba; without numba the numpy path is the default."""
-    monkeypatch.setattr(kernels, "_HAVE_NUMBA", True)
-    for value in ("1", "TRUE", " yes ", "on"):
-        monkeypatch.setenv("GERMIMAGE_NO_NUMBA", value)
-        assert kernels.active_backend() == "numpy", value
-    for value in ("", "0", "false", "off"):
-        monkeypatch.setenv("GERMIMAGE_NO_NUMBA", value)
-        assert kernels.active_backend() == "numba", value
-    monkeypatch.delenv("GERMIMAGE_NO_NUMBA")
-    assert kernels.active_backend() == "numba"
-
-    monkeypatch.setattr(kernels, "_HAVE_NUMBA", False)
-    for value in ("", "0", "1"):
-        monkeypatch.setenv("GERMIMAGE_NO_NUMBA", value)
-        assert kernels.active_backend() == "numpy", value
-    monkeypatch.delenv("GERMIMAGE_NO_NUMBA")
-    assert kernels.active_backend() == "numpy"
