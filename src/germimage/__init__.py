@@ -27,6 +27,7 @@ from .classifier import (
     find_gap_lines,
     is_gap_curve,
     is_gap_line,
+    pencil_constancy_locus,
     prop_crit_check,
     verify_witness,
     witness_kind,
@@ -74,6 +75,7 @@ __all__ = [
     "is_gap_line",
     "find_gap_lines",
     "prop_crit_check",
+    "pencil_constancy_locus",
     "is_gap_curve",
     "bounded_gap_curve_search",
     "GapCurveSearchParams",

@@ -141,7 +141,9 @@ def cmd_gap_lines(args):
     result = find_gap_lines(dec, _sampler(args))
     payload = {
         "input": {"name": name, "vars": list(varnames), "f": f_text, "g": g_text},
+        "c": format_polynomial(result.c, varnames),
         "verified": [serialize_ratio(r) for r in result.verified],
+        "refuted": [serialize_ratio(r) for r in result.refuted],
         "unverified_numeric": [
             {
                 "alpha": {"re": a.real, "im": a.imag},
@@ -153,7 +155,6 @@ def cmd_gap_lines(args):
             "lines": result.coverage.lines,
             "roots": result.coverage.roots,
             "samples": result.coverage.samples,
-            "clusters": result.coverage.clusters,
             "retries": result.coverage.retries,
         },
     }

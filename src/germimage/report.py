@@ -64,18 +64,7 @@ def witness_json(witness, varnames):
         body["minor"] = format_polynomial(witness.minor, varnames)
         return body
     if isinstance(witness, PropCritCertificate):
-        body["stats"] = {
-            "lines": witness.lines,
-            "roots": witness.roots,
-            "samples": witness.samples,
-            "candidate_clusters": witness.candidate_clusters,
-            "refuted": [serialize_ratio(r) for r in witness.refuted],
-            "unverified": [
-                {"alpha": _complex_pair(a), "beta": _complex_pair(b)}
-                for a, b in witness.unverified
-            ],
-            "note": witness.note,
-        }
+        body["stats"] = {**_certificate_json(witness, varnames), "note": witness.note}
         return body
     if isinstance(witness, ProbeOnlyWitness):
         body["probe"] = occupancy_json(witness.report) if witness.report else None
@@ -102,20 +91,25 @@ def decomposition_json(dec, varnames):
     }
 
 
-def prop_crit_json(outcome):
-    cert = outcome.certificate
+def _certificate_json(cert, varnames):
     return {
-        "result": outcome.kind.value,
-        "reason": outcome.reason,
+        "c": format_polynomial(cert.c, varnames),
         "lines": cert.lines,
         "roots": cert.roots,
         "samples": cert.samples,
-        "candidate_clusters": cert.candidate_clusters,
         "refuted": [serialize_ratio(r) for r in cert.refuted],
         "unverified": [
             {"alpha": _complex_pair(a), "beta": _complex_pair(b)}
             for a, b in cert.unverified
         ],
+    }
+
+
+def prop_crit_json(outcome, varnames):
+    return {
+        "result": outcome.kind.value,
+        "reason": outcome.reason,
+        **_certificate_json(outcome.certificate, varnames),
     }
 
 
@@ -193,7 +187,7 @@ def build_classify_report(
         "decomposition": decomposition_json(dec, varnames),
     }
     if verdict.prop_crit is not None:
-        report["prop_crit"] = prop_crit_json(verdict.prop_crit)
+        report["prop_crit"] = prop_crit_json(verdict.prop_crit, varnames)
     if section is not None:
         report["probe"] = section
     if timing is not None:

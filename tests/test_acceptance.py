@@ -249,7 +249,9 @@ def test_reports_match_a_fresh_recomputation(corpus_run):
         if nested or dec.h.is_unit_germ() or dec.f_hat_is_unit or dec.g_hat_is_unit:
             assert "prop_crit" not in res.report, name
             continue
-        expected = prop_crit_json(prop_crit_check(dec, SamplerConfig(seed=0)))
+        expected = prop_crit_json(
+            prop_crit_check(dec, SamplerConfig(seed=0)), res.entry.varnames
+        )
         assert res.report["prop_crit"] == expected, name
         applied.add(name)
     # both cases are exercised by the corpus

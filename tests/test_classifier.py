@@ -1,28 +1,34 @@
 """Gap lines, gap curves, the openness test and the full pipeline."""
 
+import itertools
 import random
 
 import pytest
 
 from germimage.algebra import decompose
 from germimage.classifier import (
+    _normalized_candidates,
     GapCurveSearchParams,
     PlaneCurveCandidate,
     ProjectiveRatio,
+    PropCritCertificate,
     PropCritKind,
     Status,
     SubflatLabel,
+    Verdict,
     bounded_gap_curve_search,
     classify,
     find_gap_lines,
     is_gap_curve,
     is_gap_line,
+    pencil_constancy_locus,
     prop_crit_check,
     verify_witness,
     witness_kind,
 )
 from germimage.errors import ImageContainsCurveError, PreconditionError
 from germimage.poly import MapGerm, Polynomial
+from germimage.rationals import GaussianRational
 from germimage.probe import SamplerConfig
 from germimage.report import verdict_json
 
@@ -31,6 +37,7 @@ from _helpers import random_unimodular, source_change, target_change, variables
 x, y = variables(2)
 x3, y3, z3 = variables(3)
 u, v = variables(2)
+ONE = Polynomial.one(2)
 CFG = SamplerConfig(seed=0)
 
 ANGLE = MapGerm(x, x * y)
@@ -41,6 +48,7 @@ HUCKLEBERRY = MapGerm(x * (y + x * x), y * (y + x * x))
 NOGAPLINE = MapGerm(x * y, x * x * y * y + y**3)
 ROUCHE = MapGerm(x * (x**4 + y), y * (x**4 + y) ** 2)
 CUSP = MapGerm((x + y) ** 2, (x + y) ** 3)
+UNIT_BRANCH = MapGerm(x * y * (x + ONE), y * (x + ONE) ** 2 * (x + y))
 
 
 def test_projective_ratio_canonical():
@@ -74,17 +82,26 @@ def test_is_gap_line_precondition():
 
 def test_find_gap_lines_examples():
     res = find_gap_lines(decompose(BLOWUP), CFG)
+    assert res.c == x
     assert res.verified == (ProjectiveRatio(0, 1),)
-    assert res.unverified_numeric == ()
+    assert res.refuted == () and res.unverified_numeric == ()
+    assert res.coverage.lines >= 1 and res.coverage.samples >= 1
 
     res2 = find_gap_lines(decompose(NOGAPLINE), CFG)
+    assert res2.c == y
     assert res2.verified == () and res2.unverified_numeric == ()
+    assert res2.refuted == (ProjectiveRatio(1, 0),)
 
+    # C(0) != 0 rules gap lines out before any sampling
     res3 = find_gap_lines(decompose(HUCKLEBERRY), CFG)
-    assert res3.verified == () and res3.unverified_numeric == ()
+    assert res3.c == ONE
+    assert res3.verified == () and res3.refuted == () and res3.unverified_numeric == ()
+    assert res3.coverage.lines == 0 and res3.coverage.samples == 0
 
     res4 = find_gap_lines(decompose(MapGerm(x * x * y, x * y * y)), CFG)
+    assert res4.c == x * y
     assert set(res4.verified) == {ProjectiveRatio(0, 1), ProjectiveRatio(1, 0)}
+    assert res4.refuted == ()
 
 
 def test_prop_crit_examples():
@@ -97,6 +114,50 @@ def test_prop_crit_examples():
     out2 = prop_crit_check(decompose(ROUCHE), CFG)
     assert out2.kind is PropCritKind.INCONCLUSIVE
     assert out2.certificate.refuted == (ProjectiveRatio(1, 0),)
+
+
+def test_pencil_constancy_locus_examples():
+    assert pencil_constancy_locus(decompose(HUCKLEBERRY)) == ONE
+    assert pencil_constancy_locus(decompose(ROUCHE)) == x**4 + y
+    assert pencil_constancy_locus(decompose(DIAGONAL)) == x
+    # h = y*(x+1): the ratio is constant on x = -1 only, away from 0
+    dec = decompose(UNIT_BRANCH)
+    assert dec.h == y * (x + ONE)
+    assert pencil_constancy_locus(dec) == x + ONE
+    with pytest.raises(PreconditionError):
+        pencil_constancy_locus(decompose(ANGLE))
+
+
+def test_prop_crit_exact_when_constant_ratio_lies_away_from_0():
+    """x+1 is a unit at 0: only {y=0} passes through 0, where x : (x+1)x varies."""
+    verdict = classify(UNIT_BRANCH, CFG)
+    assert verdict.status is Status.LOCALLY_OPEN
+    assert witness_kind(verdict.witness) == "PropCritCertificate"
+    assert verdict.witness.c == x + ONE
+    assert verify_witness(UNIT_BRANCH, verdict) is True
+
+
+def _forged_open_verdict(c):
+    return Verdict(
+        status=Status.LOCALLY_OPEN,
+        witness=PropCritCertificate(c=c, lines=0, roots=0, samples=0, refuted=(), unverified=()),
+        subflat_label=SubflatLabel.SUBFLAT,
+        rationale="forged",
+    )
+
+
+def test_verify_witness_recomputes_the_pencil_certificate():
+    # C(0) = 0: the ratio is constant on a component through 0
+    for germ in [ROUCHE, NOGAPLINE]:
+        c = pencil_constancy_locus(decompose(germ))
+        assert c.constant_term().is_zero()
+        assert verify_witness(germ, _forged_open_verdict(c)) is False
+    # a stored C that differs from the recomputed one
+    assert verify_witness(HUCKLEBERRY, _forged_open_verdict(ONE)) is True
+    assert verify_witness(HUCKLEBERRY, _forged_open_verdict(x + ONE)) is False
+    assert verify_witness(UNIT_BRANCH, _forged_open_verdict(ONE)) is False
+    # outside the pencil branch (unit cofactor) no certificate holds
+    assert verify_witness(ANGLE, _forged_open_verdict(ONE)) is False
 
 
 def test_is_gap_curve_examples():
@@ -145,6 +206,30 @@ def test_bounded_search_examples():
     # codimension-two case short-circuits
     ident = MapGerm(x, y)
     assert bounded_gap_curve_search(ident, decompose(ident)) == ()
+
+
+def test_normalized_candidates_match_division_per_tuple():
+    """The quotient-table enumeration equals dividing every tuple by its first nonzero entry."""
+    G = GaussianRational
+    grids = [
+        (G(0), G(1), G(-1), G(2), G(-2)),
+        (G(1), G(0, 1), G(-1), G(0), G(1, 2)),
+        (G(2), G(3, 1)),
+        (G(0),),
+    ]
+    for grid in grids:
+        for length in (1, 2, 3, 4):
+            expected = []
+            for coeffs in itertools.product(grid, repeat=length):
+                first = next((c for c in coeffs if not c.is_zero()), None)
+                if first is not None:
+                    norm = tuple(c / first for c in coeffs)
+                    if norm not in expected:
+                        expected.append(norm)
+            tuples, matrix = _normalized_candidates(grid, length)
+            assert tuples == expected
+            assert matrix.shape == (len(expected), length)
+            assert matrix.tolist() == [[complex(c) for c in t] for t in expected]
 
 
 def test_classify_pipeline_examples():

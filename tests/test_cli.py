@@ -126,8 +126,11 @@ def test_gap_lines_command(capsys):
     )
     doc = json.loads(out)
     assert code == 0
+    assert doc["c"] == "x"
     assert doc["verified"] == [{"alpha": "0/1", "beta": "1/1"}]
+    assert doc["refuted"] == []
     assert doc["unverified_numeric"] == []
+    assert set(doc["coverage"]) == {"lines", "roots", "samples", "retries"}
     assert doc["coverage"]["lines"] >= 1
 
 
