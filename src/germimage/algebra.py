@@ -20,10 +20,13 @@ That reduces the dimension dichotomy to the constant term of gcd(f, g).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import GcdUndefinedError, PreconditionError
 from .poly import MapGerm, Polynomial
+from .rationals import ONE, ZERO, GaussianRational
 
 # ---------------------------------------------------------------------------
 # univariate views: coefficient lists in a chosen main variable
@@ -79,29 +82,49 @@ def _prem(a, b):
     return r
 
 
-def _subresultant_prs(a, b, nvars):
-    """Last nonzero member of the subresultant PRS of primitive lists a, b.
+def _subresultant_prs(a, b, nvars, to_end=False):
+    """Run the subresultant PRS of lists a, b with deg a >= deg b.
 
-    Returns ``None`` when the primitive parts are coprime (constant
-    remainder reached), otherwise a coefficient list whose primitive part
-    is the gcd.  deg a >= deg b >= 1 on entry.  All interior divisions are
-    exact by the subresultant theory over a UFD.
+    Returns ``(a, b, h, sign)`` for the last pair: ``b`` is constant when
+    a, b are coprime, else the last nonzero member, whose primitive part is
+    the gcd; ``h`` is the scale of the last step and ``sign`` the product
+    of (-1)^(deg a_k * deg b_k) over the steps.  A constant last member is
+    scaled exactly only ``to_end``, as the resultant needs.  All interior
+    divisions are exact (Collins 1967; Brown & Traub 1971).
     """
-    one = Polynomial.one(nvars)
-    g, h = one, one
-    while True:
-        delta = (len(a) - 1) - (len(b) - 1)
+    g = h = Polynomial.one(nvars)
+    sign = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            sign = -sign
         r = _prem(a, b)
         if not r:
-            return b
-        if len(r) == 1:
-            return None
+            break
+        if len(r) == 1 and not to_end:
+            return b, r, h, sign
         divisor = g * h**delta
-        a = b
-        b = [c.exact_divide(divisor) for c in r]
+        a, b = b, [c.exact_divide(divisor) for c in r]
         g = a[-1]
         if delta > 0:
             h = (g**delta).exact_divide(h ** (delta - 1))
+    return a, b, h, sign
+
+
+def resultant(p, q, var):
+    """Res_var(p, q), the Sylvester determinant, as a polynomial free of ``var``."""
+    p._check_same_ring(q)
+    if p.is_zero() or q.is_zero():
+        return Polynomial.zero(p.nvars)
+    a, b = _coeffs_in(p, var), _coeffs_in(q, var)
+    sign = -1 if (len(a) - 1) % 2 and (len(b) - 1) % 2 and len(a) < len(b) else 1
+    a, b = sorted((a, b), key=len, reverse=True)
+    a, b, h, s = _subresultant_prs(a, b, p.nvars, to_end=True)
+    if len(b) > 1:
+        return Polynomial.zero(p.nvars)
+    da = len(a) - 1
+    res = (b[0] ** da).exact_divide(h ** max(da - 1, 0))
+    return res if sign * s > 0 else -res
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +193,8 @@ def gcd(p, q):
     if len(lb) == 1:
         # a primitive polynomial of degree 0 in the main variable is constant
         return c.monic()
-    res = _subresultant_prs(la, lb, p.nvars)
-    if res is None:
+    _, res, _, _ = _subresultant_prs(la, lb, p.nvars)
+    if len(res) == 1:
         return c.monic()
     r = _from_coeffs(res, var, p.nvars)
     _, rp = _content_and_pp(r, var)
@@ -202,6 +225,96 @@ def zero_set_germ_included(p, q):
     s = squarefree_part(p)
     r = s.exact_divide(gcd(s, q))
     return not r.constant_term().is_zero()
+
+
+# ---------------------------------------------------------------------------
+# roots in Q(i) of a univariate polynomial
+# ---------------------------------------------------------------------------
+
+_TRIAL_DIVISION_CAP = 10**5  # largest trial divisor of a norm or content
+_QUOTIENT_CAP = 20_000  # most divisor pairs r | a_0, q | a_n tried
+
+
+def _factor_into(primes, n, times):
+    """Add the primes of n >= 1, ``times`` each, by trial division; False past the cap."""
+    d = 2
+    while d * d <= n:
+        if d > _TRIAL_DIVISION_CAP:
+            return False
+        while n % d == 0:
+            primes[d], n = primes.get(d, 0) + times, n // d
+        d += 1
+    if n > 1:
+        primes[n] = primes.get(n, 0) + times
+    return True
+
+
+def _gaussian_divisors(z):
+    """Divisors of a Gaussian integer z as int pairs, one per associate class, or None.
+
+    From the primes p of N(z) = g^2 * N(z/g), g the integer content of z:
+    p = 3 mod 4 stays prime in Z[i], else p = (a+bi)(a-bi), associates iff p = 2.
+    """
+    g, primes = math.gcd(int(z.re), int(z.im)), {}
+    if not (_factor_into(primes, g, 2) and _factor_into(primes, int((z / g).norm()), 1)):
+        return None
+    out = [ONE]
+    for p, e in primes.items():
+        if p % 4 == 3:
+            powers = [(GaussianRational(p), e // 2)]
+        else:
+            a = next(a for a in range(1, p) if math.isqrt(p - a * a) ** 2 == p - a * a)
+            pi, k = GaussianRational(a, math.isqrt(p - a * a)), 0
+            while (w := z / pi ** (k + 1)).re.denominator == w.im.denominator == 1:
+                k += 1
+            powers = [(pi, k), (pi.conjugate(), e - k)] if p > 2 else [(pi, e)]
+        for pi, k in powers:
+            out = [d * pi**j for d in out for j in range(k + 1)]
+    return [(int(d.re), int(d.im)) for d in out]
+
+
+def _vanishes_at(coeffs, r, q):
+    """sum a_k r^k q^(n-k) == 0 by Horner, for Gaussian integers as int pairs, a_n first."""
+    (xr, xi), (rr, ri), (qr, qi) = coeffs[0], r, q
+    pr, pi = 1, 0
+    for ar, ai in coeffs[1:]:
+        pr, pi = pr * qr - pi * qi, pr * qi + pi * qr
+        xr, xi = xr * rr - xi * ri + ar * pr - ai * pi, xr * ri + xi * rr + ar * pi + ai * pr
+    return xr == xi == 0
+
+
+def gaussian_rational_roots(p):
+    """Split a nonzero univariate ``p`` into its roots in Q(i) and the rest.
+
+    s = a_n*c^n + ... + a_0 is the squarefree part of p scaled to Gaussian
+    integers without integer content.  Z[i] is a UFD, so a root r/q in
+    lowest terms has r | a_0 and q | a_n (the rational-root theorem); each
+    such quotient times a unit is tried exactly.  Returns ``(roots, rest)``
+    with rest = s / prod(c - root), or None past either cap.
+    """
+    s = squarefree_part(p)
+    parts = [x for _, c in s.terms for x in (c.re, c.im)]
+    den = math.lcm(*(x.denominator for x in parts))
+    s = s.scale(GaussianRational(Fraction(den, math.gcd(*(int(x * den) for x in parts)))))
+    roots = []
+    if s.constant_term().is_zero():
+        roots.append(ZERO)
+        s = s.exact_divide(Polynomial.variable(1, 0))
+    tops = _gaussian_divisors(s.leading_coefficient())
+    bottoms = _gaussian_divisors(s.constant_term())
+    if tops is None or bottoms is None or len(tops) * len(bottoms) > _QUOTIENT_CAP:
+        return None
+    coeffs = [s.coefficient((k,)) for k in range(s.degree(), -1, -1)]
+    coeffs = [(int(c.re), int(c.im)) for c in coeffs]
+    for x, y in bottoms:
+        for r in ((x, y), (-y, x), (-x, -y), (y, -x)):  # times each unit
+            for q in tops:
+                if _vanishes_at(coeffs, r, q):
+                    root = GaussianRational(*r) / GaussianRational(*q)
+                    if root not in roots:
+                        roots.append(root)
+                        s = s.exact_divide(Polynomial(1, {(1,): ONE, (0,): -root}))
+    return tuple(roots), s
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,18 @@ Branch structure:
    squarefree part of h = gcd(f, g), the image is open when
    C = gcd(h_bar, 2x2 minors of (g_hat*df_hat - f_hat*dg_hat, dh_bar))
    does not vanish at 0, i.e. when the cofactor ratio f_hat : g_hat is
-   constant on no component of Z(h) through 0.  When C(0) = 0, ratios
-   read off Z(C) nominate gap lines, which are verified exactly, and
-   failing that a bounded search for gap curves runs.  A verified gap
-   witness rules out both openness and (in this branch) a curve image, so
-   the image is not a set germ.  With neither a certificate nor a witness
-   the honest answer is Undetermined.
+   constant on no component of Z(h) through 0.  When C(0) = 0, the ratio
+   is constant on each component of Z(C), and the roots of one resultant
+   R(c) = Res_t(C_L, f_hat_L + c*g_hat_L), on a line L with small
+   Gaussian-integer coefficients, are exactly those constants.  Its roots
+   in Q(i) nominate gap lines, the rest of R one gap curve, and each is
+   verified exactly; failing that a bounded search for gap curves runs.
+   A verified gap witness rules out both openness and (in this branch) a
+   curve image, so the image is not a set germ.  With neither a
+   certificate nor a witness the honest answer is Undetermined.
+
+The only random choice here, the lines of the grid prescreen, has a fixed
+seed, so verdicts do not depend on the seed, which drives only the probes.
 
 Witnesses are data, re-checkable by the exact operations in this module.
 """
@@ -26,7 +32,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,25 +39,26 @@ from .algebra import (
     IntersectionCase,
     decompose,
     first_nonzero_minor,
+    gaussian_rational_roots,
     gcd,
     gcd_many,
     intersection_dimension_case,
     jacobian_minor,
+    resultant,
     squarefree_part,
     zero_set_germ_included,
 )
 from .errors import (
-    DegenerateSamplingError,
     ImageContainsCurveError,
     InternalConsistencyError,
     PreconditionError,
 )
 from .groebner import image_curve_equation
-from .poly import MapGerm, Polynomial, compose_target
-from .probe import SamplerConfig
-from .rationals import ONE, GaussianRational
+from .poly import MapGerm, Polynomial, compose_target, substitute
+from .rationals import I, ONE, ZERO, GaussianRational
 
 
+@dataclass(frozen=True)
 class ProjectiveRatio:
     """A point [alpha : beta] of P^1 over the Gaussian rationals.
 
@@ -60,65 +66,37 @@ class ProjectiveRatio:
     projectively equal ratios compare equal structurally.
     """
 
-    __slots__ = ("alpha", "beta")
+    alpha: GaussianRational
+    beta: GaussianRational
 
-    def __init__(self, alpha, beta):
-        if not isinstance(alpha, GaussianRational):
-            alpha = GaussianRational(alpha)
-        if not isinstance(beta, GaussianRational):
-            beta = GaussianRational(beta)
+    def __post_init__(self):
+        alpha, beta = (
+            x if isinstance(x, GaussianRational) else GaussianRational(x)
+            for x in (self.alpha, self.beta)
+        )
         if alpha.is_zero() and beta.is_zero():
             raise ValueError("(0, 0) is not a projective point")
-        if not alpha.is_zero():
-            beta = beta / alpha
-            alpha = ONE
-        else:
-            beta = ONE
+        alpha, beta = (ONE, beta / alpha) if alpha else (alpha, ONE)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectiveRatio is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectiveRatio):
-            return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
-
-    def __hash__(self):
-        return hash((self.alpha, self.beta))
 
     def __repr__(self):
         return f"ProjectiveRatio({self.alpha}, {self.beta})"
 
 
+@dataclass(frozen=True)
 class PlaneCurveCandidate:
     """A plane curve {phi = 0} through the target origin."""
 
-    __slots__ = ("phi",)
+    phi: Polynomial
 
-    def __init__(self, phi):
-        if phi.nvars != 2:
+    def __post_init__(self):
+        if self.phi.nvars != 2:
             raise PreconditionError("curve candidates live in the target plane (u, v)")
-        if phi.is_zero():
+        if self.phi.is_zero():
             raise PreconditionError("curve candidate must be a nonzero polynomial")
-        if not phi.constant_term().is_zero():
+        if not self.phi.constant_term().is_zero():
             raise PreconditionError("curve candidate must pass through the origin")
-        object.__setattr__(self, "phi", phi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaneCurveCandidate is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaneCurveCandidate):
-            return NotImplemented
-        return self.phi == other.phi
-
-    def __hash__(self):
-        return hash(self.phi)
-
-    def __repr__(self):
-        return f"PlaneCurveCandidate({self.phi!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -175,121 +153,36 @@ def pencil_constancy_locus(dec):
     return gcd_many([h_bar] + minors)
 
 
-@dataclass(frozen=True)
-class CoverageStats:
-    lines: int
-    roots: int
-    samples: int
-    retries: int
+# The lines a + t*d of the nomination: d runs over _LINE_ENTRIES^n in
+# product order from (1, ..., 1), and a is the vector after d.
+_LINE_ENTRIES = (ONE, -ONE, GaussianRational(2), I, GaussianRational(-2), -I)
+_NOMINATION_LINES = 64  # lines of the fixed list tried before giving up
 
 
-def _restrict_to_line(poly, a, d):
-    """Coefficients (ascending in t) of poly(a + t*d) in double precision."""
-    deg = poly.degree()
-    out = np.zeros((deg or 0) + 1, dtype=np.complex128)
-    for m, c in poly.terms:
-        conv = np.ones(1, dtype=np.complex128)
-        for var, e in enumerate(m):
-            lin = np.array([a[var], d[var]], dtype=np.complex128)
-            for _ in range(e):
-                conv = np.convolve(conv, lin)
-        out[: conv.shape[0]] += complex(c) * conv
-    return out
+def _exact_on_line(poly, a, d):
+    """poly(a + t*d) exactly, in the ring (t, c) of the nomination."""
+    return substitute(poly, [Polynomial(2, {(1, 0): dj, (0, 0): aj}) for aj, dj in zip(a, d)])
 
 
-def _eval_scale(poly, point):
-    """Sum of term magnitudes at ``point``: the natural scale for residuals."""
-    mags = [abs(complex(z)) for z in point]
-    s = 0.0
-    for m, c in poly.terms:
-        t = abs(complex(c))
-        for mag, e in zip(mags, m):
-            t *= mag**e
-        s += t
-    return s
+def _line_resultant(dec, locus, a, d):
+    """R(c) = Res_t(C_L, f_hat_L + c*g_hat_L) on L = a + t*d, and deg_t C_L.
 
-
-def _sample_pencil_ratios(dec, locus, cfg):
-    """Ratios [f_hat : -g_hat] at numerically sampled points of Z(locus).
-
-    Random affine lines (kept away from the origin) cut Z(locus) in
-    deg(locus) points each; at each root the pencil ratio is recorded
-    unless both cofactors nearly vanish there.  Deterministic for a fixed
-    seed.  Returns the (alpha, beta) pairs and the coverage.
+    R = lc^k * prod(f_hat(p) + c*g_hat(p)) over the points p of L n Z(C):
+    its roots are the ratios [c : 1] there, and each point where g_hat
+    vanishes (ratio [1 : 0]) lowers deg R below deg_t C_L.  None when L
+    loses points of Z(C) at infinity (deg_t C_L < deg C) or meets Z(C)
+    where f_hat and g_hat both vanish (R = 0).
     """
-    n = locus.nvars
-    rng = np.random.default_rng(cfg.seed)
-    samples = []
-    roots_total = 0
-    lines_done = 0
-    retries = 0
-    while True:
-        for _ in range(cfg.lines):
-            while True:
-                a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                nd = np.linalg.norm(d)
-                if nd < 1e-12:
-                    continue
-                d = d / nd
-                # keep the line bounded away from the origin
-                perp = a - np.vdot(d, a) * d
-                if np.linalg.norm(perp) > 0.3:
-                    break
-            coeffs = _restrict_to_line(locus, a, d)
-            if np.allclose(coeffs[1:], 0.0):
-                continue  # degenerate direction: the locus is constant along the line
-            roots = np.roots(coeffs[::-1])
-            roots_total += roots.shape[0]
-            for t0 in roots:
-                p = a + t0 * d
-                if abs(locus.evaluate(p)) > cfg.root_tol * (1.0 + _eval_scale(locus, p)):
-                    continue
-                fa = dec.f_hat.evaluate(p)
-                gb = dec.g_hat.evaluate(p)
-                small_f = abs(fa) <= cfg.root_tol * (1.0 + _eval_scale(dec.f_hat, p))
-                small_g = abs(gb) <= cfg.root_tol * (1.0 + _eval_scale(dec.g_hat, p))
-                if small_f and small_g:
-                    continue  # near Z(f_hat) n Z(g_hat): ratio undefined
-                alpha, beta = fa, -gb
-                nrm = (abs(alpha) ** 2 + abs(beta) ** 2) ** 0.5
-                alpha /= nrm
-                beta /= nrm
-                piv = alpha if abs(alpha) >= abs(beta) else beta
-                phase = piv.conjugate() / abs(piv)
-                samples.append((alpha * phase, beta * phase))
-        lines_done += cfg.lines
-        if samples:
-            coverage = CoverageStats(
-                lines=lines_done, roots=roots_total, samples=len(samples), retries=retries
-            )
-            return samples, coverage
-        retries += 1
-        if retries > cfg.max_retries:
-            raise DegenerateSamplingError(
-                "no usable pencil ratios after "
-                f"{lines_done} lines ({retries} rounds)"
-            )
-
-
-_RATIONALIZE_TOL = 1e-5  # relative error allowed between a sample and its rational ratio
-
-
-def _rationalize_ratio(alpha, beta, bound):
-    """Continued-fraction reconstruction of a sampled ratio, or None."""
-
-    def rat(z):
-        re = Fraction(z.real).limit_denominator(bound)
-        im = Fraction(z.imag).limit_denominator(bound)
-        if abs(complex(float(re), float(im)) - z) > _RATIONALIZE_TOL * (1.0 + abs(z)):
-            return None
-        return GaussianRational(re, im)
-
-    if abs(alpha) >= abs(beta):
-        z = rat(beta / alpha)
-        return None if z is None else ProjectiveRatio(ONE, z)
-    z = rat(alpha / beta)
-    return None if z is None else ProjectiveRatio(z, ONE)
+    c_line = _exact_on_line(locus, a, d)
+    points = c_line.max_degree_in(0)
+    if points < locus.degree():
+        return None
+    c = Polynomial.variable(2, 1)
+    pencil = _exact_on_line(dec.f_hat, a, d) + c * _exact_on_line(dec.g_hat, a, d)
+    r = resultant(c_line, pencil, 0)
+    if r.is_zero():
+        return None
+    return Polynomial(1, [((m[1],), k) for m, k in r.terms]), points
 
 
 @dataclass(frozen=True)
@@ -297,45 +190,56 @@ class GapLineSearchResult:
     """Gap-line candidates of the cofactor pencil and what became of them.
 
     ``c`` is :func:`pencil_constancy_locus`; ``verified`` and ``refuted``
-    hold the nominated ratios that passed and failed :func:`is_gap_line`.
+    hold the nominated ratios in Q(i) that passed and failed
+    :func:`is_gap_line`; ``curve`` is the unchecked gap-curve candidate of
+    the other ratios; ``reason`` says why nomination gave up, if it did.
     """
 
     c: Polynomial
     verified: tuple
     refuted: tuple
-    unverified_numeric: tuple
-    coverage: CoverageStats
+    curve: object
+    reason: str
 
 
-def find_gap_lines(dec, cfg=None):
-    """Gap lines of the cofactor pencil: exact nomination locus, exact verification.
+def find_gap_lines(dec):
+    """Gap lines of the cofactor pencil: exact nomination, exact verification.
 
     The ratio of a gap line is constant on a component of Z(h) through 0,
     which then divides C = pencil_constancy_locus(dec).  So C(0) != 0 rules
-    gap lines out without sampling.  Otherwise random lines sample Z(C),
-    where the ratio is constant on each component; each distinct ratio that
-    rationalizes within the bound is checked once with :func:`is_gap_line`,
-    and samples that do not rationalize are reported as unverified numerics.
+    gap lines out.  Otherwise C, f_hat and g_hat are restricted exactly to
+    a line of a fixed list, and the roots of R(c) = Res_t(C_L, f_hat_L +
+    c*g_hat_L) are the constant ratios on the components of Z(C).  Each
+    root in Q(i) is checked once with :func:`is_gap_line`; the others make
+    up one candidate gap curve, returned unchecked.
     """
-    cfg = cfg or SamplerConfig()
     c = pencil_constancy_locus(dec)
-    verified, refuted, unverified = [], [], []
-    coverage = CoverageStats(lines=0, roots=0, samples=0, retries=0)
+    ratios, curve, reason = [], None, ""
     if c.constant_term().is_zero():
-        samples, coverage = _sample_pencil_ratios(dec, c, cfg)
-        for alpha, beta in samples:
-            ratio = _rationalize_ratio(alpha, beta, cfg.rational_bound)
-            if ratio is None:
-                unverified.append((alpha, beta))
-            elif ratio not in verified and ratio not in refuted:
-                (verified if is_gap_line(dec, ratio) else refuted).append(ratio)
-    return GapLineSearchResult(
-        c=c,
-        verified=tuple(verified),
-        refuted=tuple(refuted),
-        unverified_numeric=tuple(unverified),
-        coverage=coverage,
-    )
+        reason = f"each of the {_NOMINATION_LINES} fixed lines degenerates on Z(C)"
+        vectors = itertools.product(_LINE_ENTRIES, repeat=c.nvars)
+        vectors = list(itertools.islice(vectors, _NOMINATION_LINES + 1))
+        for a, d in zip(vectors[1:], vectors):
+            found = _line_resultant(dec, c, a, d)
+            if found is None:
+                continue
+            r, points = found
+            split = gaussian_rational_roots(r)
+            if split is None:
+                reason = "the rational-root test over Q(i) passes its size caps"
+                break
+            roots, rest = split
+            ratios = [ProjectiveRatio(root, ONE) for root in roots]
+            if r.degree() < points:
+                ratios.append(ProjectiveRatio(ONE, ZERO))
+            k, reason = rest.degree(), ""
+            if k:  # homogenize: a root s of the rest is the line u + s*v = 0
+                terms = [((e, k - e), -s if e % 2 else s) for (e,), s in rest.terms]
+                curve = PlaneCurveCandidate(Polynomial(2, terms).monic())
+            break
+    verified = tuple(ratio for ratio in ratios if is_gap_line(dec, ratio))
+    refuted = tuple(ratio for ratio in ratios if ratio not in verified)
+    return GapLineSearchResult(c, verified, refuted, curve, reason)
 
 
 class PropCritKind(enum.Enum):
@@ -346,20 +250,16 @@ class PropCritKind(enum.Enum):
 
 @dataclass(frozen=True)
 class PropCritCertificate:
-    """The exact openness certificate C, with the gap-line nomination behind it.
+    """The exact openness certificate C, with the ratios refuted behind it.
 
     ``c`` is :func:`pencil_constancy_locus`; the criterion holds exactly
-    when C(0) != 0, and :func:`verify_witness` recomputes C.  The sampling
-    counts and ratios come from :func:`find_gap_lines`, which samples only
-    when C(0) = 0.
+    when C(0) != 0, and :func:`verify_witness` recomputes C.  ``refuted``
+    holds the ratios :func:`find_gap_lines` nominated and refuted, which
+    happens only when C(0) = 0.
     """
 
     c: Polynomial
-    lines: int
-    roots: int
-    samples: int
     refuted: tuple
-    unverified: tuple
     note: str = (
         "exact certificate: C = gcd(h_bar, minors of (omega, dh_bar)) does not "
         "vanish at 0, so f_hat : g_hat is constant on no component of Z(h) "
@@ -369,30 +269,27 @@ class PropCritCertificate:
 
 @dataclass(frozen=True)
 class PropCritOutcome:
+    """The criterion's outcome; ``curve`` is the nominated gap-curve candidate, or None."""
+
     kind: PropCritKind
     ratio: object
     reason: str
     certificate: PropCritCertificate
+    curve: object = None
 
 
-def prop_crit_check(dec, cfg=None):
+def prop_crit_check(dec):
     """Does every member of the cofactor pencil cut Z(h) in codimension 2?
 
     Decided exactly by C = pencil_constancy_locus(dec): Established when
     C(0) != 0.  Otherwise f_hat : g_hat is constant on a component of Z(h)
     through 0 and the hypothesis fails; the outcome is GapLineFound when a
     ratio nominated by :func:`find_gap_lines` verifies exactly as a gap
-    line, and Inconclusive when none does.
+    line, and Inconclusive when none does.  The nominated gap-curve
+    candidate rides along for :func:`classify` to check.
     """
-    res = find_gap_lines(dec, cfg)
-    cert = PropCritCertificate(
-        c=res.c,
-        lines=res.coverage.lines,
-        roots=res.coverage.roots,
-        samples=res.coverage.samples,
-        refuted=res.refuted,
-        unverified=res.unverified_numeric,
-    )
+    res = find_gap_lines(dec)
+    cert = PropCritCertificate(c=res.c, refuted=res.refuted)
     if not res.c.constant_term().is_zero():
         return PropCritOutcome(
             kind=PropCritKind.ESTABLISHED, ratio=None, reason="", certificate=cert
@@ -401,9 +298,10 @@ def prop_crit_check(dec, cfg=None):
         return PropCritOutcome(
             kind=PropCritKind.GAP_LINE_FOUND,
             ratio=res.verified[0],
-            reason="a sampled ratio is constant along a component of Z(h) "
+            reason="a nominated ratio is constant along a component of Z(h) "
             "and verifies exactly as a gap line",
             certificate=cert,
+            curve=res.curve,
         )
     bits = [
         "the pencil ratio is constant on a component of Z(h) through 0, so the "
@@ -413,16 +311,16 @@ def prop_crit_check(dec, cfg=None):
         bits.append(
             f"{len(res.refuted)} nominated ratio(s) fail the germ inclusion, so no gap line"
         )
-    if res.unverified_numeric:
-        bits.append(
-            f"{len(res.unverified_numeric)} sampled ratio(s) did not rationalize "
-            "within the bound"
-        )
+    if res.curve is not None:
+        bits.append(f"{res.curve.phi.degree()} ratio(s) outside Q(i) nominate a gap curve")
+    if res.reason:
+        bits.append(f"no ratio was nominated: {res.reason}")
     return PropCritOutcome(
         kind=PropCritKind.INCONCLUSIVE,
         ratio=None,
         reason="; ".join(bits),
         certificate=cert,
+        curve=res.curve,
     )
 
 
@@ -467,6 +365,20 @@ _PRESCREEN_LINES = 4
 _PRESCREEN_OFFSET = 1e-3  # distance of the sampling lines from the origin
 _PRESCREEN_RADIUS = 0.05  # only roots this close to 0 witness origin branches
 _PRESCREEN_DIV_TOL = 1e-7  # relative tolerance for synthetic-division remainders
+
+
+def _restrict_to_line(poly, a, d):
+    """Coefficients (ascending in t) of poly(a + t*d) in double precision."""
+    deg = poly.degree()
+    out = np.zeros((deg or 0) + 1, dtype=np.complex128)
+    for m, c in poly.terms:
+        conv = np.ones(1, dtype=np.complex128)
+        for var, e in enumerate(m):
+            lin = np.array([a[var], d[var]], dtype=np.complex128)
+            for _ in range(e):
+                conv = np.convolve(conv, lin)
+        out[: conv.shape[0]] += complex(c) * conv
+    return out
 
 
 def _near_origin_lines(nvars, lines, seed, delta):
@@ -776,9 +688,8 @@ class Verdict:
     prop_crit: object = None
 
 
-def classify(germ, cfg=None, search=None):
-    """Full classification with a machine-checkable witness."""
-    cfg = cfg or SamplerConfig()
+def classify(germ, search=None):
+    """Full classification with a machine-checkable witness; no seed enters it."""
     search = search or GapCurveSearchParams()
     f, g = germ.f, germ.g
 
@@ -834,7 +745,7 @@ def classify(germ, cfg=None, search=None):
     if dec.f_hat_is_unit or dec.g_hat_is_unit:
         raise InternalConsistencyError("unit cofactor escaped the containment branch")
 
-    outcome = prop_crit_check(dec, cfg)
+    outcome = prop_crit_check(dec)
     if outcome.kind is PropCritKind.GAP_LINE_FOUND:
         return Verdict(
             status=Status.NOT_A_GERM,
@@ -863,9 +774,12 @@ def classify(germ, cfg=None, search=None):
             prop_crit=outcome,
         )
 
-    candidates = bounded_gap_curve_search(
-        germ, dec, search.max_degree, search.coeff_grid
-    )
+    if outcome.curve is not None and is_gap_curve(germ, dec, outcome.curve):
+        candidates = (outcome.curve,)
+    else:
+        candidates = bounded_gap_curve_search(
+            germ, dec, search.max_degree, search.coeff_grid
+        )
     if candidates:
         return Verdict(
             status=Status.NOT_A_GERM,

@@ -87,28 +87,26 @@ def _search_params(args):
     return GapCurveSearchParams(**kwargs)
 
 
-def _sampler(args, **overrides):
-    return SamplerConfig(seed=args.seed, **overrides)
+def _sampler(args):
+    return SamplerConfig(
+        epsilon=args.epsilon,
+        target_radius=args.target_radius,
+        samples=args.samples,
+        grid_bins_per_axis=args.bins,
+        seed=args.seed,
+    )
 
 
 def cmd_classify(args):
     name, varnames, f_text, g_text = _resolve_input(args)
     germ = parse_map_germ(varnames, f_text, g_text)
-    cfg = _sampler(args)
     search = _search_params(args)
     t0 = time.monotonic()
-    verdict = classify(germ, cfg, search)
+    verdict = classify(germ, search)
 
     probe = None
     if args.probe:
-        pcfg = _sampler(
-            args,
-            epsilon=args.epsilon,
-            target_radius=args.target_radius,
-            samples=args.samples,
-            grid_bins_per_axis=args.bins,
-        )
-        rep = ball_image_occupancy(germ, pcfg)
+        rep = ball_image_occupancy(germ, _sampler(args))
         probe = (occupancy_json(rep), rep)
     elapsed = time.monotonic() - t0
 
@@ -138,25 +136,14 @@ def cmd_gap_lines(args):
     name, varnames, f_text, g_text = _resolve_input(args)
     germ = parse_map_germ(varnames, f_text, g_text)
     dec = decompose(germ)
-    result = find_gap_lines(dec, _sampler(args))
+    result = find_gap_lines(dec)
+    curve = None if result.curve is None else format_target_polynomial(result.curve.phi)
     payload = {
         "input": {"name": name, "vars": list(varnames), "f": f_text, "g": g_text},
         "c": format_polynomial(result.c, varnames),
         "verified": [serialize_ratio(r) for r in result.verified],
         "refuted": [serialize_ratio(r) for r in result.refuted],
-        "unverified_numeric": [
-            {
-                "alpha": {"re": a.real, "im": a.imag},
-                "beta": {"re": b.real, "im": b.imag},
-            }
-            for a, b in result.unverified_numeric
-        ],
-        "coverage": {
-            "lines": result.coverage.lines,
-            "roots": result.coverage.roots,
-            "samples": result.coverage.samples,
-            "retries": result.coverage.retries,
-        },
+        "curve": curve,
     }
     if args.json:
         sys.stdout.write(dumps_report(payload))
@@ -166,8 +153,10 @@ def cmd_gap_lines(args):
                 print(f"gap line: alpha={r.alpha}, beta={r.beta}")
         else:
             print("no verified gap lines")
-        if result.unverified_numeric:
-            print(f"unverified numeric candidates: {len(result.unverified_numeric)}")
+        if curve is not None:
+            print(f"gap-curve candidate (unverified): {curve}")
+        if result.reason:
+            print(f"nomination gave up: {result.reason}")
     return 0
 
 
@@ -216,13 +205,7 @@ def cmd_image_curve(args):
 def cmd_probe(args):
     name, varnames, f_text, g_text = _resolve_input(args)
     germ = parse_map_germ(varnames, f_text, g_text)
-    cfg = _sampler(
-        args,
-        epsilon=args.epsilon,
-        target_radius=args.target_radius,
-        samples=args.samples,
-        grid_bins_per_axis=args.bins,
-    )
+    cfg = _sampler(args)
     sections = []
     occupancy = None
     if args.stability:
@@ -287,7 +270,10 @@ def build_parser():
             "well-defined set germ."
         ),
     )
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the Monte Carlo probes; verdicts do not depend on it",
+    )
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument(
         "--max-degree", type=int, default=None, help="gap-curve search degree bound"

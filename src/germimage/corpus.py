@@ -208,9 +208,8 @@ class EntryResult:
 
 def run_entry(entry, seed=0, search=None, with_probe=True):
     germ = entry.germ()
-    cfg = SamplerConfig(seed=seed)
     t0 = time.monotonic()
-    verdict = classify(germ, cfg, search or GapCurveSearchParams())
+    verdict = classify(germ, search or GapCurveSearchParams())
 
     probe_section, probe_ok, probe_rep = (None, True, None)
     if with_probe:

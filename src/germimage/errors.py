@@ -38,10 +38,6 @@ class PreconditionError(GermImageError):
     """An operation was called outside its documented domain."""
 
 
-class DegenerateSamplingError(GermImageError):
-    """Repeated line sampling produced no usable points on the common zero set."""
-
-
 class ImageContainsCurveError(GermImageError):
     """The candidate curve's pullback vanishes identically: the curve contains
     the whole image, so it is not a gap curve; route to the curve-image branch."""

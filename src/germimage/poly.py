@@ -311,23 +311,26 @@ class Polynomial:
         return f"Polynomial(nvars={self.nvars}, terms={self.terms!r})"
 
 
+def substitute(poly, args):
+    """Exact substitution poly(args[0], ..., args[n-1]) of polynomials in one ring."""
+    nvars = args[0].nvars
+    powers = [[Polynomial.one(nvars)] for _ in args]
+    out = Polynomial.zero(nvars)
+    for m, c in poly.terms:
+        term = Polynomial.constant(nvars, c)
+        for arg, pw, e in zip(args, powers, m):
+            while len(pw) <= e:
+                pw.append(pw[-1] * arg)
+            term = term * pw[e]
+        out = out + term
+    return out
+
+
 def compose_target(phi, germ):
     """Exact substitution phi(f, g) for a two-variable polynomial phi."""
     if phi.nvars != 2:
         raise DimensionError("target polynomial must have exactly 2 variables")
-    f, g = germ.f, germ.g
-    max_i = phi.max_degree_in(0)
-    max_j = phi.max_degree_in(1)
-    f_pow = [Polynomial.one(germ.n)]
-    for _ in range(max_i):
-        f_pow.append(f_pow[-1] * f)
-    g_pow = [Polynomial.one(germ.n)]
-    for _ in range(max_j):
-        g_pow.append(g_pow[-1] * g)
-    out = Polynomial.zero(germ.n)
-    for (i, j), c in phi.terms:
-        out = out + (f_pow[i] * g_pow[j]).scale(c)
-    return out
+    return substitute(phi, [germ.f, germ.g])
 
 
 class MapGerm:

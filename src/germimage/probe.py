@@ -23,7 +23,7 @@ from .kernels import bin_hits, centers_inside_polydisk, evaluate_batch
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Shared knobs for the probes and the gap-line nomination.
+    """Knobs of the Monte Carlo probes; ``seed`` drives their sampling.
 
     ``target_radius=None`` resolves to ``epsilon**2 / 4``: a quadratic
     target scale with a factor-4 margin suits maps of degree <= 2 in each
@@ -35,11 +35,6 @@ class SamplerConfig:
     samples: int = 200_000
     grid_bins_per_axis: int = 8
     seed: int = 0
-    max_retries: int = 3
-    # gap-line nomination: random lines through Z(C) when C(0) = 0
-    lines: int = 16
-    root_tol: float = 1e-8
-    rational_bound: int = 10**6
 
     @property
     def radius(self):

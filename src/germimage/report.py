@@ -41,10 +41,6 @@ def serialize_ratio(r):
     return {"alpha": serialize_scalar(r.alpha), "beta": serialize_scalar(r.beta)}
 
 
-def _complex_pair(z):
-    return {"re": z.real, "im": z.imag}
-
-
 def witness_json(witness, varnames):
     body = {"kind": witness_kind(witness)}
     if witness is None or isinstance(witness, CodimTwoWitness):
@@ -94,14 +90,7 @@ def decomposition_json(dec, varnames):
 def _certificate_json(cert, varnames):
     return {
         "c": format_polynomial(cert.c, varnames),
-        "lines": cert.lines,
-        "roots": cert.roots,
-        "samples": cert.samples,
         "refuted": [serialize_ratio(r) for r in cert.refuted],
-        "unverified": [
-            {"alpha": _complex_pair(a), "beta": _complex_pair(b)}
-            for a, b in cert.unverified
-        ],
     }
 
 

@@ -6,7 +6,10 @@ import random
 import pytest
 
 from germimage.algebra import decompose
+from germimage import classifier
+from germimage.algebra import gaussian_rational_roots
 from germimage.classifier import (
+    _line_resultant,
     _normalized_candidates,
     GapCurveSearchParams,
     PlaneCurveCandidate,
@@ -29,7 +32,6 @@ from germimage.classifier import (
 from germimage.errors import ImageContainsCurveError, PreconditionError
 from germimage.poly import MapGerm, Polynomial
 from germimage.rationals import GaussianRational
-from germimage.probe import SamplerConfig
 from germimage.report import verdict_json
 
 from _helpers import random_unimodular, source_change, target_change, variables
@@ -38,7 +40,6 @@ x, y = variables(2)
 x3, y3, z3 = variables(3)
 u, v = variables(2)
 ONE = Polynomial.one(2)
-CFG = SamplerConfig(seed=0)
 
 ANGLE = MapGerm(x, x * y)
 BLOWUP = MapGerm(x * x, x * y)
@@ -81,37 +82,85 @@ def test_is_gap_line_precondition():
 
 
 def test_find_gap_lines_examples():
-    res = find_gap_lines(decompose(BLOWUP), CFG)
+    res = find_gap_lines(decompose(BLOWUP))
     assert res.c == x
     assert res.verified == (ProjectiveRatio(0, 1),)
-    assert res.refuted == () and res.unverified_numeric == ()
-    assert res.coverage.lines >= 1 and res.coverage.samples >= 1
+    assert res.refuted == () and res.curve is None and res.reason == ""
 
-    res2 = find_gap_lines(decompose(NOGAPLINE), CFG)
+    res2 = find_gap_lines(decompose(NOGAPLINE))
     assert res2.c == y
-    assert res2.verified == () and res2.unverified_numeric == ()
+    assert res2.verified == () and res2.curve is None
     assert res2.refuted == (ProjectiveRatio(1, 0),)
 
-    # C(0) != 0 rules gap lines out before any sampling
-    res3 = find_gap_lines(decompose(HUCKLEBERRY), CFG)
+    # C(0) != 0 rules gap lines out before any nomination
+    res3 = find_gap_lines(decompose(HUCKLEBERRY))
     assert res3.c == ONE
-    assert res3.verified == () and res3.refuted == () and res3.unverified_numeric == ()
-    assert res3.coverage.lines == 0 and res3.coverage.samples == 0
+    assert res3.verified == () and res3.refuted == () and res3.curve is None
 
-    res4 = find_gap_lines(decompose(MapGerm(x * x * y, x * y * y)), CFG)
+    res4 = find_gap_lines(decompose(MapGerm(x * x * y, x * y * y)))
     assert res4.c == x * y
     assert set(res4.verified) == {ProjectiveRatio(0, 1), ProjectiveRatio(1, 0)}
     assert res4.refuted == ()
 
 
-def test_prop_crit_examples():
-    assert prop_crit_check(decompose(HUCKLEBERRY), CFG).kind is PropCritKind.ESTABLISHED
+def _is_multiple(p, q):
+    return p.monic() == q.monic()
 
-    out = prop_crit_check(decompose(BLOWUP), CFG)
+
+def test_irrational_constant_ratio_gives_a_gap_curve():
+    """On each line of h = 0 the ratio x : y is constant and irrational (y = +-sqrt(3)*x,
+    y = (-3 +- sqrt(13))/2*x): no gap line, but h(u, v) pulls back to h^3, a gap curve.
+    Neither curve lies on the default search grid."""
+    for h in [y * y - (x * x).scale(3), y * y + (x * y).scale(3) - x * x]:
+        germ = MapGerm(x * h, y * h)
+        verdict = classify(germ)
+        assert verdict.status is Status.NOT_A_GERM
+        assert witness_kind(verdict.witness) == "GapCurve"
+        assert _is_multiple(verdict.witness.curve.phi, Polynomial(2, h.terms))
+        assert verify_witness(germ, verdict) is True
+        assert verdict.prop_crit.certificate.refuted == ()
+
+
+def test_irrational_ratios_are_not_refuted_as_rationals():
+    h = y * y - (x * x).scale(2)
+    res = find_gap_lines(decompose(MapGerm(x * h, y * h)))
+    assert res.verified == () and res.refuted == () and res.reason == ""
+    assert _is_multiple(res.curve.phi, v * v - (u * u).scale(2))
+
+
+def test_nomination_skips_a_degenerate_first_line(monkeypatch):
+    """d = (1, 1) zeroes the top form of C = (x-y)*(x+2y): the next line is used."""
+    h = (x - y) * (x + y.scale(2))
+    dec = decompose(MapGerm(x * h, y * h))
+    c = pencil_constancy_locus(dec)
+    assert _is_multiple(c, h)
+    lines = []
+
+    def spy(dec, locus, a, d):
+        lines.append((a, d))
+        return _line_resultant(dec, locus, a, d)
+
+    monkeypatch.setattr(classifier, "_line_resultant", spy)
+    res = find_gap_lines(dec)
+    expected = {ProjectiveRatio(1, -1), ProjectiveRatio(2, 1)}
+    assert set(res.verified) == expected
+    assert res.refuted == () and res.curve is None and res.reason == ""
+    (a0, d0), (a1, d1) = lines
+    assert d0 == (1, 1) and _line_resultant(dec, c, a0, d0) is None
+    # other lines nominate the same ratios
+    for a, d in [(a1, d1), (d1, a1), ((1, 0), (1, 2)), ((0, 1), (3, 1)), ((2, 1), (1, 3))]:
+        roots, rest = gaussian_rational_roots(_line_resultant(dec, c, a, d)[0])
+        assert {ProjectiveRatio(r, 1) for r in roots} == expected and rest.degree() == 0
+
+
+def test_prop_crit_examples():
+    assert prop_crit_check(decompose(HUCKLEBERRY)).kind is PropCritKind.ESTABLISHED
+
+    out = prop_crit_check(decompose(BLOWUP))
     assert out.kind is PropCritKind.GAP_LINE_FOUND
     assert out.ratio == ProjectiveRatio(0, 1)
 
-    out2 = prop_crit_check(decompose(ROUCHE), CFG)
+    out2 = prop_crit_check(decompose(ROUCHE))
     assert out2.kind is PropCritKind.INCONCLUSIVE
     assert out2.certificate.refuted == (ProjectiveRatio(1, 0),)
 
@@ -130,7 +179,7 @@ def test_pencil_constancy_locus_examples():
 
 def test_prop_crit_exact_when_constant_ratio_lies_away_from_0():
     """x+1 is a unit at 0: only {y=0} passes through 0, where x : (x+1)x varies."""
-    verdict = classify(UNIT_BRANCH, CFG)
+    verdict = classify(UNIT_BRANCH)
     assert verdict.status is Status.LOCALLY_OPEN
     assert witness_kind(verdict.witness) == "PropCritCertificate"
     assert verdict.witness.c == x + ONE
@@ -140,7 +189,7 @@ def test_prop_crit_exact_when_constant_ratio_lies_away_from_0():
 def _forged_open_verdict(c):
     return Verdict(
         status=Status.LOCALLY_OPEN,
-        witness=PropCritCertificate(c=c, lines=0, roots=0, samples=0, refuted=(), unverified=()),
+        witness=PropCritCertificate(c=c, refuted=()),
         subflat_label=SubflatLabel.SUBFLAT,
         rationale="forged",
     )
@@ -233,91 +282,90 @@ def test_normalized_candidates_match_division_per_tuple():
 
 
 def test_classify_pipeline_examples():
-    va = classify(ANGLE, CFG)
+    va = classify(ANGLE)
     assert va.status is Status.NOT_A_GERM
     assert witness_kind(va.witness) == "ContainmentNonvanishingJacobian"
     assert va.witness.direction == "f_in_g"
     assert va.witness.minor == x
 
-    vo = classify(OPENBALL, CFG)
+    vo = classify(OPENBALL)
     assert vo.status is Status.LOCALLY_OPEN
     assert witness_kind(vo.witness) == "PropCritCertificate"
 
-    vc = classify(CUSP, CFG)
+    vc = classify(CUSP)
     assert vc.status is Status.CURVE_IMAGE
     assert vc.witness.phi == u**3 - v * v
 
-    vn = classify(NOGAPLINE, CFG)
+    vn = classify(NOGAPLINE)
     assert vn.status is Status.NOT_A_GERM
     assert witness_kind(vn.witness) == "GapCurve"
     assert vn.witness.curve.phi == v - u * u
 
-    vr = classify(ROUCHE, CFG)
+    vr = classify(ROUCHE)
     assert vr.status is Status.UNDETERMINED
     assert vr.witness is None
     assert vr.subflat_label is SubflatLabel.UNKNOWN
 
 
 def test_classify_zero_component_maps():
-    assert classify(MapGerm(x, Polynomial.zero(2)), CFG).witness.phi == v
-    assert classify(MapGerm(Polynomial.zero(2), y), CFG).witness.phi == u
+    assert classify(MapGerm(x, Polynomial.zero(2))).witness.phi == v
+    assert classify(MapGerm(Polynomial.zero(2), y)).witness.phi == u
 
 
 def test_subflat_labels():
-    assert classify(OPENBALL, CFG).subflat_label is SubflatLabel.SUBFLAT
-    assert classify(MapGerm(x, y), CFG).subflat_label is SubflatLabel.SUBFLAT
-    assert classify(DIAGONAL, CFG).subflat_label is SubflatLabel.NOT_SUBFLAT
-    assert classify(NOGAPLINE, CFG).subflat_label is SubflatLabel.NOT_SUBFLAT
-    assert classify(ANGLE, CFG).subflat_label is SubflatLabel.UNKNOWN
-    assert classify(CUSP, CFG).subflat_label is SubflatLabel.UNKNOWN
+    assert classify(OPENBALL).subflat_label is SubflatLabel.SUBFLAT
+    assert classify(MapGerm(x, y)).subflat_label is SubflatLabel.SUBFLAT
+    assert classify(DIAGONAL).subflat_label is SubflatLabel.NOT_SUBFLAT
+    assert classify(NOGAPLINE).subflat_label is SubflatLabel.NOT_SUBFLAT
+    assert classify(ANGLE).subflat_label is SubflatLabel.UNKNOWN
+    assert classify(CUSP).subflat_label is SubflatLabel.UNKNOWN
 
 
 def test_witness_recheck():
     for germ in [ANGLE, BLOWUP, DIAGONAL, OPENBALL, HUCKLEBERRY, NOGAPLINE, ROUCHE, CUSP]:
-        verdict = classify(germ, CFG)
+        verdict = classify(germ)
         assert verify_witness(germ, verdict) is True
 
 
 def test_mutual_exclusion_on_open_verdicts():
     for germ in [OPENBALL, HUCKLEBERRY]:
-        assert classify(germ, CFG).status is Status.LOCALLY_OPEN
+        assert classify(germ).status is Status.LOCALLY_OPEN
         dec = decompose(germ)
-        assert find_gap_lines(dec, CFG).verified == ()
+        assert find_gap_lines(dec).verified == ()
         assert bounded_gap_curve_search(germ, dec) == ()
 
 
 def test_status_invariant_under_source_change():
     rng = random.Random(42)
     for germ in [ANGLE, DIAGONAL, HUCKLEBERRY, NOGAPLINE, CUSP]:
-        expected = classify(germ, CFG).status
+        expected = classify(germ).status
         for _ in range(2):
             mat = random_unimodular(rng, germ.n)
             changed = source_change(germ, mat)
-            assert classify(changed, CFG).status is expected
+            assert classify(changed).status is expected
 
 
 def test_status_invariant_under_target_change():
     rng = random.Random(43)
     for germ in [ANGLE, DIAGONAL, OPENBALL, HUCKLEBERRY]:
-        expected = classify(germ, CFG).status
+        expected = classify(germ).status
         assert expected in (Status.NOT_A_GERM, Status.LOCALLY_OPEN)
         for _ in range(2):
             mat = random_unimodular(rng, 2)
             changed = target_change(germ, mat)
-            assert classify(changed, CFG).status is expected
+            assert classify(changed).status is expected
     # gap-curve witnesses are found by a bounded grid search, so target
     # changes must keep the transformed conic inside the default grid:
     # shears and swaps with entries in {-1, 0, 1} do.
     for mat in [((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((-1, 0), (0, 1))]:
         changed = target_change(NOGAPLINE, mat)
-        assert classify(changed, CFG).status is Status.NOT_A_GERM
+        assert classify(changed).status is Status.NOT_A_GERM
 
 
 def test_classify_deterministic():
     for germ in [DIAGONAL, OPENBALL, NOGAPLINE, ROUCHE]:
-        v1 = classify(germ, SamplerConfig(seed=123))
-        v2 = classify(germ, SamplerConfig(seed=123))
-        names = germ.n * ["x"]
+        v1 = classify(germ)
+        v2 = classify(germ)
         names = [f"x{k}" for k in range(germ.n)]
         assert verdict_json(v1, names) == verdict_json(v2, names)
 

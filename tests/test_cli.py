@@ -129,9 +129,24 @@ def test_gap_lines_command(capsys):
     assert doc["c"] == "x"
     assert doc["verified"] == [{"alpha": "0/1", "beta": "1/1"}]
     assert doc["refuted"] == []
-    assert doc["unverified_numeric"] == []
-    assert set(doc["coverage"]) == {"lines", "roots", "samples", "retries"}
-    assert doc["coverage"]["lines"] >= 1
+    assert doc["curve"] is None
+    assert set(doc) == {"input", "c", "verified", "refuted", "curve"}
+
+    # the ratios +-1/sqrt(3) lie outside Q(i): no gap line, one curve candidate
+    code, out, _ = run_cli(
+        capsys, "--json", "gap-lines", "--vars", "x,y",
+        "--f", "x*(y^2-3*x^2)", "--g", "y*(y^2-3*x^2)",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["c"] == "x^2-(1/3)*y^2"
+    assert doc["verified"] == [] and doc["refuted"] == []
+    assert doc["curve"] == "u^2-(1/3)*v^2"
+    code, out, _ = run_cli(
+        capsys, "gap-lines", "--vars", "x,y",
+        "--f", "x*(y^2-3*x^2)", "--g", "y*(y^2-3*x^2)",
+    )
+    assert "gap-curve candidate (unverified): u^2-(1/3)*v^2" in out
 
 
 def test_gap_curve_command(capsys):

@@ -1,18 +1,27 @@
-"""Differential tests against sympy's factorization (test-only; sympy is optional).
+"""Differential tests against sympy (test-only; sympy is optional).
 
 Factors are taken over the coefficient field of the input, Q or Q(i).
 gcds, squarefree parts and the constancy locus C of the cofactor pencil do
 not change under a field extension, so the factors over that field are a
-sound oracle for all three.
+sound oracle for all three.  Resultants are checked against
+``sympy.resultant`` and roots in Q(i) against ``Poly.ground_roots`` over
+QQ<I>.
 """
 
 import random
 
 import pytest
 
-from germimage.algebra import decompose, gcd, squarefree_part
+from germimage.algebra import (
+    decompose,
+    gaussian_rational_roots,
+    gcd,
+    resultant,
+    squarefree_part,
+)
 from germimage.classifier import pencil_constancy_locus
 from germimage.poly import MapGerm, Polynomial
+from germimage.rationals import GaussianRational
 
 from _helpers import compose_case, factor_pool
 
@@ -124,3 +133,77 @@ def test_constancy_locus_matches_factor_list():
             seen_away += not c.is_constant()
     # both outcomes occur, and C(0) != 0 also with a component away from 0
     assert seen_open and seen_closed and seen_away
+
+
+def _random_poly(rng, nvars, degree, terms):
+    acc = {}
+    for _ in range(terms):
+        m = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            m[rng.randrange(nvars)] += 1
+        acc[tuple(m)] = GaussianRational(rng.randint(-3, 3), rng.choice([0, 0, rng.randint(-2, 2)]))
+    return Polynomial(nvars, acc)
+
+
+def test_resultant_matches_sympy():
+    """Res_var(p, q) equals sympy's, zero exactly when p and q share a factor in var.
+
+    ``sympy.resultant`` is called with the operand of higher degree first;
+    with the lower one first it returns the same value, not (-1)^(m*n)
+    times it, so the swap sign is checked on our side.
+    """
+    rng = random.Random(11)
+    zeros = 0
+    for _ in range(40):
+        nvars = rng.choice([1, 2, 3])
+        p = _random_poly(rng, nvars, rng.randint(1, 4), rng.randint(1, 5))
+        q = _random_poly(rng, nvars, rng.randint(1, 4), rng.randint(1, 5))
+        if rng.random() < 0.25:
+            common = _random_poly(rng, nvars, 2, 3)
+            p, q = p * common, q * common
+        if p.is_zero() or q.is_zero():
+            continue
+        var = rng.randrange(nvars)
+        m, n = p.max_degree_in(var), q.max_degree_in(var)
+        if m < n:
+            p, q, m, n = q, p, n, m
+        res = resultant(p, q, var)
+        expected = sympy.resultant(to_sympy(p), to_sympy(q), GENS[var])
+        assert sympy.expand(to_sympy(res) - expected) == 0
+        swapped = resultant(q, p, var)
+        assert swapped == (res if (m * n) % 2 == 0 else -res)
+        zeros += res.is_zero()
+    assert zeros
+
+
+def _linear(root):
+    return Polynomial(1, {(1,): 1, (0,): -root})
+
+
+def test_gaussian_rational_roots_match_sympy():
+    """Roots in Q(i) equal ``ground_roots`` over QQ<I>; the rest has none left."""
+    G = GaussianRational
+    quadratics = [  # irreducible over Q(i)
+        Polynomial(1, {(2,): 1, (0,): -2}),
+        Polynomial(1, {(2,): 1, (0,): -3}),
+        Polynomial(1, {(2,): 1, (0,): G(0, -1)}),
+        Polynomial(1, {(2,): 1, (1,): 1, (0,): 1}),
+        Polynomial(1, {(2,): 2, (0,): -3}),
+    ]
+    rng = random.Random(5)
+    for _ in range(20):
+        p = Polynomial.constant(1, G(rng.randint(1, 4), rng.randint(-2, 2)))
+        for _ in range(rng.randint(1, 3)):
+            # norms such as 5 = (2+i)(2-i) and 10 need products of split primes
+            root = G(rng.randint(-6, 6), rng.randint(-6, 6)) / G(rng.randint(1, 4), rng.randint(-2, 2))
+            p = p * _linear(root) ** rng.choice([1, 1, 2])
+        for _ in range(rng.randint(0, 2)):
+            p = p * rng.choice(quadratics)
+        split = gaussian_rational_roots(p)
+        assert split is not None
+        roots, rest = split
+        expected = sympy.Poly(to_sympy(p), GENS[0], domain="QQ_I").ground_roots()
+        assert {to_sympy(Polynomial.constant(1, r)) for r in roots} == set(expected)
+        assert len(roots) == len(set(roots))
+        assert not sympy.Poly(to_sympy(rest), GENS[0], domain="QQ_I").ground_roots()
+        assert rest.degree() + len(roots) == squarefree_part(p).degree()
