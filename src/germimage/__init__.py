@@ -16,7 +16,6 @@ from .algebra import (
     zero_set_germ_included,
 )
 from .classifier import (
-    GapCurveSearchParams,
     PlaneCurveCandidate,
     ProjectiveRatio,
     Status,
@@ -78,7 +77,6 @@ __all__ = [
     "pencil_constancy_locus",
     "is_gap_curve",
     "bounded_gap_curve_search",
-    "GapCurveSearchParams",
     "SamplerConfig",
     "OccupancyReport",
     "ball_image_occupancy",

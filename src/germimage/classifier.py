@@ -15,14 +15,20 @@ Branch structure:
    is constant on each component of Z(C), and the roots of one resultant
    R(c) = Res_t(C_L, f_hat_L + c*g_hat_L), on a line L with small
    Gaussian-integer coefficients, are exactly those constants.  Its roots
-   in Q(i) nominate gap lines, the rest of R one gap curve, and each is
-   verified exactly; failing that a bounded search for gap curves runs.
-   A verified gap witness rules out both openness and (in this branch) a
-   curve image, so the image is not a set germ.  With neither a
-   certificate nor a witness the honest answer is Undetermined.
+   in Q(i) nominate gap lines and the rest of R one gap curve.  Failing
+   those, the weighted pencil nominates gap curves: on the components D of
+   h_bar with ord_D f = p and ord_D g = q, the same steps applied to
+   f^q' : g^p', (p', q') = (p, q)/gcd(p, q), nominate curves
+   u^q' + c*v^p' = 0, and a refuted one shears the target along itself for
+   the next round (Newton-Puiseux run in the target, to a fixed depth).
+   Every candidate is verified exactly.  A verified gap witness rules out
+   both openness and (in this branch) a curve image, so the image is not a
+   set germ.  With neither a certificate nor a witness the honest answer
+   is Undetermined.
 
-The only random choice here, the lines of the grid prescreen, has a fixed
-seed, so verdicts do not depend on the seed, which drives only the probes.
+Everything here is exact arithmetic over Q(i): verdicts involve no
+floating point and no random choice, so they do not depend on the seed,
+which drives only the probes.
 
 Witnesses are data, re-checkable by the exact operations in this module.
 """
@@ -31,9 +37,8 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import (
     IntersectionCase,
@@ -134,6 +139,19 @@ def is_gap_line(dec, ratio):
     return zero_set_germ_included(w, dec.h)
 
 
+def _constancy_locus(base, omega):
+    """gcd(base, 2x2 minors of (omega, d base)) for a squarefree ``base``.
+
+    d base vanishes on no component of Z(base), so an irreducible factor
+    of base divides every minor exactly when omega restricted to its zero
+    set is a multiple of d base there.
+    """
+    n = base.nvars
+    db = [base.partial_derivative(i) for i in range(n)]
+    minors = [omega[i] * db[j] - omega[j] * db[i] for i in range(n) for j in range(i + 1, n)]
+    return gcd_many([base] + minors)
+
+
 def pencil_constancy_locus(dec):
     """C = gcd(h_bar, 2x2 minors of (omega, dh_bar)), omega = g_hat*df_hat - f_hat*dg_hat.
 
@@ -144,13 +162,9 @@ def pencil_constancy_locus(dec):
     Z(h) through 0.
     """
     _require_pencil(dec)
-    h_bar = squarefree_part(dec.h)
     f, g = dec.f_hat, dec.g_hat
-    n = h_bar.nvars
-    omega = [g * f.partial_derivative(i) - f * g.partial_derivative(i) for i in range(n)]
-    dh = [h_bar.partial_derivative(i) for i in range(n)]
-    minors = [omega[i] * dh[j] - omega[j] * dh[i] for i in range(n) for j in range(i + 1, n)]
-    return gcd_many([h_bar] + minors)
+    omega = [g * f.partial_derivative(i) - f * g.partial_derivative(i) for i in range(f.nvars)]
+    return _constancy_locus(squarefree_part(dec.h), omega)
 
 
 # The lines a + t*d of the nomination: d runs over _LINE_ENTRIES^n in
@@ -164,25 +178,45 @@ def _exact_on_line(poly, a, d):
     return substitute(poly, [Polynomial(2, {(1, 0): dj, (0, 0): aj}) for aj, dj in zip(a, d)])
 
 
-def _line_resultant(dec, locus, a, d):
-    """R(c) = Res_t(C_L, f_hat_L + c*g_hat_L) on L = a + t*d, and deg_t C_L.
+def _line_resultant(first, second, locus, a, d):
+    """R(c) = Res_t(C_L, first_L + c*second_L) on L = a + t*d, and deg_t C_L.
 
-    R = lc^k * prod(f_hat(p) + c*g_hat(p)) over the points p of L n Z(C):
-    its roots are the ratios [c : 1] there, and each point where g_hat
+    R = lc^k * prod(first(p) + c*second(p)) over the points p of L n Z(C):
+    its roots are the ratios [c : 1] there, and each point where ``second``
     vanishes (ratio [1 : 0]) lowers deg R below deg_t C_L.  None when L
     loses points of Z(C) at infinity (deg_t C_L < deg C) or meets Z(C)
-    where f_hat and g_hat both vanish (R = 0).
+    where both pencil polynomials vanish (R = 0).
     """
     c_line = _exact_on_line(locus, a, d)
     points = c_line.max_degree_in(0)
     if points < locus.degree():
         return None
     c = Polynomial.variable(2, 1)
-    pencil = _exact_on_line(dec.f_hat, a, d) + c * _exact_on_line(dec.g_hat, a, d)
+    pencil = _exact_on_line(first, a, d) + c * _exact_on_line(second, a, d)
     r = resultant(c_line, pencil, 0)
     if r.is_zero():
         return None
     return Polynomial(1, [((m[1],), k) for m, k in r.terms]), points
+
+
+def _line_resultants(first, second, locus):
+    """:func:`_line_resultant` on each line of the fixed list where it is defined."""
+    vectors = itertools.product(_LINE_ENTRIES, repeat=locus.nvars)
+    vectors = list(itertools.islice(vectors, _NOMINATION_LINES + 1))
+    for a, d in zip(vectors[1:], vectors):
+        found = _line_resultant(first, second, locus, a, d)
+        if found is not None:
+            yield found
+
+
+def _weighted_curve(rest, q, p):
+    """prod(u^q + s*v^p) over the roots s of ``rest``, up to a scalar.
+
+    rest = sum s_e c^e gives sum s_e (-u^q)^e (v^p)^(k-e), k = deg rest.
+    """
+    k = rest.degree()
+    terms = [((q * e, p * (k - e)), -s if e % 2 else s) for (e,), s in rest.terms]
+    return Polynomial(2, terms)
 
 
 @dataclass(frozen=True)
@@ -216,27 +250,19 @@ def find_gap_lines(dec):
     c = pencil_constancy_locus(dec)
     ratios, curve, reason = [], None, ""
     if c.constant_term().is_zero():
-        reason = f"each of the {_NOMINATION_LINES} fixed lines degenerates on Z(C)"
-        vectors = itertools.product(_LINE_ENTRIES, repeat=c.nvars)
-        vectors = list(itertools.islice(vectors, _NOMINATION_LINES + 1))
-        for a, d in zip(vectors[1:], vectors):
-            found = _line_resultant(dec, c, a, d)
-            if found is None:
-                continue
-            r, points = found
-            split = gaussian_rational_roots(r)
-            if split is None:
-                reason = "the rational-root test over Q(i) passes its size caps"
-                break
-            roots, rest = split
+        found = next(_line_resultants(dec.f_hat, dec.g_hat, c), None)
+        split = None if found is None else gaussian_rational_roots(found[0])
+        if found is None:
+            reason = f"each of the {_NOMINATION_LINES} fixed lines degenerates on Z(C)"
+        elif split is None:
+            reason = "the rational-root test over Q(i) passes its size caps"
+        else:
+            (r, points), (roots, rest) = found, split
             ratios = [ProjectiveRatio(root, ONE) for root in roots]
             if r.degree() < points:
                 ratios.append(ProjectiveRatio(ONE, ZERO))
-            k, reason = rest.degree(), ""
-            if k:  # homogenize: a root s of the rest is the line u + s*v = 0
-                terms = [((e, k - e), -s if e % 2 else s) for (e,), s in rest.terms]
-                curve = PlaneCurveCandidate(Polynomial(2, terms).monic())
-            break
+            if rest.degree():  # a root s of the rest is the line u + s*v = 0
+                curve = PlaneCurveCandidate(_weighted_curve(rest, 1, 1).monic())
     verified = tuple(ratio for ratio in ratios if is_gap_line(dec, ratio))
     refuted = tuple(ratio for ratio in ratios if ratio not in verified)
     return GapLineSearchResult(c, verified, refuted, curve, reason)
@@ -332,9 +358,12 @@ def prop_crit_check(dec):
 def is_gap_curve(germ, dec, candidate):
     """Exact test: does the curve {phi = 0} meet the image only at 0?
 
-    Via the pullback: psi = phi(f, g) must have its zero germ at 0 inside
-    Z(h).  psi = 0 means the curve contains the whole image and is
-    signalled separately.
+    Via the pullback: every irreducible factor of psi = phi(f, g) through 0
+    must divide h.  The factors psi shares with h are stripped off layer by
+    layer, which is much cheaper than the squarefree part of psi; what is
+    left passes through 0 exactly when a branch of Z(psi) escapes Z(h).
+    psi = 0 means the curve contains the whole image and is signalled
+    separately.
     """
     psi = compose_target(candidate.phi, germ)
     if psi.is_zero():
@@ -343,265 +372,118 @@ def is_gap_curve(germ, dec, candidate):
         )
     if dec.h.is_unit_germ():
         return False
-    return zero_set_germ_included(psi, dec.h)
+    while not (common := gcd(psi, dec.h)).is_constant():
+        psi = psi.exact_divide(common)
+    return not psi.constant_term().is_zero()
 
 
-DEFAULT_COEFF_GRID = tuple(GaussianRational(k) for k in (-2, -1, 0, 1, 2))
+_SHEAR_DEPTH = 3  # target shears stacked along one chain of refuted candidates
 
 
-@dataclass(frozen=True)
-class GapCurveSearchParams:
-    max_degree: int = 2
-    coeff_grid: tuple = DEFAULT_COEFF_GRID
+def _order_layers(h_bar, f):
+    """[E_1, E_2, ...]: E_k is the product of the components D of h_bar with ord_D f = k.
 
-
-def _grid_preference(c):
-    # zeros first, then small magnitudes, positive real part preferred
-    return (c.norm(), -c.re, -c.im)
-
-
-_PRESCREEN_SEED = 0x5EED
-_PRESCREEN_LINES = 4
-_PRESCREEN_OFFSET = 1e-3  # distance of the sampling lines from the origin
-_PRESCREEN_RADIUS = 0.05  # only roots this close to 0 witness origin branches
-_PRESCREEN_DIV_TOL = 1e-7  # relative tolerance for synthetic-division remainders
-
-
-def _restrict_to_line(poly, a, d):
-    """Coefficients (ascending in t) of poly(a + t*d) in double precision."""
-    deg = poly.degree()
-    out = np.zeros((deg or 0) + 1, dtype=np.complex128)
-    for m, c in poly.terms:
-        conv = np.ones(1, dtype=np.complex128)
-        for var, e in enumerate(m):
-            lin = np.array([a[var], d[var]], dtype=np.complex128)
-            for _ in range(e):
-                conv = np.convolve(conv, lin)
-        out[: conv.shape[0]] += complex(c) * conv
-    return out
-
-
-def _near_origin_lines(nvars, lines, seed, delta):
-    """Random affine lines passing within ``delta`` of the origin."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(lines):
-        a = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
-        d = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
-        na, nd = np.linalg.norm(a), np.linalg.norm(d)
-        if na < 1e-12 or nd < 1e-12:
-            continue
-        out.append((delta * a / na, d / nd))
-    return out
-
-
-def _roots_near_origin_mask(coeff_rows, a, d, radius):
-    """Which ascending-coefficient rows have a root t with |a + t*d| <= radius?
-
-    Rows are trimmed to their effective degree, bucketed by degree, and
-    each bucket goes through one batched companion eigensolve.
+    A gcd ladder on the squarefree h_bar, which divides f: the product of
+    the components of order >= k + 1 is gcd(that of order >= k, f / (that
+    of order 1) / ... / (that of order k)).
     """
-    n, width = coeff_rows.shape
-    mags = np.abs(coeff_rows)
-    row_max = mags.max(axis=1)
-    out = np.zeros(n, dtype=bool)
-    significant = mags > (row_max[:, None] * 1e-12 + 1e-300)
-    degrees = np.where(
-        significant.any(axis=1), width - 1 - np.argmax(significant[:, ::-1], axis=1), 0
-    )
-    for deg in np.unique(degrees):
-        if deg < 1:
-            continue
-        rows = np.nonzero(degrees == deg)[0]
-        block = coeff_rows[rows, : deg + 1]
-        monic = block / block[:, -1:]
-        comp = np.zeros((rows.shape[0], deg, deg), dtype=np.complex128)
-        comp[:, 0, :] = -monic[:, deg - 1 :: -1]
-        if deg > 1:
-            idx = np.arange(deg - 1)
-            comp[:, idx + 1, idx] = 1.0
-        roots = np.linalg.eigvals(comp)
-        p2 = np.zeros(roots.shape)
-        for ai, di in zip(a, d):
-            w = ai + roots * di
-            p2 += w.real * w.real + w.imag * w.imag
-        out[rows] = (p2 <= radius * radius).any(axis=1)
-    return out
+    layers, at_least, rest = [], h_bar, f
+    while not at_least.is_constant():
+        rest = rest.exact_divide(at_least)
+        deeper = gcd(at_least, rest)
+        layers.append(at_least.exact_divide(deeper))
+        at_least = deeper
+    return layers
 
 
-def _prescreen_reject_batch(coeff_matrix, line_blocks):
-    """Numerically refute Z(psi) <= Z(h) near the origin, for all candidates.
+def _weighted_nominations(h_bar, f, g):
+    """Weighted gap-curve candidates (p', q', c, phi) of the pair (f, g).
 
-    On a line passing close to 0, the origin branches of Z(psi) and of
-    Z(h) cross at small parameter values.  The roots of h's squarefree
-    restriction are simple and precise, so they can be deflated out of
-    psi's restriction by synthetic division (stable, no multiple-root
-    accuracy loss); a candidate whose deflated restriction still has a
-    root near the origin has an origin branch escaping Z(h) and is
-    rejected.  Survivors are verified exactly, so only completeness rests
-    on this screen.
-
-    Returns a boolean reject mask over the candidate rows.
+    h_bar splits into pieces P: the components D with ord_D f = p and
+    ord_D g = q.  With A = f/P^p, B = g/P^q and (p', q') = (p, q)/gcd(p, q),
+    neither A nor B vanishes on D, and f^q' / g^p' = A^q' / B^p' is
+    constant there exactly when D divides C = gcd(P, 2x2 minors of
+    (q'*B*dA - p'*A*dB, dP)).  Where C(0) = 0, the roots of R(c) =
+    Res_t(C_L, A_L^q' + c*B_L^p') on a line L of the fixed list are those
+    constants, all finite and nonzero: where B vanishes on Z(C), so does A,
+    and then R = 0 and the line is skipped.  Each root c in Q(i) nominates
+    phi = u^q' + c*v^p', and the rest of R one weighted-homogeneous phi
+    (with c = None).
     """
-    ncand = coeff_matrix.shape[0]
-    reject = np.zeros(ncand, dtype=bool)
-    for a, d, block_rows, near_h_roots in line_blocks:
-        q = coeff_matrix @ block_rows  # (ncand, line length), ascending in t
-        live = np.abs(q).max(axis=1) > 1e-300
-        width = q.shape[1]
-        for s in near_h_roots:
-            powers = s ** np.arange(width)
-            apow = np.abs(powers)
-            for _ in range(width):
-                vals = q @ powers
-                scales = np.abs(q) @ apow
-                div = live & (np.abs(vals) <= _PRESCREEN_DIV_TOL * (1e-30 + scales))
-                if not div.any():
-                    break
-                sub = q[div]
-                w = np.zeros_like(sub)
-                w[:, width - 2] = sub[:, width - 1]
-                for k in range(width - 2, 0, -1):
-                    w[:, k - 1] = sub[:, k] + s * w[:, k]
-                q[div] = w
-        # each row's roots depend on that row alone, so a candidate that an
-        # earlier line rejected needs no eigensolve here
-        todo = np.nonzero(live & ~reject)[0]
-        reject[todo] = _roots_near_origin_mask(q[todo], a, d, _PRESCREEN_RADIUS)
-    return reject
+    layers_g = _order_layers(h_bar, g)
+    for p, layer_f in enumerate(_order_layers(h_bar, f), 1):
+        for q, layer_g in enumerate(layers_g, 1):
+            piece = gcd(layer_f, layer_g)
+            if not piece.constant_term().is_zero():
+                continue
+            a, b = f.exact_divide(piece**p), g.exact_divide(piece**q)
+            k = math.gcd(p, q)
+            p1, q1 = p // k, q // k
+            omega = [
+                b * a.partial_derivative(i).scale(q1) - a * b.partial_derivative(i).scale(p1)
+                for i in range(f.nvars)
+            ]
+            locus = _constancy_locus(piece, omega)
+            if not locus.constant_term().is_zero():
+                continue
+            found = next(_line_resultants(a**q1, b**p1, locus), None)
+            split = None if found is None else gaussian_rational_roots(found[0])
+            if split is None:
+                continue
+            roots, rest = split
+            for c in roots:
+                yield p1, q1, c, Polynomial(2, {(q1, 0): ONE, (0, p1): c})
+            if rest.degree():
+                yield p1, q1, None, _weighted_curve(rest, q1, p1)
 
 
-def _normalized_candidates(grid, length):
-    """Nonzero tuples over ``grid`` scaled to first nonzero entry 1, each once.
+def _normalized(phi):
+    """phi scaled so that its first canonical term of lowest total degree has coefficient 1."""
+    low = min(sum(m) for m, _ in phi.terms)
+    return phi.scale(ONE / next(c for m, c in phi.terms if sum(m) == low))
 
-    Returns the tuples, in the order ``itertools.product`` first meets
-    them, and the same as a complex matrix.  Each quotient of two grid
-    values is computed once and named by an index, so the product runs
-    over small integers instead of exact scalars.
+
+def bounded_gap_curve_search(germ, dec):
+    """Gap curves nominated exactly from the weighted pencil, each verified exactly.
+
+    Newton-Puiseux run in the target: every candidate of
+    :func:`_weighted_nominations` is checked against the germ with
+    :func:`is_gap_curve`.  When a candidate u + c*v^p' or u^q' + c*v
+    (c != 0) is refuted, the target is sheared along it, f <- f + c*g^p' or
+    g <- g + f^q'/c (which keeps h), and the same steps run on the new
+    pair, at most _SHEAR_DEPTH shears deep; a candidate found there is
+    mapped back by the inverse substitution.  Not a decision procedure: an
+    empty result does not prove that no gap curve exists.
     """
-    index, values, quotient = {}, [], {}
-    for j, d in enumerate(grid):
-        if d.is_zero():
-            continue
-        for i, c in enumerate(grid):
-            q = c / d
-            if q not in index:
-                index[q] = len(values)
-                values.append(q)
-            quotient[i, j] = index[q]
-    zero = next((k for k, c in enumerate(grid) if c.is_zero()), None)
-    seen, keys = set(), []
-    for idx in itertools.product(range(len(grid)), repeat=length):
-        first = next((k for k in idx if k != zero), None)
-        if first is None:
-            continue
-        key = tuple(quotient[k, first] for k in idx)
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
-    as_complex = [complex(v) for v in values]
-    matrix = np.array([[as_complex[q] for q in key] for key in keys], dtype=np.complex128)
-    return [tuple(values[q] for q in key) for key in keys], matrix.reshape(len(keys), length)
-
-
-def bounded_gap_curve_search(germ, dec, max_degree=2, coeff_grid=None):
-    """Enumerate curves of bounded degree over a finite coefficient grid.
-
-    A heuristic, not a decision procedure: an empty result does not prove
-    the absence of gap curves.  Candidates are normalized (first nonzero
-    coefficient 1 in a fixed monomial order) and deduplicated up to scalar.
-    Candidates whose pullback visibly escapes Z(h) near the origin are
-    discarded by a numeric prescreen; the survivors are verified exactly,
-    so every returned candidate is a genuine gap curve.
-    """
-    if max_degree < 1:
-        raise PreconditionError("max_degree must be at least 1")
-    grid = [
-        c if isinstance(c, GaussianRational) else GaussianRational(c)
-        for c in (coeff_grid if coeff_grid is not None else DEFAULT_COEFF_GRID)
-    ]
-    grid = sorted(set(grid), key=_grid_preference)
     if dec.h.is_unit_germ():
         return ()  # codimension-two case: no gap curve can exist
-    monos = [
-        (i, total - i)
-        for total in range(1, max_degree + 1)
-        for i in range(total, -1, -1)
-    ]
-    blocks = {}
-    f_pow = [Polynomial.one(germ.n)]
-    g_pow = [Polynomial.one(germ.n)]
-    for _ in range(max_degree):
-        f_pow.append(f_pow[-1] * germ.f)
-        g_pow.append(g_pow[-1] * germ.g)
-    for i, j in monos:
-        blocks[(i, j)] = f_pow[i] * g_pow[j]
-
     h_bar = squarefree_part(dec.h)
-    line_blocks = []
-    for a, d in _near_origin_lines(
-        germ.n, _PRESCREEN_LINES, _PRESCREEN_SEED, _PRESCREEN_OFFSET
-    ):
-        f_line = _restrict_to_line(germ.f, a, d)
-        g_line = _restrict_to_line(germ.g, a, d)
-        h_line = _restrict_to_line(h_bar, a, d)
-        if np.allclose(h_line[1:], 0.0):
-            continue
-        h_roots = np.roots(h_line[::-1])
-        # only roots on origin branches of Z(h) take part in the deflation
-        keep = []
-        for s in h_roots:
-            if np.linalg.norm(a + s * d) <= _PRESCREEN_RADIUS:
-                keep.append(s)
-        h_roots = np.array(keep, dtype=np.complex128)
-        fl = [np.ones(1, dtype=np.complex128)]
-        gl = [np.ones(1, dtype=np.complex128)]
-        for _ in range(max_degree):
-            fl.append(np.convolve(fl[-1], f_line))
-            gl.append(np.convolve(gl[-1], g_line))
-        raw = [np.convolve(fl[m[0]], gl[m[1]]) for m in monos]
-        width = max(r.shape[0] for r in raw)
-        rows = np.zeros((len(monos), width), dtype=np.complex128)
-        for k, r in enumerate(raw):
-            rows[k, : r.shape[0]] = r
-        line_blocks.append((a, d, rows, h_roots))
-
-    candidates, coeff_matrix = _normalized_candidates(grid, len(monos))
-    if line_blocks:
-        reject = _prescreen_reject_batch(coeff_matrix, line_blocks)
-    else:
-        reject = np.zeros(len(candidates), dtype=bool)
-
     hits = []
-    zero = Polynomial.zero(germ.n)
-    for norm, rej in zip(candidates, reject):
-        if rej:
-            continue
-        psi = zero
-        for c, m in zip(norm, monos):
-            if not c.is_zero():
-                psi = psi + blocks[m].scale(c)
-        if psi.is_zero():
-            continue  # the curve contains the image: not a gap curve
-        if _origin_factors_within(psi, h_bar):
-            phi = Polynomial(2, {m: c for m, c in zip(monos, norm) if not c.is_zero()})
-            hits.append(PlaneCurveCandidate(phi))
+
+    def search(f, g, back_u, back_v, depth):
+        # back_u, back_v: the current target coordinates in terms of the original ones
+        for p1, q1, c, phi in _weighted_nominations(h_bar, f, g):
+            curve = PlaneCurveCandidate(_normalized(substitute(phi, [back_u, back_v])))
+            try:
+                verified = is_gap_curve(germ, dec, curve)
+            except ImageContainsCurveError:
+                continue
+            if verified and curve not in hits:
+                hits.append(curve)
+            if verified or not c or depth == _SHEAR_DEPTH:
+                continue
+            if q1 == 1:
+                sheared = (f + (g**p1).scale(c), g, back_u + (back_v**p1).scale(c), back_v)
+            elif p1 == 1:
+                s = ONE / c
+                sheared = (f, g + (f**q1).scale(s), back_u, back_v + (back_u**q1).scale(s))
+            else:
+                continue
+            search(*sheared, depth + 1)
+
+    u, v = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    search(germ.f, germ.g, u, v, 0)
     return tuple(hits)
-
-
-def _origin_factors_within(psi, h_bar):
-    """Exact: every irreducible factor of psi through 0 divides h_bar.
-
-    Equivalent to the squarefree/gcd germ-inclusion test, but strips the
-    shared factors off psi layer by layer instead of taking the squarefree
-    part of psi, which is much cheaper when h_bar is small and psi is not.
-    """
-    r = psi
-    while True:
-        d = gcd(r, h_bar)
-        if d.is_constant():
-            return not r.constant_term().is_zero()
-        r = r.exact_divide(d)
 
 
 # ---------------------------------------------------------------------------
@@ -688,9 +570,8 @@ class Verdict:
     prop_crit: object = None
 
 
-def classify(germ, search=None):
+def classify(germ):
     """Full classification with a machine-checkable witness; no seed enters it."""
-    search = search or GapCurveSearchParams()
     f, g = germ.f, germ.g
 
     if f.is_zero():
@@ -777,9 +658,7 @@ def classify(germ, search=None):
     if outcome.curve is not None and is_gap_curve(germ, dec, outcome.curve):
         candidates = (outcome.curve,)
     else:
-        candidates = bounded_gap_curve_search(
-            germ, dec, search.max_degree, search.coeff_grid
-        )
+        candidates = bounded_gap_curve_search(germ, dec)
     if candidates:
         return Verdict(
             status=Status.NOT_A_GERM,
@@ -822,9 +701,13 @@ def verify_witness(germ, verdict):
     if isinstance(w, CodimTwoWitness):
         return decompose(germ).h.is_unit_germ()
     if isinstance(w, GapLineWitness):
-        return is_gap_line(decompose(germ), w.ratio)
+        dec = decompose(germ)
+        return _pencil_applies(dec) and is_gap_line(dec, w.ratio)
     if isinstance(w, GapCurveWitness):
-        return is_gap_curve(germ, decompose(germ), w.curve)
+        try:
+            return is_gap_curve(germ, decompose(germ), w.curve)
+        except ImageContainsCurveError:
+            return False
     if isinstance(w, CurveEquationWitness):
         return (
             w.phi.constant_term().is_zero()

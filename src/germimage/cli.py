@@ -13,7 +13,6 @@ import time
 
 from .algebra import decompose, jacobian_rank_deficient
 from .classifier import (
-    GapCurveSearchParams,
     PlaneCurveCandidate,
     classify,
     find_gap_lines,
@@ -36,7 +35,6 @@ from .probe import (
     curve_residual_probe,
     germ_stability_probe,
 )
-from .rationals import GaussianRational
 from .report import (
     build_classify_report,
     dumps_report,
@@ -69,24 +67,6 @@ def _resolve_input(args):
     return "ad-hoc", varnames, args.f_text, args.g_text
 
 
-def _parse_grid(text):
-    values = []
-    for piece in text.replace(",", " ").split():
-        values.append(GaussianRational(int(piece)))
-    if not values:
-        raise GermImageError("--grid must list at least one integer")
-    return tuple(values)
-
-
-def _search_params(args):
-    kwargs = {}
-    if args.max_degree is not None:
-        kwargs["max_degree"] = args.max_degree
-    if args.grid is not None:
-        kwargs["coeff_grid"] = _parse_grid(args.grid)
-    return GapCurveSearchParams(**kwargs)
-
-
 def _sampler(args):
     return SamplerConfig(
         epsilon=args.epsilon,
@@ -100,9 +80,8 @@ def _sampler(args):
 def cmd_classify(args):
     name, varnames, f_text, g_text = _resolve_input(args)
     germ = parse_map_germ(varnames, f_text, g_text)
-    search = _search_params(args)
     t0 = time.monotonic()
-    verdict = classify(germ, search)
+    verdict = classify(germ)
 
     probe = None
     if args.probe:
@@ -248,7 +227,6 @@ def cmd_corpus(args):
         seed=args.seed,
         out_dir=args.out_dir,
         with_probe=True,
-        search=_search_params(args),
     )
     if args.json:
         payload = {
@@ -275,12 +253,6 @@ def build_parser():
         help="seed of the Monte Carlo probes; verdicts do not depend on it",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument(
-        "--max-degree", type=int, default=None, help="gap-curve search degree bound"
-    )
-    parser.add_argument(
-        "--grid", default=None, help="gap-curve coefficient grid, e.g. '-2,-1,0,1,2'"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="full classification with witness")

@@ -12,7 +12,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .classifier import GapCurveSearchParams, classify, witness_kind
+from .classifier import classify, witness_kind
 from .errors import GermImageError
 from .parsing import parse_map_germ
 from .probe import (
@@ -206,10 +206,10 @@ class EntryResult:
         return self.status_ok and self.witness_ok and self.probe_ok
 
 
-def run_entry(entry, seed=0, search=None, with_probe=True):
+def run_entry(entry, seed=0, with_probe=True):
     germ = entry.germ()
     t0 = time.monotonic()
-    verdict = classify(germ, search or GapCurveSearchParams())
+    verdict = classify(germ)
 
     probe_section, probe_ok, probe_rep = (None, True, None)
     if with_probe:
@@ -245,12 +245,12 @@ def run_entry(entry, seed=0, search=None, with_probe=True):
     )
 
 
-def run_corpus(path=None, seed=0, out_dir=None, with_probe=True, search=None):
+def run_corpus(path=None, seed=0, out_dir=None, with_probe=True):
     """Classify every corpus entry; returns (results, exit_code)."""
     entries = load_corpus(path)
     results = []
     for entry in entries:
-        results.append(run_entry(entry, seed=seed, search=search, with_probe=with_probe))
+        results.append(run_entry(entry, seed=seed, with_probe=with_probe))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for res in results:

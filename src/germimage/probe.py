@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import PreconditionError
 from .kernels import bin_hits, centers_inside_polydisk, evaluate_batch
 
 
@@ -35,6 +36,12 @@ class SamplerConfig:
     samples: int = 200_000
     grid_bins_per_axis: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        if self.grid_bins_per_axis < 1 or self.samples < 1:
+            raise PreconditionError("samples and bins per axis must be at least 1")
+        if not self.epsilon > 0 or not (self.target_radius is None or self.target_radius > 0):
+            raise PreconditionError("epsilon and the target radius must be positive")
 
     @property
     def radius(self):

@@ -1,6 +1,5 @@
 """Gap lines, gap curves, the openness test and the full pipeline."""
 
-import itertools
 import random
 
 import pytest
@@ -10,8 +9,8 @@ from germimage import classifier
 from germimage.algebra import gaussian_rational_roots
 from germimage.classifier import (
     _line_resultant,
-    _normalized_candidates,
-    GapCurveSearchParams,
+    GapLineWitness,
+    GapCurveWitness,
     PlaneCurveCandidate,
     ProjectiveRatio,
     PropCritCertificate,
@@ -31,10 +30,9 @@ from germimage.classifier import (
 )
 from germimage.errors import ImageContainsCurveError, PreconditionError
 from germimage.poly import MapGerm, Polynomial
-from germimage.rationals import GaussianRational
 from germimage.report import verdict_json
 
-from _helpers import random_unimodular, source_change, target_change, variables
+from _helpers import factor_pool, random_unimodular, source_change, target_change, variables
 
 x, y = variables(2)
 x3, y3, z3 = variables(3)
@@ -136,9 +134,9 @@ def test_nomination_skips_a_degenerate_first_line(monkeypatch):
     assert _is_multiple(c, h)
     lines = []
 
-    def spy(dec, locus, a, d):
+    def spy(first, second, locus, a, d):
         lines.append((a, d))
-        return _line_resultant(dec, locus, a, d)
+        return _line_resultant(first, second, locus, a, d)
 
     monkeypatch.setattr(classifier, "_line_resultant", spy)
     res = find_gap_lines(dec)
@@ -146,10 +144,11 @@ def test_nomination_skips_a_degenerate_first_line(monkeypatch):
     assert set(res.verified) == expected
     assert res.refuted == () and res.curve is None and res.reason == ""
     (a0, d0), (a1, d1) = lines
-    assert d0 == (1, 1) and _line_resultant(dec, c, a0, d0) is None
+    pencil = (dec.f_hat, dec.g_hat)
+    assert d0 == (1, 1) and _line_resultant(*pencil, c, a0, d0) is None
     # other lines nominate the same ratios
     for a, d in [(a1, d1), (d1, a1), ((1, 0), (1, 2)), ((0, 1), (3, 1)), ((2, 1), (1, 3))]:
-        roots, rest = gaussian_rational_roots(_line_resultant(dec, c, a, d)[0])
+        roots, rest = gaussian_rational_roots(_line_resultant(*pencil, c, a, d)[0])
         assert {ProjectiveRatio(r, 1) for r in roots} == expected and rest.degree() == 0
 
 
@@ -209,6 +208,29 @@ def test_verify_witness_recomputes_the_pencil_certificate():
     assert verify_witness(ANGLE, _forged_open_verdict(ONE)) is False
 
 
+def _forged_not_a_germ_verdict(witness):
+    return Verdict(
+        status=Status.NOT_A_GERM,
+        witness=witness,
+        subflat_label=SubflatLabel.NOT_SUBFLAT,
+        rationale="forged",
+    )
+
+
+def test_verify_witness_rejects_forged_gap_witnesses():
+    # a "gap curve" that contains the image
+    cusp_curve = GapCurveWitness(PlaneCurveCandidate(u**3 - v * v))
+    assert verify_witness(CUSP, _forged_not_a_germ_verdict(cusp_curve)) is False
+    # a gap line where the pencil does not apply: h = 1, or a unit cofactor
+    axis = GapLineWitness(ProjectiveRatio(0, 1))
+    assert verify_witness(MapGerm(x, y), _forged_not_a_germ_verdict(axis)) is False
+    assert verify_witness(ANGLE, _forged_not_a_germ_verdict(axis)) is False
+    # the genuine witnesses still pass
+    assert verify_witness(BLOWUP, _forged_not_a_germ_verdict(axis)) is True
+    parabola = GapCurveWitness(PlaneCurveCandidate(v - u * u))
+    assert verify_witness(NOGAPLINE, _forged_not_a_germ_verdict(parabola)) is True
+
+
 def test_is_gap_curve_examples():
     dec = decompose(NOGAPLINE)
     parabola = PlaneCurveCandidate(v - u * u)
@@ -243,42 +265,46 @@ def test_plane_curve_candidate_validation():
 
 
 def test_bounded_search_examples():
+    # ord f = 1 and ord g = 2 along y = 0, where x^2 : (x^2 + y) = 1: v - u^2 = 0 is nominated
     hits = bounded_gap_curve_search(NOGAPLINE, decompose(NOGAPLINE))
-    assert any(c.phi == v - u * u for c in hits)
-    assert hits[0].phi == v - u * u  # simplest candidate first
+    assert hits == (PlaneCurveCandidate(v - u * u),)
 
     assert bounded_gap_curve_search(HUCKLEBERRY, decompose(HUCKLEBERRY)) == ()
+    assert bounded_gap_curve_search(ROUCHE, decompose(ROUCHE)) == ()
 
-    hits_d = bounded_gap_curve_search(DIAGONAL, decompose(DIAGONAL), max_degree=1)
-    assert any(c.phi == u - v for c in hits_d)
+    hits_d = bounded_gap_curve_search(DIAGONAL, decompose(DIAGONAL))
+    assert hits_d == (PlaneCurveCandidate(u - v),)
 
     # codimension-two case short-circuits
     ident = MapGerm(x, y)
     assert bounded_gap_curve_search(ident, decompose(ident)) == ()
 
 
-def test_normalized_candidates_match_division_per_tuple():
-    """The quotient-table enumeration equals dividing every tuple by its first nonzero entry."""
-    G = GaussianRational
-    grids = [
-        (G(0), G(1), G(-1), G(2), G(-2)),
-        (G(1), G(0, 1), G(-1), G(0), G(1, 2)),
-        (G(2), G(3, 1)),
-        (G(0),),
-    ]
-    for grid in grids:
-        for length in (1, 2, 3, 4):
-            expected = []
-            for coeffs in itertools.product(grid, repeat=length):
-                first = next((c for c in coeffs if not c.is_zero()), None)
-                if first is not None:
-                    norm = tuple(c / first for c in coeffs)
-                    if norm not in expected:
-                        expected.append(norm)
-            tuples, matrix = _normalized_candidates(grid, length)
-            assert tuples == expected
-            assert matrix.shape == (len(expected), length)
-            assert matrix.tolist() == [[complex(c) for c in t] for t in expected]
+def test_weighted_nomination_decides_a_gap_curve_family():
+    """(h*a, h^k*(a^k + h*b)) with b(0) != 0 has the gap curve v = u^k: g - f^k = h^(k+1)*b.
+
+    Along Z(h), ord f = 1 and ord g = k, and f^k : g = 1 there.  After the
+    target shear v -> v + 2u the curve is nominated only after one shear
+    back along the refuted line.
+    """
+    rng = random.Random(2)
+    through = [fac for fac, at_zero in factor_pool() if at_zero]
+    away = [fac for fac, at_zero in factor_pool() if not at_zero]
+    family = [(v - u**3, MapGerm(x * y, y**3 * (x**3 + y)))]
+    for k in (2, 3):
+        h, a = rng.sample(through, 2)
+        family.append((v - u**k, MapGerm(h * a, h**k * (a**k + h * rng.choice(away)))))
+    # v = u^2 + u^3: u^2 - v is refuted, and g - f^2 = h^3*(a^3 + h) nominates the rest
+    family.append((v - u**2 - u**3, MapGerm(x * y, (x * y) ** 2 + (x * y) ** 3 + y**4)))
+    for phi, germ in family:
+        verdict = classify(germ)
+        assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
+        assert verdict.witness.curve.phi == phi
+        assert verify_witness(germ, verdict) is True
+    sheared = target_change(family[1][1], ((1, 0), (2, 1)))
+    verdict = classify(sheared)
+    assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
+    assert verify_witness(sheared, verdict) is True
 
 
 def test_classify_pipeline_examples():
@@ -354,12 +380,18 @@ def test_status_invariant_under_target_change():
             mat = random_unimodular(rng, 2)
             changed = target_change(germ, mat)
             assert classify(changed).status is expected
-    # gap-curve witnesses are found by a bounded grid search, so target
-    # changes must keep the transformed conic inside the default grid:
-    # shears and swaps with entries in {-1, 0, 1} do.
-    for mat in [((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (1, 1)), ((-1, 0), (0, 1))]:
+    for mat in [
+        ((0, 1), (1, 0)),
+        ((1, 1), (0, 1)),
+        ((1, 0), (1, 1)),
+        ((-1, 0), (0, 1)),
+        ((1, 0), (3, 1)),
+        ((1, 0), (-3, 1)),
+    ]:
         changed = target_change(NOGAPLINE, mat)
-        assert classify(changed).status is Status.NOT_A_GERM
+        verdict = classify(changed)
+        assert verdict.status is Status.NOT_A_GERM
+        assert verify_witness(changed, verdict) is True
 
 
 def test_classify_deterministic():
@@ -368,9 +400,3 @@ def test_classify_deterministic():
         v2 = classify(germ)
         names = [f"x{k}" for k in range(germ.n)]
         assert verdict_json(v1, names) == verdict_json(v2, names)
-
-
-def test_search_params_dataclass():
-    params = GapCurveSearchParams()
-    assert params.max_degree == 2
-    assert len(params.coeff_grid) == 5

@@ -225,13 +225,25 @@ def test_entry_lookup(capsys):
     assert code2 == 2 and "no corpus entry" in err
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", "--vars", "x,y", "--f", "x+1", "--g", "y")
     assert code == 2 and "germ" in err
     code2, _, err2 = run_cli(capsys, "classify", "--vars", "x,y", "--f", "x*", "--g", "y")
     assert code2 == 2
     code3, _, err3 = run_cli(capsys, "classify", "--vars", "x,y", "--f", "w", "--g", "y")
     assert code3 == 2 and "unknown variable" in err3
+    germ = ("--vars", "x,y", "--f", "x", "--g", "y")
+    for bad in (("--bins", "0"), ("--samples", "0"), ("--epsilon", "-1"),
+                ("--target-radius", "0")):
+        code4, _, err4 = run_cli(capsys, "probe", *germ, *bad)
+        assert code4 == 2 and "error:" in err4
+    bad = tmp_path / "bins.txt"
+    bad.write_text(
+        "[zero]\nvars = x y\nf = x\ng = y\nexpected_status = LocallyOpen\n"
+        "probe = occupancy\nbins = 0\nsamples = 1000\nmin_occupancy = 0.5\n"
+    )
+    code5, _, err5 = run_cli(capsys, "corpus", "--corpus-file", str(bad))
+    assert code5 == 2 and "at least 1" in err5
 
 
 def test_corpus_exit_codes(tmp_path, capsys):

@@ -19,7 +19,7 @@ from germimage.algebra import (
     resultant,
     squarefree_part,
 )
-from germimage.classifier import pencil_constancy_locus
+from germimage.classifier import _order_layers, pencil_constancy_locus
 from germimage.poly import MapGerm, Polynomial
 from germimage.rationals import GaussianRational
 
@@ -133,6 +133,23 @@ def test_constancy_locus_matches_factor_list():
             seen_away += not c.is_constant()
     # both outcomes occur, and C(0) != 0 also with a component away from 0
     assert seen_open and seen_closed and seen_away
+
+
+def test_order_layers_match_factor_list():
+    """Layer k of the gcd ladder is the product of the factors of multiplicity k."""
+    rng = random.Random(11)
+    pool = factor_pool()
+    for _ in range(10):
+        f, _, _ = compose_case(rng, pool, max_factors=3)
+        f = f * rng.choice(pool)[0] ** rng.randint(2, 3)
+        h_bar = squarefree_part(f)
+        by_order = {}
+        for fac, mult in factors(to_sympy(f)).items():
+            by_order.setdefault(mult, {})[fac] = 1
+        layers = _order_layers(h_bar, f)
+        assert len(layers) == max(by_order)
+        for k, layer in enumerate(layers, 1):
+            assert monic(to_sympy(layer)) == monic(product(by_order.get(k, {})))
 
 
 def _random_poly(rng, nvars, degree, terms):
