@@ -6,9 +6,10 @@ squarefree parts, the germ-inclusion test for zero sets at 0, the gcd
 decomposition f = h*fhat, g = h*ghat, and the Jacobian rank test.
 
 No irreducible factorization anywhere: germ inclusion of zero sets is
-decided by the squarefree/gcd/constant-term trick.  Factors of ``p`` that
-do not divide ``q`` survive into the quotient ``r``; ``r(0) != 0`` exactly
-when none of them passes through the origin.
+decided by the gcd-stripping/constant-term trick.  Dividing ``p`` by
+gcd(p, q) until that gcd is constant leaves exactly the factors of ``p``
+that do not divide ``q``; the rest is a unit at 0 exactly when none of
+them passes through the origin.
 
 Dimension convention: two hypersurface germs through 0 in C^n intersect in
 dimension n-2 exactly when their equations share no factor vanishing at 0
@@ -22,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import GcdUndefinedError, PreconditionError
 from .poly import MapGerm, Polynomial
@@ -37,22 +37,22 @@ def _coeffs_in(p, var):
     """Coefficients of ``p`` as a univariate polynomial in ``var``.
 
     Index = power of ``var``; entries are polynomials (same ring) with zero
-    exponent on ``var``.
+    exponent on ``var``.  Zeroing the exponent of ``var`` in monomials that
+    share it keeps their grevlex order, so each bucket is already canonical.
     """
     d = p.max_degree_in(var)
-    buckets = [{} for _ in range(d + 1)]
+    buckets = [[] for _ in range(d + 1)]
     for m, c in p.terms:
-        rest = tuple(x if i != var else 0 for i, x in enumerate(m))
-        buckets[m[var]][rest] = c
-    return [Polynomial(p.nvars, b) for b in buckets]
+        buckets[m[var]].append((m[:var] + (0,) + m[var + 1 :], c))
+    return [Polynomial._ordered(p.nvars, tuple(b)) for b in buckets]
 
 
 def _from_coeffs(coeffs, var, nvars):
     acc = {}
     for e, poly in enumerate(coeffs):
         for m, c in poly.terms:
-            acc[tuple(x if i != var else e for i, x in enumerate(m))] = c
-    return Polynomial(nvars, acc)
+            acc[m[:var] + (e,) + m[var + 1 :]] = c
+    return Polynomial._trusted(nvars, acc)
 
 
 def _strip(coeffs):
@@ -216,15 +216,19 @@ def zero_set_germ_included(p, q):
     """Is the germ at 0 of Z(p) included in the germ at 0 of Z(q)?
 
     True iff every irreducible factor of ``p`` vanishing at the origin
-    divides ``q``.  Factors away from the origin are irrelevant to the germ
-    and may survive in the quotient.
+    divides ``q``.  The factors ``p`` shares with ``q`` are stripped off
+    layer by layer, one gcd per layer, which costs far less than the
+    squarefree part of ``p`` (n + 1 gcds of large arguments); what is left
+    keeps exactly the factors of ``p`` that do not divide ``q``, and passes
+    through 0 exactly when one of them does.  Factors away from the origin
+    are irrelevant to the germ and may survive.
     """
     if p.is_zero() or q.is_zero():
         raise PreconditionError("germ inclusion needs nonzero polynomials")
     p._check_same_ring(q)
-    s = squarefree_part(p)
-    r = s.exact_divide(gcd(s, q))
-    return not r.constant_term().is_zero()
+    while not (common := gcd(p, q)).is_constant():
+        p = p.exact_divide(common)
+    return not p.constant_term().is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +259,9 @@ def _gaussian_divisors(z):
     From the primes p of N(z) = g^2 * N(z/g), g the integer content of z:
     p = 3 mod 4 stays prime in Z[i], else p = (a+bi)(a-bi), associates iff p = 2.
     """
-    g, primes = math.gcd(int(z.re), int(z.im)), {}
-    if not (_factor_into(primes, g, 2) and _factor_into(primes, int((z / g).norm()), 1)):
+    zr, zi, _ = z.triple()
+    g, primes = math.gcd(zr, zi), {}
+    if not (_factor_into(primes, g, 2) and _factor_into(primes, (zr // g) ** 2 + (zi // g) ** 2, 1)):
         return None
     out = [ONE]
     for p, e in primes.items():
@@ -265,12 +270,12 @@ def _gaussian_divisors(z):
         else:
             a = next(a for a in range(1, p) if math.isqrt(p - a * a) ** 2 == p - a * a)
             pi, k = GaussianRational(a, math.isqrt(p - a * a)), 0
-            while (w := z / pi ** (k + 1)).re.denominator == w.im.denominator == 1:
+            while (z / pi ** (k + 1)).triple()[2] == 1:
                 k += 1
             powers = [(pi, k), (pi.conjugate(), e - k)] if p > 2 else [(pi, e)]
         for pi, k in powers:
             out = [d * pi**j for d in out for j in range(k + 1)]
-    return [(int(d.re), int(d.im)) for d in out]
+    return [d.triple()[:2] for d in out]
 
 
 def _vanishes_at(coeffs, r, q):
@@ -293,9 +298,10 @@ def gaussian_rational_roots(p):
     with rest = s / prod(c - root), or None past either cap.
     """
     s = squarefree_part(p)
-    parts = [x for _, c in s.terms for x in (c.re, c.im)]
-    den = math.lcm(*(x.denominator for x in parts))
-    s = s.scale(GaussianRational(Fraction(den, math.gcd(*(int(x * den) for x in parts)))))
+    triples = [c.triple() for _, c in s.terms]
+    den = math.lcm(*(d for _, _, d in triples))
+    content = math.gcd(*(x * (den // d) for a, b, d in triples for x in (a, b)))
+    s = s.scale(GaussianRational(den) / content)
     roots = []
     if s.constant_term().is_zero():
         roots.append(ZERO)
@@ -305,7 +311,7 @@ def gaussian_rational_roots(p):
     if tops is None or bottoms is None or len(tops) * len(bottoms) > _QUOTIENT_CAP:
         return None
     coeffs = [s.coefficient((k,)) for k in range(s.degree(), -1, -1)]
-    coeffs = [(int(c.re), int(c.im)) for c in coeffs]
+    coeffs = [c.triple()[:2] for c in coeffs]
     for x, y in bottoms:
         for r in ((x, y), (-y, x), (-x, -y), (y, -x)):  # times each unit
             for q in tops:

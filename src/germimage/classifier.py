@@ -359,22 +359,15 @@ def is_gap_curve(germ, dec, candidate):
     """Exact test: does the curve {phi = 0} meet the image only at 0?
 
     Via the pullback: every irreducible factor of psi = phi(f, g) through 0
-    must divide h.  The factors psi shares with h are stripped off layer by
-    layer, which is much cheaper than the squarefree part of psi; what is
-    left passes through 0 exactly when a branch of Z(psi) escapes Z(h).
-    psi = 0 means the curve contains the whole image and is signalled
-    separately.
+    must divide h, i.e. the germ of Z(psi) lies in Z(h).  psi = 0 means the
+    curve contains the whole image and is signalled separately.
     """
     psi = compose_target(candidate.phi, germ)
     if psi.is_zero():
         raise ImageContainsCurveError(
             "the candidate curve contains the image; use the curve-image branch"
         )
-    if dec.h.is_unit_germ():
-        return False
-    while not (common := gcd(psi, dec.h)).is_constant():
-        psi = psi.exact_divide(common)
-    return not psi.constant_term().is_zero()
+    return zero_set_germ_included(psi, dec.h)
 
 
 _SHEAR_DEPTH = 3  # target shears stacked along one chain of refuted candidates

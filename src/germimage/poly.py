@@ -5,9 +5,19 @@ stores its nonzero terms as a tuple of ``(exponents, coefficient)`` pairs
 sorted in descending graded-reverse-lexicographic order, so two equal
 polynomials have identical representations regardless of how they were
 assembled.
+
+The public constructor ``Polynomial(nvars, terms)`` validates its input:
+exponent count and sign, and coefficient type.  Results of ring
+operations (and the univariate views of :mod:`germimage.algebra`) are
+built by the private ``Polynomial._trusted``, which trusts its dict of
+exponent tuples to ``GaussianRational``.  Both end in ``_canonical_terms``,
+the one place that drops zeros and orders the terms.  Operations that keep
+the order of the terms (``neg``, ``scale``, ``monic``) skip it.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .errors import DimensionError, DivisibilityError, NotAGermError
 from .rationals import GaussianRational, ONE, ZERO
@@ -18,8 +28,13 @@ def grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _descending_key(exps):
+    """The canonical term order: ascending in this key is descending grevlex."""
+    return (-sum(exps), exps[::-1])
+
+
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
@@ -40,6 +55,30 @@ def _coerce_coeff(c):
     if isinstance(c, GaussianRational):
         return c
     return GaussianRational(c)
+
+
+_new = object.__new__
+_setattr = object.__setattr__
+
+# One tuple per exponent vector for the terms of every polynomial, so that
+# equal monomials of different polynomials share memory.  Sharing is only
+# an economy: the table is emptied when it outgrows the cap.
+_MONOMIALS = {}
+_MONOMIAL_TABLE_CAP = 1 << 16
+
+
+def _canonical_terms(acc):
+    """The canonical terms tuple of ``acc`` ({exponents: GaussianRational}).
+
+    Zero coefficients are dropped and the terms sorted by ``_descending_key``.
+    """
+    if len(_MONOMIALS) > _MONOMIAL_TABLE_CAP:
+        _MONOMIALS.clear()
+    share = _MONOMIALS.setdefault
+    # the keys are distinct, so m and c are never compared
+    keyed = [(_descending_key(m), share(m, m), c) for m, c in acc.items() if c]
+    keyed.sort()
+    return tuple([(m, c) for _, m, c in keyed])
 
 
 class Polynomial:
@@ -70,16 +109,28 @@ class Polynomial:
                 acc[exps] = acc[exps] + c
             else:
                 acc[exps] = c
-        ordered = sorted(
-            ((m, c) for m, c in acc.items() if not c.is_zero()),
-            key=lambda mc: grevlex_key(mc[0]),
-            reverse=True,
-        )
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", tuple(ordered))
+        object.__setattr__(self, "terms", _canonical_terms(acc))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _ordered(cls, nvars, terms):
+        """The last step of ``_trusted``: ``terms`` is already a canonical tuple."""
+        p = _new(cls)
+        _setattr(p, "nvars", nvars)
+        _setattr(p, "terms", terms)
+        return p
+
+    @classmethod
+    def _trusted(cls, nvars, acc):
+        """Trusted: ``acc`` maps exponent tuples of length ``nvars`` to GaussianRationals.
+
+        No validation or coercion; the terms are made canonical as the
+        public constructor makes them.
+        """
+        return cls._ordered(nvars, _canonical_terms(acc))
 
     # -- constructors ---------------------------------------------------------
 
@@ -152,7 +203,7 @@ class Polynomial:
         lc = self.terms[0][1]
         if lc.is_one():
             return self
-        return Polynomial(self.nvars, [(m, c / lc) for m, c in self.terms])
+        return Polynomial._ordered(self.nvars, tuple([(m, c / lc) for m, c in self.terms]))
 
     def max_degree_in(self, var):
         return max((m[var] for m, _ in self.terms), default=0)
@@ -183,7 +234,7 @@ class Polynomial:
                 acc[m] = acc[m] + c
             else:
                 acc[m] = c
-        return Polynomial(self.nvars, acc)
+        return Polynomial._trusted(self.nvars, acc)
 
     def __sub__(self, other):
         self._check_same_ring(other)
@@ -193,10 +244,10 @@ class Polynomial:
                 acc[m] = acc[m] - c
             else:
                 acc[m] = -c
-        return Polynomial(self.nvars, acc)
+        return Polynomial._trusted(self.nvars, acc)
 
     def __neg__(self):
-        return Polynomial(self.nvars, [(m, -c) for m, c in self.terms])
+        return Polynomial._ordered(self.nvars, tuple([(m, -c) for m, c in self.terms]))
 
     def __mul__(self, other):
         self._check_same_ring(other)
@@ -209,13 +260,13 @@ class Polynomial:
                     acc[m] = acc[m] + c
                 else:
                     acc[m] = c
-        return Polynomial(self.nvars, acc)
+        return Polynomial._trusted(self.nvars, acc)
 
     def scale(self, c):
         c = _coerce_coeff(c)
         if c.is_zero():
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, [(m, k * c) for m, k in self.terms])
+        return Polynomial._ordered(self.nvars, tuple([(m, k * c) for m, k in self.terms]))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -245,7 +296,7 @@ class Polynomial:
         rem = {m: c for m, c in self.terms}
         quot = {}
         while rem:
-            m = max(rem, key=grevlex_key)
+            m = min(rem, key=_descending_key)
             c = rem.pop(m)
             if not monomial_divides(lead_m, m):
                 raise DivisibilityError("not an exact factor")
@@ -259,7 +310,7 @@ class Polynomial:
                     rem.pop(t, None)
                 else:
                     rem[t] = nc
-        return Polynomial(self.nvars, quot)
+        return Polynomial._trusted(self.nvars, quot)
 
     def partial_derivative(self, var_index):
         """Formal partial derivative with exact coefficients."""
@@ -274,7 +325,7 @@ class Polynomial:
                 continue
             dm = tuple(x - 1 if i == var_index else x for i, x in enumerate(m))
             acc[dm] = c * e
-        return Polynomial(self.nvars, acc)
+        return Polynomial._trusted(self.nvars, acc)
 
     def evaluate(self, point):
         """Evaluate at a point of C^n in double precision.

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from germimage.algebra import (
     IntersectionCase,
+    _coeffs_in,
+    _from_coeffs,
     decompose,
     first_nonzero_minor,
     gcd,
@@ -170,3 +173,23 @@ def test_gcd_divides_both_on_random_products():
         g = gcd(p, q)
         p.exact_divide(g)
         q.exact_divide(g)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * n),
+            st.sampled_from([GaussianRational(a, b) for a in range(-2, 3) for b in range(-1, 2)]),
+            max_size=12,
+        ).map(lambda acc: Polynomial(n, acc))
+    )
+)
+def test_univariate_views_are_canonical(p):
+    """``_coeffs_in`` keeps each bucket in p's order; that order must be canonical."""
+    n = p.nvars
+    for var in range(n):
+        views = _coeffs_in(p, var)
+        for e, view in enumerate(views):
+            bucket = {m[:var] + (0,) + m[var + 1 :]: c for m, c in p.terms if m[var] == e}
+            assert view.terms == Polynomial(n, bucket).terms
+        assert _from_coeffs(views, var, n).terms == p.terms

@@ -1,12 +1,17 @@
 """Gap lines, gap curves, the openness test and the full pipeline."""
 
 import random
+import sys
 
 import pytest
 
-from germimage.algebra import decompose
-from germimage import classifier
-from germimage.algebra import gaussian_rational_roots
+from germimage import algebra, classifier
+from germimage.algebra import (
+    decompose,
+    gaussian_rational_roots,
+    squarefree_part,
+    zero_set_germ_included,
+)
 from germimage.classifier import (
     _line_resultant,
     GapLineWitness,
@@ -305,6 +310,34 @@ def test_weighted_nomination_decides_a_gap_curve_family():
     verdict = classify(sheared)
     assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
     assert verify_witness(sheared, verdict) is True
+
+
+def test_germ_inclusion_strips_instead_of_taking_squarefree_parts(monkeypatch):
+    """(h*a, h^3*(a^3 + h*b)), h = xy + z: the pencil member at [1 : 0] is large.
+
+    Every inclusion test, in ``is_gap_line`` and ``is_gap_curve`` alike,
+    strips common factors by gcds and never takes a squarefree part.
+    """
+    h, a, b = x3 * y3 + z3, z3**3 + x3, x3 * x3 + y3 + Polynomial.one(3)
+    germ = MapGerm(h * a, h**3 * (a**3 + h * b))
+    callers, inclusions = [], []
+
+    def squarefree_spy(p):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return squarefree_part(p)
+
+    def inclusion_spy(p, q):
+        inclusions.append((p, q))
+        return zero_set_germ_included(p, q)
+
+    monkeypatch.setattr(algebra, "squarefree_part", squarefree_spy)
+    monkeypatch.setattr(classifier, "zero_set_germ_included", inclusion_spy)
+    assert prop_crit_check(decompose(germ)).kind is PropCritKind.INCONCLUSIVE
+    verdict = classify(germ)
+    assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
+    assert verify_witness(germ, verdict) is True
+    assert len(inclusions) >= 3  # the containment branch, then the gap tests
+    assert "zero_set_germ_included" not in callers
 
 
 def test_classify_pipeline_examples():

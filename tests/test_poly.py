@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germimage.errors import DimensionError, DivisibilityError, NotAGermError
-from germimage.poly import MapGerm, Polynomial, compose_target
+from germimage.poly import MapGerm, Polynomial, compose_target, grevlex_key
 from germimage.rationals import GaussianRational
 
 from _helpers import variables
@@ -168,3 +168,57 @@ def test_evaluate_is_ring_hom_up_to_roundoff(p, q, z):
 def test_evaluate_deterministic(p):
     point = [0.3 + 0.1j] * p.nvars
     assert p.evaluate(point) == p.evaluate(point)
+
+
+# -- both constructors and the ring operations against grevlex ---------------
+
+
+@st.composite
+def term_dicts(draw):
+    """(nvars, {exponents: coefficient}) with 1-4 variables, zero coefficients included."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    zero_or_coeff = st.one_of(st.just(GaussianRational(0)), coeffs)
+    return n, draw(st.dictionaries(exps, zero_or_coeff, max_size=12))
+
+
+def grevlex_terms(items):
+    """The canonical terms tuple, made without ``poly``'s own sort: merged, nonzero, descending."""
+    acc = {}
+    for m, c in items:
+        acc[m] = acc.get(m, GaussianRational(0)) + c
+    nonzero = [(m, c) for m, c in acc.items() if c]
+    return tuple(sorted(nonzero, key=lambda t: grevlex_key(t[0]), reverse=True))
+
+
+@given(term_dicts())
+def test_trusted_constructor_matches_the_public_one(case):
+    n, acc = case
+    assert Polynomial._trusted(n, acc).terms == grevlex_terms(acc.items())
+    assert Polynomial(n, acc).terms == grevlex_terms(acc.items())
+
+
+@given(term_dicts(), term_dicts())
+def test_ring_operations_give_canonical_terms(first, second):
+    (n, a), (_, b) = first, second
+    b = {m[:n] + (0,) * (n - len(m)): c for m, c in b.items()}
+    p, q = Polynomial(n, a), Polynomial(n, b)
+    product = []
+    for m1, c1 in p.terms:
+        for m2, c2 in q.terms:
+            product.append((tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2))
+    assert (p * q).terms == grevlex_terms(product)
+    assert (p + q).terms == grevlex_terms(list(a.items()) + list(b.items()))
+    assert (-p).terms == grevlex_terms((m, -c) for m, c in a.items())
+    k = GaussianRational(2, -1)
+    assert p.scale(k).terms == grevlex_terms((m, c * k) for m, c in a.items())
+    if p:
+        lc = p.leading_coefficient()
+        assert p.monic().terms == grevlex_terms((m, c / lc) for m, c in a.items())
+        assert (p * q).exact_divide(p).terms == q.terms
+    for var in range(n):
+        d = []
+        for m, c in a.items():
+            if m[var]:
+                d.append((m[:var] + (m[var] - 1,) + m[var + 1 :], c * m[var]))
+        assert p.partial_derivative(var).terms == grevlex_terms(d)

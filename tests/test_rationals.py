@@ -1,5 +1,6 @@
 """Gaussian-rational scalar arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,3 +86,124 @@ def test_multiplicative_inverse(a):
     if not a.is_zero():
         assert (a / a).is_one()
         assert (ONE / a) * a == ONE
+
+
+# -- differential tests against a Fraction-pair reference ---------------------
+
+
+class Ref:
+    """a + b*i with Fraction parts: the textbook arithmetic GaussianRational must match."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return Ref(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return Ref(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return Ref(-self.re, -self.im)
+
+    def __mul__(self, o):
+        return Ref(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.norm()
+        return Ref((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
+
+    def __pow__(self, k):
+        out = Ref(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        return Ref(self.re, -self.im)
+
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
+    def text(self):
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}i"
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
+wide = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.integers(-(10**30), 10**30).map(Fraction),
+    st.fractions(max_denominator=10**12),
+    st.just(Fraction(0)),
+)
+pairs = st.tuples(wide, wide)
+
+
+def _same(z, r):
+    """z equals r, and z is stored in the canonical form (a + b*i)/d."""
+    a, b, d = z.triple()
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (z.re, z.im) == (r.re, r.im)
+    assert (Fraction(a, d), Fraction(b, d)) == (r.re, r.im)
+
+
+@given(pairs, pairs)
+def test_arithmetic_matches_fraction_pairs(p, q):
+    (z, r), (w, s) = (G(*p), Ref(*p)), (G(*q), Ref(*q))
+    _same(z, r)
+    _same(z + w, r + s)
+    _same(z - w, r - s)
+    _same(z * w, r * s)
+    _same(-z, -r)
+    _same(z.conjugate(), r.conjugate())
+    assert z.norm() == r.norm()
+    if w:
+        _same(z / w, r / s)
+    for k in range(4):
+        _same(z**k, r**k)
+    assert (z == w) == ((r.re, r.im) == (s.re, s.im))
+
+
+@given(pairs, wide, st.integers(-(10**20), 10**20))
+def test_mixed_operands_match_fraction_pairs(p, q, n):
+    z, r = G(*p), Ref(*p)
+    for other in (q, n):
+        s = Ref(other)
+        _same(z + other, r + s)
+        _same(other + z, s + r)
+        _same(z - other, r - s)
+        _same(other - z, s - r)
+        _same(z * other, r * s)
+        _same(other * z, s * r)
+        if other:
+            _same(z / other, r / s)
+        if z:
+            _same(other / z, s / r)
+        assert (z == other) == (r.im == 0 and r.re == other)
+        assert (other == z) == (z == other)
+
+
+@given(pairs, pairs)
+def test_hash_agrees_with_equality(p, q):
+    z, w = G(*p), G(*q)
+    if z == w:
+        assert hash(z) == hash(w)
+    # a value built along another path hashes the same
+    assert hash((z + w) - w) == hash(z)
+    if z.is_real():
+        assert hash(z) == hash(z.re)
+
+
+@given(pairs, pairs)
+def test_text_and_complex_match_the_reference(p, q):
+    (z, r), (w, s) = (G(*p), Ref(*p)), (G(*q), Ref(*q))
+    for value, ref in ((z, r), (z * w, r * s), (z + w, r + s)):
+        _same(value, ref)
+        assert str(value) == ref.text()
+        assert repr(value) == f"GaussianRational({ref.re!r}, {ref.im!r})"
+        c, expect = complex(value), complex(float(ref.re), float(ref.im))
+        assert (c.real.hex(), c.imag.hex()) == (expect.real.hex(), expect.imag.hex())
