@@ -1,7 +1,7 @@
 """germimage: classify the local image of polynomial map germs (C^n,0) -> (C^2,0).
 
 Exact symbolic decision pipeline (gcd decomposition, gap lines, gap
-curves, Groebner elimination for curve images) cross-checked by a seeded
+curves, one resultant for curve images) cross-checked by a seeded
 Monte Carlo occupancy probe.
 """
 
@@ -31,7 +31,7 @@ from .classifier import (
     verify_witness,
     witness_kind,
 )
-from .groebner import GroebnerBasis, TermOrder, buchberger, image_curve_equation, normal_form
+from .groebner import image_curve_equation
 from .parsing import format_polynomial, parse_map_germ, parse_polynomial
 from .poly import MapGerm, Polynomial, compose_target
 from .probe import (
@@ -58,10 +58,6 @@ __all__ = [
     "IntersectionCase",
     "intersection_dimension_case",
     "jacobian_rank_deficient",
-    "TermOrder",
-    "GroebnerBasis",
-    "buchberger",
-    "normal_form",
     "image_curve_equation",
     "ProjectiveRatio",
     "PlaneCurveCandidate",

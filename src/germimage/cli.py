@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from .algebra import decompose, jacobian_rank_deficient
+from .algebra import decompose
 from .classifier import (
     PlaneCurveCandidate,
     classify,
@@ -169,10 +169,6 @@ def cmd_gap_curve(args):
 def cmd_image_curve(args):
     name, varnames, f_text, g_text = _resolve_input(args)
     germ = parse_map_germ(varnames, f_text, g_text)
-    if not jacobian_rank_deficient(germ):
-        raise GermImageError(
-            "the Jacobian has a nonzero minor: the image is not a curve"
-        )
     phi = image_curve_equation(germ)
     if args.json:
         sys.stdout.write(dumps_report({"phi": format_target_polynomial(phi)}))

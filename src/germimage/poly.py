@@ -23,11 +23,6 @@ from .errors import DimensionError, DivisibilityError, NotAGermError
 from .rationals import GaussianRational, ONE, ZERO
 
 
-def grevlex_key(exps):
-    """Sort key realising graded reverse lexicographic order (ascending)."""
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
 def _descending_key(exps):
     """The canonical term order: ascending in this key is descending grevlex."""
     return (-sum(exps), exps[::-1])
@@ -45,10 +40,6 @@ def monomial_divides(a, b):
 def monomial_div(a, b):
     """Exponents of x^a / x^b; caller guarantees divisibility."""
     return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def _coerce_coeff(c):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germimage.errors import DimensionError, DivisibilityError, NotAGermError
-from germimage.poly import MapGerm, Polynomial, compose_target, grevlex_key
+from germimage.poly import MapGerm, Polynomial, compose_target
 from germimage.rationals import GaussianRational
 
 from _helpers import variables
@@ -180,6 +180,12 @@ def term_dicts(draw):
     exps = st.tuples(*[st.integers(0, 3)] * n)
     zero_or_coeff = st.one_of(st.just(GaussianRational(0)), coeffs)
     return n, draw(st.dictionaries(exps, zero_or_coeff, max_size=12))
+
+
+def grevlex_key(exps):
+    """Graded reverse lexicographic order, ascending: degree first, then the
+    smaller exponent of the last variable that differs is the larger monomial."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
 def grevlex_terms(items):

@@ -4,8 +4,8 @@ Factors are taken over the coefficient field of the input, Q or Q(i).
 gcds, squarefree parts and the constancy locus C of the cofactor pencil do
 not change under a field extension, so the factors over that field are a
 sound oracle for all three.  Resultants are checked against
-``sympy.resultant`` and roots in Q(i) against ``Poly.ground_roots`` over
-QQ<I>.
+``sympy.resultant``, roots in Q(i) against ``Poly.ground_roots`` over
+QQ<I>, and image curves against a lex Groebner basis of the graph ideal.
 """
 
 import random
@@ -20,23 +20,25 @@ from germimage.algebra import (
     squarefree_part,
 )
 from germimage.classifier import _order_layers, pencil_constancy_locus
+from germimage.groebner import image_curve_equation
 from germimage.poly import MapGerm, Polynomial
 from germimage.rationals import GaussianRational
 
-from _helpers import compose_case, factor_pool
+from _helpers import compose_case, factor_pool, poly_subs
 
 sympy = pytest.importorskip("sympy")
 
 GENS = sympy.symbols("x y z")
+TARGET = sympy.symbols("u v")
 
 
-def to_sympy(p):
+def to_sympy(p, gens=GENS):
     expr = sympy.Integer(0)
     for m, c in p.terms:
         coeff = sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
             c.im.numerator, c.im.denominator
         )
-        expr += coeff * sympy.Mul(*(g**e for g, e in zip(GENS, m)))
+        expr += coeff * sympy.Mul(*(g**e for g, e in zip(gens, m)))
     return expr
 
 
@@ -224,3 +226,39 @@ def test_gaussian_rational_roots_match_sympy():
         assert len(roots) == len(set(roots))
         assert not sympy.Poly(to_sympy(rest), GENS[0], domain="QQ_I").ground_roots()
         assert rest.degree() + len(roots) == squarefree_part(p).degree()
+
+
+def test_image_curve_matches_lex_elimination():
+    """phi is the generator of <f - u, g - v> intersected with Q(i)[u, v].
+
+    The germs are f = a(q), g = b(q) with a, b univariate and q vanishing at
+    0, so the Jacobian has rank at most 1.  A lex basis with the source
+    variables first has exactly one element free of them.
+    """
+    rng = random.Random(19)
+    u, v = TARGET
+    checked = 0
+    while checked < 20:
+        n = rng.choice([1, 2, 3])
+        q = Polynomial.zero(n)
+        while q.is_zero():
+            q = _random_poly(rng, n, 2, rng.randint(1, 3))
+            q = q - Polynomial.constant(n, q.constant_term())
+        a, b = (
+            Polynomial(1, {(k,): GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1))
+                           for k in range(1, rng.randint(2, 4))})
+            for _ in range(2)
+        )
+        if a.is_zero() and b.is_zero():
+            continue
+        germ = MapGerm(poly_subs(a, [q]), poly_subs(b, [q]))
+        checked += 1
+        phi = image_curve_equation(germ)
+        xs = GENS[:n]
+        basis = sympy.groebner(
+            [to_sympy(germ.f) - u, to_sympy(germ.g) - v], *xs, u, v, order="lex"
+        )
+        eliminated = [p for p in basis.exprs if not p.free_symbols & set(xs)]
+        assert len(eliminated) == 1
+        expected = sympy.Poly(eliminated[0], u, v, domain="QQ_I").monic()
+        assert sympy.Poly(to_sympy(phi, TARGET), u, v, domain="QQ_I").monic() == expected
