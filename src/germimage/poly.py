@@ -170,11 +170,6 @@ class Polynomial:
         """Invertible in the local ring at 0, i.e. nonzero constant term."""
         return not self.constant_term().is_zero()
 
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
-
     def leading_coefficient(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")

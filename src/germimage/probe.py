@@ -7,6 +7,11 @@ polydisk the image hits.  They corroborate the exact classifier's verdicts
 equation; unstable image: bins occupied at a larger source radius but not
 at a smaller one) and are labeled as evidence wherever they surface.
 
+The source ball is sampled directly, not by rejection from a cube: a
+normalized Gaussian direction scaled by a radius U^(1/2n) is uniform in
+the unit ball of C^n = R^(2n) (Muller 1959; Marsaglia 1972), so the cost
+per sample does not grow with n.
+
 Determinism contract: every report is a pure function of the map and the
 config: the k-th sample depends only on (seed, k), and the numpy kernels
 evaluate bit for bit like :meth:`Polynomial.evaluate`.
@@ -87,24 +92,40 @@ class ResidualReport:
     seed: int
 
 
-def unit_ball_samples(nvars, count, seed):
-    """``count`` points uniform in the unit ball of C^nvars = R^(2*nvars).
+# Rows drawn per chunk.  Fixed, whatever the sample count, so that the
+# k-th sample depends only on (seed, k).
+_CHUNK = 1 << 16
 
-    Rejection sampling from the cube [-1, 1]^(2n), drawn in fixed-size
-    chunks from a seeded generator, so the k-th accepted point depends only
-    on (seed, k).
+
+def unit_ball_samples(nvars, count, seed):
+    """``count`` points uniform in the open unit ball of C^nvars = R^(2*nvars).
+
+    Each chunk of ``_CHUNK`` rows draws Gaussian vectors g, then uniforms
+    U in [0, 1), and scales each row to U^(1/2n) * g / |g|: the direction
+    is uniform on the sphere and the radius has the ball's law
+    P(r < rho) = rho^(2n) (Muller 1959; Marsaglia 1972).  A row whose
+    squared norm rounds to 1.0 or above is dropped, which keeps every
+    point strictly inside and removes almost none.  Chunks are consumed in
+    order, so the k-th point depends only on (seed, k), and a shorter draw
+    is a prefix of a longer one.  Real and imaginary parts alternate in
+    the float rows, which are returned as a complex128 view of shape
+    (count, nvars).
     """
     rng = np.random.default_rng(seed)
     dim = 2 * nvars
     out = np.empty((count, dim), dtype=np.float64)
     have = 0
     while have < count:
-        draw = rng.uniform(-1.0, 1.0, size=(1 << 16, dim))
-        keep = draw[np.einsum("ij,ij->i", draw, draw) < 1.0]
-        take = min(count - have, keep.shape[0])
-        out[have : have + take] = keep[:take]
+        rows = rng.standard_normal((_CHUNK, dim))
+        radius = rng.random(_CHUNK) ** (1.0 / dim)
+        rows *= (radius / np.sqrt(np.einsum("ij,ij->i", rows, rows)))[:, None]
+        inside = np.einsum("ij,ij->i", rows, rows) < 1.0
+        if not inside.all():  # rare: skip the copy when no row is dropped
+            rows = rows[inside]
+        take = min(count - have, rows.shape[0])
+        out[have : have + take] = rows[:take]
         have += take
-    return out[:, 0::2] + 1j * out[:, 1::2]
+    return out.view(np.complex128)
 
 
 def _occupancy_bitmap(counts, inside_mask):

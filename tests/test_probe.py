@@ -47,6 +47,47 @@ def test_unit_ball_samples_deterministic_and_inside():
     assert np.array_equal(a[:2000], c)
 
 
+@pytest.mark.parametrize("nvars", [2, 4])
+def test_unit_ball_samples_uniform(nvars):
+    """Radius law P(|z| < rho) = rho^(2n) and the second and fourth moments
+    of each real coordinate, within 5 standard errors.
+
+    The fourth moment catches a non-uniform direction (say, a normalized
+    cube point), which the radius law and the second moment cannot see.
+    """
+    count = 200_000
+    dim = 2 * nvars
+    pts = unit_ball_samples(nvars, count, seed=11)
+    radii = np.sqrt((np.abs(pts) ** 2).sum(axis=1))
+    for rho in (0.5, 0.8, 0.95):
+        p = rho**dim
+        assert abs(np.mean(radii < rho) - p) <= 5 * np.sqrt(p * (1 - p) / count)
+    # E[x_i^(2k)] of the uniform ball in R^d, d = dim, for k = 1, 2, 4
+    second = 1 / (dim + 2)
+    fourth = 3 / ((dim + 2) * (dim + 4))
+    eighth = 105 / ((dim + 2) * (dim + 4) * (dim + 6) * (dim + 8))
+    coords = pts.view(np.float64)
+    assert coords.shape == (count, dim)
+    sq = coords**2
+    moments = ((sq, second, fourth - second**2), (sq**2, fourth, eighth - fourth**2))
+    for power, mean, var in moments:
+        assert np.all(np.abs(power.mean(axis=0) - mean) <= 5 * np.sqrt(var / count))
+
+
+def test_unit_ball_samples_prefix_across_chunks():
+    # 70 000 points end inside the second chunk of 2^16 draws
+    a = unit_ball_samples(3, 100_000, seed=21)
+    b = unit_ball_samples(3, 70_000, seed=21)
+    assert np.array_equal(a[:70_000], b)
+
+
+def test_unit_ball_samples_inside_at_n6():
+    pts = unit_ball_samples(6, 100_000, seed=5)
+    assert pts.shape == (100_000, 6)
+    assert pts.dtype == np.complex128
+    assert (np.abs(pts) ** 2).sum(axis=1).max() < 1.0
+
+
 def test_identity_occupancy_high():
     cfg = SamplerConfig(epsilon=0.1, target_radius=0.05, samples=200_000, seed=1)
     rep = ball_image_occupancy(IDENTITY, cfg)
