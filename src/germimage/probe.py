@@ -14,7 +14,15 @@ per sample does not grow with n.
 
 Determinism contract: every report is a pure function of the map and the
 config: the k-th sample depends only on (seed, k), and the numpy kernels
-evaluate bit for bit like :meth:`Polynomial.evaluate`.
+evaluate bit for bit like :meth:`Polynomial.evaluate`.  The kernels walk
+the samples in fixed row blocks; each value still goes through one fixed
+sequence of IEEE operations and each hit count is an integer sum, so no
+report depends on the blocking.
+
+Resources are bounded: a probe holds a few arrays of ``samples`` points
+and one count per grid cell, and a config asking for more than
+``_MAX_CELLS`` cells (32 bins per axis) is rejected before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ import numpy as np
 
 from .errors import PreconditionError
 from .kernels import bin_hits, centers_inside_polydisk, evaluate_batch
+
+# Largest 4-D grid a probe may ask for: 32^4 cells, 8 MB of int64 counts.
+_MAX_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,6 +56,12 @@ class SamplerConfig:
     def __post_init__(self):
         if self.grid_bins_per_axis < 1 or self.samples < 1:
             raise PreconditionError("samples and bins per axis must be at least 1")
+        cells = self.grid_bins_per_axis**4
+        if cells > _MAX_CELLS:
+            raise PreconditionError(
+                f"{self.grid_bins_per_axis} bins per axis make {cells} grid cells, "
+                f"more than the {_MAX_CELLS} a probe allows"
+            )
         if not self.epsilon > 0 or not (self.target_radius is None or self.target_radius > 0):
             raise PreconditionError("epsilon and the target radius must be positive")
 
@@ -180,13 +197,12 @@ def germ_stability_probe(germ, eps1, eps2, cfg):
     bins = cfg.grid_bins_per_axis
     inside = centers_inside_polydisk(r, bins)
 
-    u2 = evaluate_batch(germ.f, eps2 * unit)
-    v2 = evaluate_batch(germ.g, eps2 * unit)
-    counts2 = bin_hits(u2, v2, r, bins)
+    pts = eps2 * unit
+    counts2 = bin_hits(evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts), r, bins)
 
-    u1 = evaluate_batch(germ.f, eps1 * unit)
-    v1 = evaluate_batch(germ.g, eps1 * unit)
-    counts1 = bin_hits(u1, v1, r, bins) + counts2
+    np.multiply(eps1, unit, out=pts)  # the same operation as eps1 * unit, in place
+    counts1 = bin_hits(evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts), r, bins)
+    counts1 += counts2
 
     bm1 = _occupancy_bitmap(counts1, inside)
     bm2 = _occupancy_bitmap(counts2, inside)

@@ -233,7 +233,7 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code3, _, err3 = run_cli(capsys, "classify", "--vars", "x,y", "--f", "w", "--g", "y")
     assert code3 == 2 and "unknown variable" in err3
     germ = ("--vars", "x,y", "--f", "x", "--g", "y")
-    for bad in (("--bins", "0"), ("--samples", "0"), ("--epsilon", "-1"),
+    for bad in (("--bins", "0"), ("--bins", "200"), ("--samples", "0"), ("--epsilon", "-1"),
                 ("--target-radius", "0")):
         code4, _, err4 = run_cli(capsys, "probe", *germ, *bad)
         assert code4 == 2 and "error:" in err4

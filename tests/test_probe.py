@@ -1,14 +1,20 @@
 """Monte Carlo probes: determinism, nesting, kernel exactness, corroboration.
 
 ``germimage.kernels`` has one numpy backend; its bitwise contract with
-``Polynomial.evaluate`` is checked in ``test_batch_matches_scalar_evaluate``.
+``Polynomial.evaluate`` is checked in ``test_batch_matches_scalar_evaluate``
+and, across the kernels' row blocks, in ``test_evaluate_batch_blocks_bitwise``.
 """
+
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from germimage import kernels
+from germimage.errors import PreconditionError
 from germimage.poly import MapGerm, Polynomial
+from germimage.rationals import GaussianRational
 from germimage.probe import (
     SamplerConfig,
     ball_image_occupancy,
@@ -33,6 +39,14 @@ def test_config_default_radius():
     cfg = SamplerConfig(epsilon=0.2)
     assert cfg.radius == pytest.approx(0.01)
     assert SamplerConfig(epsilon=0.2, target_radius=0.5).radius == 0.5
+
+
+def test_config_rejects_grids_past_the_cell_bound():
+    # nothing is allocated: the config is refused before any probe runs
+    for bins in (1, 4, 8, 16):
+        SamplerConfig(grid_bins_per_axis=bins)
+    with pytest.raises(PreconditionError, match=str(200**4)):
+        SamplerConfig(grid_bins_per_axis=200)
 
 
 def test_unit_ball_samples_deterministic_and_inside():
@@ -170,3 +184,145 @@ def test_curve_residual_examples():
     with pytest.raises(ValueError):
         curve_residual_probe(CUSP, Polynomial.zero(2), SamplerConfig())
 
+
+# ---------------------------------------------------------------------------
+# the blocked kernels against per-point and one-shot references
+# ---------------------------------------------------------------------------
+
+ROWS = kernels._ROWS
+BLOCK_COUNTS = (0, 1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5)
+
+
+def _random_poly(nvars, nterms, max_exp, seed):
+    """Gaussian-rational coefficients from normal draws, exponents <= max_exp."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for _ in range(nterms):
+        exps = tuple(int(e) for e in rng.integers(0, max_exp + 1, nvars))
+        re, im = rng.standard_normal(2)
+        terms.append((exps, GaussianRational(Fraction(re), Fraction(im))))
+    terms.append(((max_exp,) * nvars, GaussianRational(Fraction(rng.standard_normal()))))
+    return Polynomial(nvars, terms)
+
+
+def _unblocked_evaluate(poly, points):
+    """The whole-array evaluation the blocked kernel replaced."""
+    pre, pim = points.real, points.imag
+    acc_re = np.zeros(points.shape[0])
+    acc_im = np.zeros(points.shape[0])
+    for m, c in poly.terms:
+        c = complex(c)
+        term_re = np.full(points.shape[0], c.real)
+        term_im = np.full(points.shape[0], c.imag)
+        for v, e in enumerate(m):
+            for _ in range(e):
+                term_re, term_im = (
+                    term_re * pre[:, v] - term_im * pim[:, v],
+                    term_re * pim[:, v] + term_im * pre[:, v],
+                )
+        acc_re = acc_re + term_re
+        acc_im = acc_im + term_im
+    return acc_re + 1j * acc_im
+
+
+def _one_shot_bin_hits(u, v, radius, bins):
+    """The whole-array binning the blocked kernel replaced."""
+    r2 = radius * radius
+    inside = (u.real**2 + u.imag**2 < r2) & (v.real**2 + v.imag**2 < r2)
+    width = (2.0 * radius) / bins
+    idx = np.zeros(int(inside.sum()), dtype=np.int64)
+    for part in (u.real, u.imag, v.real, v.imag):
+        cell = np.minimum(((part[inside] + radius) / width).astype(np.int64), bins - 1)
+        idx = idx * bins + cell
+    return np.bincount(idx, minlength=bins**4)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_evaluate_batch_blocks_bitwise(nvars):
+    """Every point of every block, the tail included, equals ``Polynomial.evaluate``."""
+    poly = _random_poly(nvars, 4, 9, seed=nvars)
+    pts = 0.9 * unit_ball_samples(nvars, BLOCK_COUNTS[-1], seed=nvars)
+    scalar = np.array([poly.evaluate(p) for p in pts], dtype=np.complex128)
+    for count in BLOCK_COUNTS:
+        batch = kernels.evaluate_batch(poly, pts[:count])
+        assert batch.shape == (count,)
+        assert np.array_equal(batch.view(np.uint64), scalar[:count].view(np.uint64))
+
+
+def test_bin_hits_blocks_match_one_shot():
+    radius, bins = 0.05, 7
+    width = 2 * radius / bins
+    edge = np.nextafter(radius, 0.0)
+    assert (edge + radius) / width >= bins  # this point needs the bins - 1 clamp
+    rng = np.random.default_rng(8)
+    count = 3 * ROWS + 5
+    u = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * radius
+    v = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * radius
+    special = [
+        (edge, 0.0),  # inside, clamped in Re u
+        (0.0, 1j * edge),  # inside, clamped in Im v
+        (-edge, -1j * edge),  # inside, first cells
+        (radius, 0.0),  # on the boundary |u| = radius: not counted
+        (0.0, -1j * radius),  # on the boundary |v| = radius: not counted
+    ]
+    for k, at in enumerate((ROWS - 1, ROWS, 2 * ROWS + 3, 3 * ROWS, count - 1)):
+        u[at], v[at] = special[k]
+    reference = _one_shot_bin_hits(u, v, radius, bins)
+    assert reference.sum() > 0
+    for n in BLOCK_COUNTS:
+        assert np.array_equal(
+            kernels.bin_hits(u[:n], v[:n], radius, bins),
+            _one_shot_bin_hits(u[:n], v[:n], radius, bins),
+        )
+    assert np.array_equal(kernels.bin_hits(u, v, radius, bins), reference)
+
+
+def test_probes_match_unblocked_formulas():
+    samples = 3 * ROWS + 5
+    cfg = SamplerConfig(
+        epsilon=0.2, target_radius=0.01, samples=samples, grid_bins_per_axis=16, seed=6
+    )
+    unit = unit_ball_samples(2, samples, cfg.seed)
+    inside = kernels.centers_inside_polydisk(cfg.radius, 16)
+
+    def histogram(germ, eps):
+        pts = eps * unit
+        return _one_shot_bin_hits(
+            _unblocked_evaluate(germ.f, pts), _unblocked_evaluate(germ.g, pts), cfg.radius, 16
+        )
+
+    occupancy = ball_image_occupancy(ANGLE, cfg)
+    assert np.array_equal(occupancy.hit_histogram, histogram(ANGLE, cfg.epsilon))
+
+    stability = germ_stability_probe(ANGLE, 0.2, 0.05, cfg)
+    counts2 = histogram(ANGLE, 0.05)
+    counts1 = histogram(ANGLE, 0.2) + counts2
+    assert np.array_equal(stability.bitmap_eps1, (counts1 > 0) & inside)
+    assert np.array_equal(stability.bitmap_eps2, (counts2 > 0) & inside)
+
+    phi = u**3 - v * v
+    residual = curve_residual_probe(CUSP, phi, cfg)
+    pts = cfg.epsilon * unit
+    uv = np.column_stack([_unblocked_evaluate(CUSP.f, pts), _unblocked_evaluate(CUSP.g, pts)])
+    res = np.abs(_unblocked_evaluate(phi, uv))
+    assert residual.max_residual == float(res.max())
+    assert residual.mean_residual == float(res.mean())
+
+
+def test_evaluate_batch_memory_is_bounded_by_blocks():
+    """Scratch memory is a fixed number of block buffers, whatever N is.
+
+    A whole-array kernel holds copies of the coordinates and several
+    N-sized temporaries per complex multiply, far above this bound.
+    """
+    nvars, count = 3, 200_000
+    poly = _random_poly(nvars, 4, 9, seed=12)
+    pts = 0.9 * unit_ball_samples(nvars, count, seed=12)
+    tracemalloc.start()
+    try:
+        out = kernels.evaluate_batch(poly, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_buffers = (6 + 2 * nvars) * ROWS * 8
+    assert peak < out.nbytes + 2 * block_buffers
