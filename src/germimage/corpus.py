@@ -13,10 +13,11 @@ import time
 from dataclasses import dataclass, field
 
 from .classifier import classify, witness_kind
-from .errors import GermImageError
+from .errors import GermImageError, PreconditionError
 from .parsing import parse_map_germ
 from .probe import (
     SamplerConfig,
+    SharedBallSamples,
     ball_image_occupancy,
     curve_residual_probe,
     germ_stability_probe,
@@ -40,6 +41,7 @@ _FLOAT_KEYS = {
     "max_residual",
 }
 _TEXT_KEYS = {"vars", "f", "g", "expected_status", "expected_witness", "provenance", "probe"}
+_PROBE_KINDS = ("occupancy", "stability", "residual")
 
 
 @dataclass(frozen=True)
@@ -79,19 +81,19 @@ def parse_corpus(text):
         params = {
             k: v for k, v in block.items() if k in _INT_KEYS | _FLOAT_KEYS
         }
-        entries.append(
-            CorpusEntry(
-                name=block_name,
-                varnames=tuple(block["vars"].replace(",", " ").split()),
-                f_text=block["f"],
-                g_text=block["g"],
-                expected_status=block["expected_status"],
-                expected_witness=block.get("expected_witness", ""),
-                provenance=block.get("provenance", ""),
-                probe_kind=block.get("probe"),
-                probe_params=params,
-            )
+        entry = CorpusEntry(
+            name=block_name,
+            varnames=tuple(block["vars"].replace(",", " ").split()),
+            f_text=block["f"],
+            g_text=block["g"],
+            expected_status=block["expected_status"],
+            expected_witness=block.get("expected_witness", ""),
+            provenance=block.get("provenance", ""),
+            probe_kind=block.get("probe"),
+            probe_params=params,
         )
+        _check_probe(entry)
+        entries.append(entry)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -140,6 +142,28 @@ def load_corpus(path=None):
     return parse_corpus(text)
 
 
+def _check_probe(entry):
+    """Refuse an entry whose probe could not run, before any entry runs."""
+    kind = entry.probe_kind
+    if kind is None:
+        return
+    where = f"corpus entry [{entry.name}]"
+    if kind not in _PROBE_KINDS:
+        raise GermImageError(
+            f"{where}: unknown probe kind {kind!r} (expected one of {', '.join(_PROBE_KINDS)})"
+        )
+    p = entry.probe_params
+    if kind == "stability" and not ("eps1" in p and "eps2" in p and p["eps1"] > p["eps2"] > 0):
+        raise GermImageError(
+            f"{where}: the stability probe needs eps1 > eps2 > 0, got "
+            f"eps1 = {p.get('eps1')}, eps2 = {p.get('eps2')}"
+        )
+    try:
+        _probe_cfg(entry, seed=0)
+    except PreconditionError as exc:
+        raise GermImageError(f"{where}: {exc}") from None
+
+
 def _probe_cfg(entry, seed):
     p = entry.probe_params
     return SamplerConfig(
@@ -151,15 +175,18 @@ def _probe_cfg(entry, seed):
     )
 
 
-def run_probe(entry, germ, verdict, seed):
-    """Run the entry's probe protocol; returns (json section, ok, report)."""
+def run_probe(entry, germ, verdict, seed, draw=None):
+    """Run the entry's probe protocol; returns (json section, ok, report).
+
+    ``draw`` is handed to the probe; ``None`` draws a fresh sample.
+    """
     kind = entry.probe_kind
     if not kind:
         return None, True, None
     cfg = _probe_cfg(entry, seed)
     p = entry.probe_params
     if kind == "occupancy":
-        rep = ball_image_occupancy(germ, cfg)
+        rep = ball_image_occupancy(germ, cfg, draw=draw)
         section = occupancy_json(rep)
         ok = True
         if "min_occupancy" in p:
@@ -168,7 +195,7 @@ def run_probe(entry, germ, verdict, seed):
         section["passed"] = ok
         return section, ok, rep
     if kind == "stability":
-        rep = germ_stability_probe(germ, p["eps1"], p["eps2"], cfg)
+        rep = germ_stability_probe(germ, p["eps1"], p["eps2"], cfg, draw=draw)
         section = stability_json(rep)
         ok = True
         if "min_divergence" in p:
@@ -180,7 +207,7 @@ def run_probe(entry, germ, verdict, seed):
         phi = getattr(verdict.witness, "phi", None)
         if phi is None:
             return {"kind": "residual", "error": "no curve equation"}, False, None
-        rep = curve_residual_probe(germ, phi, cfg)
+        rep = curve_residual_probe(germ, phi, cfg, draw=draw)
         section = residual_json(rep)
         ok = True
         if "max_residual" in p:
@@ -206,14 +233,14 @@ class EntryResult:
         return self.status_ok and self.witness_ok and self.probe_ok
 
 
-def run_entry(entry, seed=0, with_probe=True):
+def run_entry(entry, seed=0, with_probe=True, draw=None):
     germ = entry.germ()
     t0 = time.monotonic()
     verdict = classify(germ)
 
     probe_section, probe_ok, probe_rep = (None, True, None)
     if with_probe:
-        probe_section, probe_ok, probe_rep = run_probe(entry, germ, verdict, seed)
+        probe_section, probe_ok, probe_rep = run_probe(entry, germ, verdict, seed, draw=draw)
     seconds = time.monotonic() - t0
 
     verdict, report = build_classify_report(
@@ -246,11 +273,20 @@ def run_entry(entry, seed=0, with_probe=True):
 
 
 def run_corpus(path=None, seed=0, out_dir=None, with_probe=True):
-    """Classify every corpus entry; returns (results, exit_code)."""
+    """Classify every corpus entry; returns (results, exit_code).
+
+    The whole file is parsed and checked before the first entry runs.
+    All probes of one call share one :class:`SharedBallSamples`, so each
+    (n, seed) unit-ball stream is drawn once, and again only when a later
+    entry asks for more points than were drawn.  A shared draw gives the
+    points a fresh one would, so the reports are the same; the draws are
+    dropped when the call returns.
+    """
     entries = load_corpus(path)
+    draw = SharedBallSamples()
     results = []
     for entry in entries:
-        results.append(run_entry(entry, seed=seed, with_probe=with_probe))
+        results.append(run_entry(entry, seed=seed, with_probe=with_probe, draw=draw))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for res in results:

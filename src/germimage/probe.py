@@ -19,10 +19,20 @@ the samples in fixed row blocks; each value still goes through one fixed
 sequence of IEEE operations and each hit count is an integer sum, so no
 report depends on the blocking.
 
-Resources are bounded: a probe holds a few arrays of ``samples`` points
-and one count per grid cell, and a config asking for more than
-``_MAX_CELLS`` cells (32 bins per axis) is rejected before anything is
-allocated.
+Shared draws: every probe takes an optional ``draw``, called as
+``draw(nvars, count, seed)`` in place of :func:`unit_ball_samples`.  A
+:class:`SharedBallSamples` made for one corpus run keeps the longest
+draw of each (n, seed) stream and hands shorter requests a prefix of it.
+Since a shorter draw is a prefix of a longer one, the k-th sample still
+depends only on (seed, k), and a shared draw returns exactly the points a
+fresh one would.
+
+Resources are bounded: a probe holds its unit sample, walks it in slices
+of ``_PIECE`` rows (scale, evaluate, bin, slice after slice), and keeps
+one count per grid cell, so beyond the sample its scratch memory does
+not grow with ``samples``.  The residual probe also keeps one float per
+sample, for the mean.  A config asking for more than ``_MAX_CELLS``
+cells (32 bins per axis) is rejected before anything is allocated.
 """
 
 from __future__ import annotations
@@ -145,22 +155,83 @@ def unit_ball_samples(nvars, count, seed):
     return out.view(np.complex128)
 
 
+class SharedBallSamples:
+    """Unit-ball draws shared by the probes of one run.
+
+    Called as ``(nvars, count, seed)``, like :func:`unit_ball_samples`.
+    For each (nvars, seed) it keeps the longest array drawn so far: a
+    shorter request gets a prefix view of it, and a longer one draws the
+    stream again at the new length, which is exact because a shorter draw
+    is a prefix of a longer one.  The arrays are read-only, so a probe
+    that wrote into a shared sample would fail instead of changing the
+    points of later probes.
+    """
+
+    def __init__(self):
+        self._longest = {}
+
+    def __call__(self, nvars, count, seed):
+        key = (nvars, seed)
+        have = self._longest.get(key)
+        if have is None or have.shape[0] < count:
+            have = unit_ball_samples(nvars, count, seed)
+            have.flags.writeable = False
+            self._longest[key] = have
+        return have[:count]
+
+
+# Rows of the unit sample scaled, evaluated and binned at a time.  2^18
+# rows keep the per-slice arrays a few MB; every probe of up to 2^18
+# samples is a single slice, with the allocations of a whole-array probe.
+_PIECE = 1 << 18
+
+
+def _unit_sample(germ, cfg, draw):
+    if draw is None:
+        draw = unit_ball_samples
+    return draw(germ.n, cfg.samples, cfg.seed)
+
+
+def _slices(unit, eps):
+    """(rows, eps * unit[rows]) for consecutive slices of ``_PIECE`` rows.
+
+    The reference to ``unit`` goes once the last slice is scaled, so a
+    sample the probe drew for itself is freed before that slice is
+    evaluated, and a one-slice probe holds what a whole-array probe held.
+    """
+    count = unit.shape[0]
+    for lo in range(0, count, _PIECE):
+        rows = slice(lo, lo + _PIECE)
+        pts = eps * unit[rows]
+        if lo + _PIECE >= count:
+            del unit
+        yield rows, pts
+
+
+def _add_hits(counts, germ, pts, radius, bins):
+    """``counts`` plus the grid hits of F(pts); ``None`` starts the count."""
+    hits = bin_hits(evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts), radius, bins)
+    if counts is None:
+        return hits
+    counts += hits
+    return counts
+
+
 def _occupancy_bitmap(counts, inside_mask):
     return (counts > 0) & inside_mask
 
 
-def ball_image_occupancy(germ, cfg):
+def ball_image_occupancy(germ, cfg, draw=None):
     """Occupancy of the image of the epsilon-ball inside the target polydisk.
 
     A grid cell counts as covered with a single hit; the denominator is the
     number of cells whose center lies inside the open polydisk.
     """
-    pts = cfg.epsilon * unit_ball_samples(germ.n, cfg.samples, cfg.seed)
-    u = evaluate_batch(germ.f, pts)
-    v = evaluate_batch(germ.g, pts)
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
-    counts = bin_hits(u, v, r, bins)
+    counts = None
+    for _, pts in _slices(_unit_sample(germ, cfg, draw), cfg.epsilon):
+        counts = _add_hits(counts, germ, pts, r, bins)
     inside = centers_inside_polydisk(r, bins)
     total = int(inside.sum())
     occupied = int(_occupancy_bitmap(counts, inside).sum())
@@ -177,7 +248,7 @@ def ball_image_occupancy(germ, cfg):
     )
 
 
-def germ_stability_probe(germ, eps1, eps2, cfg):
+def germ_stability_probe(germ, eps1, eps2, cfg, draw=None):
     """One-sided occupancy divergence between two source radii.
 
     The same unit-ball sample is reused scaled by eps1 and by eps2, and the
@@ -192,18 +263,17 @@ def germ_stability_probe(germ, eps1, eps2, cfg):
     """
     if not eps1 > eps2 > 0:
         raise ValueError("need eps1 > eps2 > 0")
-    unit = unit_ball_samples(germ.n, cfg.samples, cfg.seed)
+    unit = _unit_sample(germ, cfg, draw)
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
-    inside = centers_inside_polydisk(r, bins)
-
-    pts = eps2 * unit
-    counts2 = bin_hits(evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts), r, bins)
-
-    np.multiply(eps1, unit, out=pts)  # the same operation as eps1 * unit, in place
-    counts1 = bin_hits(evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts), r, bins)
+    counts1 = counts2 = None
+    for rows, pts in _slices(unit, eps2):
+        counts2 = _add_hits(counts2, germ, pts, r, bins)
+        np.multiply(eps1, unit[rows], out=pts)  # the same operation as eps1 * unit[rows]
+        counts1 = _add_hits(counts1, germ, pts, r, bins)
     counts1 += counts2
 
+    inside = centers_inside_polydisk(r, bins)
     bm1 = _occupancy_bitmap(counts1, inside)
     bm2 = _occupancy_bitmap(counts2, inside)
     n1 = int(bm1.sum())
@@ -224,19 +294,21 @@ def germ_stability_probe(germ, eps1, eps2, cfg):
     )
 
 
-def curve_residual_probe(germ, phi, cfg):
+def curve_residual_probe(germ, phi, cfg, draw=None):
     """|phi(f(x), g(x))| over sampled x.
 
     For a verified curve-image verdict this is zero up to floating
     round-off, because phi(f, g) vanishes identically in exact arithmetic.
+    The residuals of all slices go into one array of ``samples`` floats:
+    numpy's pairwise sum depends on the array's length, so the mean is the
+    one a whole-array probe takes.
     """
     if phi.is_zero():
         raise ValueError("residual probe needs a nonzero curve equation")
-    pts = cfg.epsilon * unit_ball_samples(germ.n, cfg.samples, cfg.seed)
-    u = evaluate_batch(germ.f, pts)
-    v = evaluate_batch(germ.g, pts)
-    uv = np.column_stack([u, v])
-    res = np.abs(evaluate_batch(phi, uv))
+    res = np.empty(cfg.samples)
+    for rows, pts in _slices(_unit_sample(germ, cfg, draw), cfg.epsilon):
+        uv = np.column_stack([evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts)])
+        np.abs(evaluate_batch(phi, uv), out=res[rows])
     return ResidualReport(
         max_residual=float(res.max()),
         mean_residual=float(res.mean()),

@@ -244,6 +244,19 @@ def test_input_errors_exit_2(tmp_path, capsys):
     )
     code5, _, err5 = run_cli(capsys, "corpus", "--corpus-file", str(bad))
     assert code5 == 2 and "at least 1" in err5
+    # a bad probe in a later entry stops the run before the first entry is classified
+    good = "[first]\nvars = x y\nf = x\ng = y\nexpected_status = LocallyOpen\n"
+    for probe, message in (
+        ("probe = stability\n", "eps1 > eps2 > 0"),
+        ("probe = stability\neps1 = 0.05\neps2 = 0.2\n", "eps1 > eps2 > 0"),
+        ("probe = volume\n", "unknown probe kind"),
+        ("probe = occupancy\nbins = 200\n", "grid cells"),
+    ):
+        bad.write_text(good + good.replace("first", "second") + probe)
+        code6, out6, err6 = run_cli(capsys, "corpus", "--corpus-file", str(bad))
+        assert code6 == 2 and out6 == ""
+        assert "corpus entry [second]" in err6 and message in err6
+        assert "Traceback" not in err6
 
 
 def test_corpus_exit_codes(tmp_path, capsys):

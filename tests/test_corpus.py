@@ -1,0 +1,115 @@
+"""The corpus runner's shared unit-ball draws: fewer draws, the same reports."""
+
+import pytest
+
+from germimage import probe
+from germimage.corpus import run_corpus, run_probe
+
+# n = 2 at 3000 points and a prefix of it, n = 3 at 2000, n = 2 growing to
+# 5000 (a residual probe), then a prefix of each: three draws, not six.
+_SMALL = """
+[open2]
+vars = x y
+f = x
+g = y
+expected_status = LocallyOpen
+probe = occupancy
+epsilon = 0.1
+samples = 3000
+
+[angle]
+vars = x y
+f = x
+g = x*y
+expected_status = NotAGerm
+probe = stability
+eps1 = 0.2
+eps2 = 0.05
+target_radius = 0.01
+samples = 1000
+
+[open3]
+vars = x y z
+f = x*y
+g = x*z
+expected_status = LocallyOpen
+probe = occupancy
+epsilon = 0.3
+target_radius = 0.02
+samples = 2000
+
+[cusp]
+vars = x y
+f = (x+y)^2
+g = (x+y)^3
+expected_status = CurveImage
+probe = residual
+samples = 5000
+
+[open3-short]
+vars = x y z
+f = x*y
+g = x*z
+expected_status = LocallyOpen
+probe = occupancy
+epsilon = 0.3
+target_radius = 0.02
+samples = 500
+
+[open2-long]
+vars = x y
+f = x
+g = y
+expected_status = LocallyOpen
+probe = occupancy
+samples = 5000
+"""
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Record every call of ``probe.unit_ball_samples`` as (nvars, count, seed)."""
+    calls = []
+    fresh = probe.unit_ball_samples
+
+    def spy(nvars, count, seed):
+        calls.append((nvars, count, seed))
+        return fresh(nvars, count, seed)
+
+    monkeypatch.setattr(probe, "unit_ball_samples", spy)
+    return calls
+
+
+def _fresh_sections(results, seed):
+    return {
+        r.entry.name: run_probe(r.entry, r.entry.germ(), r.verdict, seed)[0] for r in results
+    }
+
+
+def test_run_corpus_draws_once_per_stream_and_growth(tmp_path, draws):
+    path = tmp_path / "small.txt"
+    path.write_text(_SMALL)
+    once = [(2, 3000, 9), (3, 2000, 9), (2, 5000, 9)]
+    results, code = run_corpus(path=str(path), seed=9)
+    assert code == 0
+    assert draws == once
+    # a second run draws again: nothing outlives the call
+    results_again, _ = run_corpus(path=str(path), seed=9)
+    assert draws == once + once
+    assert [r.report for r in results_again] == [r.report for r in results]
+
+    draws.clear()
+    fresh = _fresh_sections(results, seed=9)
+    assert len(draws) == len(results)
+    assert {r.entry.name: r.report["probe"] for r in results} == fresh
+
+
+def test_shipped_corpus_probes_match_fresh_draws():
+    """Every entry's probe section is the one a probe drawing its own sample gives."""
+    results, code = run_corpus(seed=3)
+    assert code == 0
+    fresh = _fresh_sections(results, seed=3)
+    assert None not in fresh.values()
+    for r in results:
+        assert r.report["probe"] == fresh[r.entry.name], r.entry.name
+

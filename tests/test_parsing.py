@@ -51,6 +51,28 @@ def test_parse_corpus_accepts_plain_names():
     assert [e.name for e in parse_corpus(text)] == names
 
 
+@pytest.mark.parametrize(
+    "probe, message",
+    [
+        ("probe = volume\n", "unknown probe kind 'volume'"),
+        ("probe = stability\n", r"needs eps1 > eps2 > 0, got eps1 = None, eps2 = None"),
+        ("probe = stability\neps1 = 0.2\n", r"needs eps1 > eps2 > 0"),
+        ("probe = stability\neps1 = 0.05\neps2 = 0.2\n", r"needs eps1 > eps2 > 0"),
+        ("probe = stability\neps1 = 0.2\neps2 = 0\n", r"needs eps1 > eps2 > 0"),
+        ("probe = occupancy\nbins = 0\n", "at least 1"),
+        ("probe = occupancy\nsamples = 0\n", "at least 1"),
+        ("probe = residual\nbins = 200\n", "grid cells"),
+        ("probe = stability\neps1 = 0.2\neps2 = 0.05\nepsilon = -1\n", "positive"),
+        ("probe = occupancy\ntarget_radius = 0\n", "positive"),
+    ],
+)
+def test_parse_corpus_rejects_probes_that_cannot_run(probe, message):
+    # the good entry first: the whole file is refused before any entry runs
+    text = "[good]\n" + _ENTRY_BODY + "[bad]\n" + _ENTRY_BODY + probe
+    with pytest.raises(GermImageError, match=r"corpus entry \[bad\]: .*" + message):
+        parse_corpus(text)
+
+
 def test_parse_constant_term_rejected():
     with pytest.raises(NotAGermError, match="not a germ through the origin"):
         parse_map_germ(["x", "y"], "x+1", "y")

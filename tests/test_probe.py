@@ -11,12 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from germimage import kernels
+from germimage import kernels, probe
 from germimage.errors import PreconditionError
 from germimage.poly import MapGerm, Polynomial
 from germimage.rationals import GaussianRational
 from germimage.probe import (
     SamplerConfig,
+    SharedBallSamples,
     ball_image_occupancy,
     curve_residual_probe,
     germ_stability_probe,
@@ -93,6 +94,28 @@ def test_unit_ball_samples_prefix_across_chunks():
     a = unit_ball_samples(3, 100_000, seed=21)
     b = unit_ball_samples(3, 70_000, seed=21)
     assert np.array_equal(a[:70_000], b)
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_shared_ball_samples_are_fresh_prefixes(nvars):
+    """Rising and falling requests, across chunk edges, give a fresh draw's bits."""
+    draw = SharedBallSamples()
+    for count in (1000, 70_000, 5, 70_000, 140_000, 3, 69_999):
+        for seed in (4, 5):
+            shared = draw(nvars, count, seed)
+            fresh = unit_ball_samples(nvars, count, seed)
+            assert shared.shape == (count, nvars)
+            assert np.array_equal(shared.view(np.uint64), fresh.view(np.uint64))
+
+
+def test_shared_ball_samples_refuse_writes():
+    draw = SharedBallSamples()
+    draw(2, 100, seed=1)
+    for sample in (draw(2, 100, seed=1), draw(2, 40, seed=1), draw(2, 300, seed=1)):
+        with pytest.raises(ValueError, match="read-only"):
+            sample[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sample *= 2.0
 
 
 def test_unit_ball_samples_inside_at_n6():
@@ -190,6 +213,7 @@ def test_curve_residual_examples():
 # ---------------------------------------------------------------------------
 
 ROWS = kernels._ROWS
+PIECE = probe._PIECE
 BLOCK_COUNTS = (0, 1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5)
 
 
@@ -278,7 +302,12 @@ def test_bin_hits_blocks_match_one_shot():
 
 
 def test_probes_match_unblocked_formulas():
-    samples = 3 * ROWS + 5
+    """One slice (3 blocks and a tail) and three slices (the last of 5 rows)."""
+    for samples in (3 * ROWS + 5, 2 * PIECE + 5):
+        _check_probes_match_unblocked_formulas(samples)
+
+
+def _check_probes_match_unblocked_formulas(samples):
     cfg = SamplerConfig(
         epsilon=0.2, target_radius=0.01, samples=samples, grid_bins_per_axis=16, seed=6
     )
@@ -326,3 +355,22 @@ def test_evaluate_batch_memory_is_bounded_by_blocks():
         tracemalloc.stop()
     block_buffers = (6 + 2 * nvars) * ROWS * 8
     assert peak < out.nbytes + 2 * block_buffers
+
+
+def test_probe_memory_is_bounded_by_slices():
+    """Beyond its unit sample, a probe holds a fixed number of slice arrays.
+
+    A whole-array probe also holds the scaled points (the size of the
+    sample) and both images (half of it each at n = 2) at full length.
+    """
+    nvars, samples = 2, 4 * PIECE
+    cfg = SamplerConfig(epsilon=0.2, target_radius=0.01, samples=samples, seed=2)
+    unit_bytes = samples * nvars * 16
+    slice_bytes = PIECE * nvars * 16
+    tracemalloc.start()
+    try:
+        ball_image_occupancy(ANGLE, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < unit_bytes + 3 * slice_bytes
