@@ -1,8 +1,8 @@
 """germimage: classify the local image of polynomial map germs (C^n,0) -> (C^2,0).
 
-Exact symbolic decision pipeline (gcd decomposition, gap lines, gap
-curves, one resultant for curve images) cross-checked by a seeded
-Monte Carlo occupancy probe.
+Exact symbolic decision pipeline (gcd decomposition, the pencil criterion
+with one nomination walk for gap lines and gap curves, one resultant for
+curve images) cross-checked by a seeded Monte Carlo occupancy probe.
 """
 
 from .algebra import (
@@ -23,9 +23,7 @@ from .classifier import (
     Verdict,
     bounded_gap_curve_search,
     classify,
-    find_gap_lines,
     is_gap_curve,
-    is_gap_line,
     pencil_constancy_locus,
     prop_crit_check,
     verify_witness,
@@ -67,8 +65,6 @@ __all__ = [
     "classify",
     "verify_witness",
     "witness_kind",
-    "is_gap_line",
-    "find_gap_lines",
     "prop_crit_check",
     "pencil_constancy_locus",
     "is_gap_curve",

@@ -11,20 +11,29 @@ Branch structure:
    squarefree part of h = gcd(f, g), the image is open when
    C = gcd(h_bar, 2x2 minors of (g_hat*df_hat - f_hat*dg_hat, dh_bar))
    does not vanish at 0, i.e. when the cofactor ratio f_hat : g_hat is
-   constant on no component of Z(h) through 0.  When C(0) = 0, the ratio
-   is constant on each component of Z(C), and the roots of one resultant
-   R(c) = Res_t(C_L, f_hat_L + c*g_hat_L), on a line L with small
-   Gaussian-integer coefficients, are exactly those constants.  Its roots
-   in Q(i) nominate gap lines and the rest of R one gap curve.  Failing
-   those, the weighted pencil nominates gap curves: on the components D of
-   h_bar with ord_D f = p and ord_D g = q, the same steps applied to
-   f^q' : g^p', (p', q') = (p, q)/gcd(p, q), nominate curves
-   u^q' + c*v^p' = 0, and a refuted one shears the target along itself for
-   the next round (Newton-Puiseux run in the target, to a fixed depth).
-   Every candidate is verified exactly.  A verified gap witness rules out
-   both openness and (in this branch) a curve image, so the image is not a
-   set germ.  With neither a certificate nor a witness the honest answer
-   is Undetermined.
+   constant on no component of Z(h) through 0.  When C(0) = 0, one
+   nomination walk looks for a gap witness.  h_bar splits into pieces: the
+   components D with ord_D f = p and ord_D g = q.  On each piece through 0,
+   f^q' : g^p', (p', q') = (p, q)/gcd(p, q), is constant on the components
+   of a locus like C, and the roots of one resultant on a line L with
+   small Gaussian-integer coefficients are exactly those constants.  A
+   root c in Q(i) nominates the curve u^q' + c*v^p' = 0, and the rest of
+   the resultant one more curve.  The pieces with p = q give the lines
+   u + c*v = 0, the constant ratios f_hat : g_hat; these are verified
+   first, and the first that passes is the gap line.  Failing them, every
+   curve is verified, and a refuted one shears the target along itself
+   for the next round (Newton-Puiseux run in the target, to a fixed
+   depth).  A verified gap witness rules out both openness and (in this
+   branch) a curve image, so the image is not a set germ.  With neither a
+   certificate nor a witness the honest answer is Undetermined.
+
+   The coordinate axes are never nominated, and never needed: in this
+   branch neither u = 0 nor v = 0 is a gap line.  The preimage of u = 0 is
+   Z(f), so u = 0 is a gap line exactly when the germ of Z(f) lies in
+   Z(h), the inclusion :func:`is_gap_curve` tests.  Then
+   Z(f) = Z(h) u Z(f_hat) lies in Z(h), which lies in Z(g): the zero sets
+   are nested, and the containment branch has decided first.  The same
+   holds for v = 0 with f and g exchanged.
 
 Everything here is exact arithmetic over Q(i): verdicts involve no
 floating point and no random choice, so they do not depend on the seed,
@@ -60,7 +69,7 @@ from .errors import (
 )
 from .groebner import image_curve_equation
 from .poly import MapGerm, Polynomial, compose_target, substitute
-from .rationals import I, ONE, ZERO, GaussianRational
+from .rationals import I, ONE, GaussianRational
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ class PlaneCurveCandidate:
 
 
 # ---------------------------------------------------------------------------
-# the cofactor pencil: gap lines and the openness criterion
+# the cofactor pencil: the constancy locus and its nominations
 # ---------------------------------------------------------------------------
 
 
@@ -119,24 +128,6 @@ def _require_pencil(dec):
             "the cofactor pencil needs non-unit cofactors and a common factor "
             "through 0; route through the containment or codimension branch"
         )
-
-
-def pencil_member(dec, ratio):
-    """beta*f_hat + alpha*g_hat: the pullback of the line beta*u + alpha*v = 0."""
-    return dec.f_hat.scale(ratio.beta) + dec.g_hat.scale(ratio.alpha)
-
-
-def is_gap_line(dec, ratio):
-    """Exact test: does the line [alpha : beta] meet the image only at 0?
-
-    Reduces, via coprimality of the cofactors, to the germ inclusion of
-    Z(beta*f_hat + alpha*g_hat) in Z(h).
-    """
-    _require_pencil(dec)
-    w = pencil_member(dec, ratio)
-    if w.is_zero():
-        raise InternalConsistencyError("pencil member vanished for coprime cofactors")
-    return zero_set_germ_included(w, dec.h)
 
 
 def _constancy_locus(base, omega):
@@ -179,24 +170,22 @@ def _exact_on_line(poly, a, d):
 
 
 def _line_resultant(first, second, locus, a, d):
-    """R(c) = Res_t(C_L, first_L + c*second_L) on L = a + t*d, and deg_t C_L.
+    """R(c) = Res_t(C_L, first_L + c*second_L) on L = a + t*d.
 
     R = lc^k * prod(first(p) + c*second(p)) over the points p of L n Z(C):
-    its roots are the ratios [c : 1] there, and each point where ``second``
-    vanishes (ratio [1 : 0]) lowers deg R below deg_t C_L.  None when L
-    loses points of Z(C) at infinity (deg_t C_L < deg C) or meets Z(C)
-    where both pencil polynomials vanish (R = 0).
+    its roots are the ratios [c : 1] there.  None when L loses points of
+    Z(C) at infinity (deg_t C_L < deg C) or meets Z(C) where both pencil
+    polynomials vanish (R = 0).
     """
     c_line = _exact_on_line(locus, a, d)
-    points = c_line.max_degree_in(0)
-    if points < locus.degree():
+    if c_line.max_degree_in(0) < locus.degree():
         return None
     c = Polynomial.variable(2, 1)
     pencil = _exact_on_line(first, a, d) + c * _exact_on_line(second, a, d)
     r = resultant(c_line, pencil, 0)
     if r.is_zero():
         return None
-    return Polynomial(1, [((m[1],), k) for m, k in r.terms]), points
+    return Polynomial(1, [((m[1],), k) for m, k in r.terms])
 
 
 def _line_resultants(first, second, locus):
@@ -219,139 +208,8 @@ def _weighted_curve(rest, q, p):
     return Polynomial(2, terms)
 
 
-@dataclass(frozen=True)
-class GapLineSearchResult:
-    """Gap-line candidates of the cofactor pencil and what became of them.
-
-    ``c`` is :func:`pencil_constancy_locus`; ``verified`` and ``refuted``
-    hold the nominated ratios in Q(i) that passed and failed
-    :func:`is_gap_line`; ``curve`` is the unchecked gap-curve candidate of
-    the other ratios; ``reason`` says why nomination gave up, if it did.
-    """
-
-    c: Polynomial
-    verified: tuple
-    refuted: tuple
-    curve: object
-    reason: str
-
-
-def find_gap_lines(dec):
-    """Gap lines of the cofactor pencil: exact nomination, exact verification.
-
-    The ratio of a gap line is constant on a component of Z(h) through 0,
-    which then divides C = pencil_constancy_locus(dec).  So C(0) != 0 rules
-    gap lines out.  Otherwise C, f_hat and g_hat are restricted exactly to
-    a line of a fixed list, and the roots of R(c) = Res_t(C_L, f_hat_L +
-    c*g_hat_L) are the constant ratios on the components of Z(C).  Each
-    root in Q(i) is checked once with :func:`is_gap_line`; the others make
-    up one candidate gap curve, returned unchecked.
-    """
-    c = pencil_constancy_locus(dec)
-    ratios, curve, reason = [], None, ""
-    if c.constant_term().is_zero():
-        found = next(_line_resultants(dec.f_hat, dec.g_hat, c), None)
-        split = None if found is None else gaussian_rational_roots(found[0])
-        if found is None:
-            reason = f"each of the {_NOMINATION_LINES} fixed lines degenerates on Z(C)"
-        elif split is None:
-            reason = "the rational-root test over Q(i) passes its size caps"
-        else:
-            (r, points), (roots, rest) = found, split
-            ratios = [ProjectiveRatio(root, ONE) for root in roots]
-            if r.degree() < points:
-                ratios.append(ProjectiveRatio(ONE, ZERO))
-            if rest.degree():  # a root s of the rest is the line u + s*v = 0
-                curve = PlaneCurveCandidate(_weighted_curve(rest, 1, 1).monic())
-    verified = tuple(ratio for ratio in ratios if is_gap_line(dec, ratio))
-    refuted = tuple(ratio for ratio in ratios if ratio not in verified)
-    return GapLineSearchResult(c, verified, refuted, curve, reason)
-
-
-class PropCritKind(enum.Enum):
-    ESTABLISHED = "Established"
-    GAP_LINE_FOUND = "GapLineFound"
-    INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class PropCritCertificate:
-    """The exact openness certificate C, with the ratios refuted behind it.
-
-    ``c`` is :func:`pencil_constancy_locus`; the criterion holds exactly
-    when C(0) != 0, and :func:`verify_witness` recomputes C.  ``refuted``
-    holds the ratios :func:`find_gap_lines` nominated and refuted, which
-    happens only when C(0) = 0.
-    """
-
-    c: Polynomial
-    refuted: tuple
-    note: str = (
-        "exact certificate: C = gcd(h_bar, minors of (omega, dh_bar)) does not "
-        "vanish at 0, so f_hat : g_hat is constant on no component of Z(h) "
-        "through 0 and every pencil member meets Z(h) in codimension 2"
-    )
-
-
-@dataclass(frozen=True)
-class PropCritOutcome:
-    """The criterion's outcome; ``curve`` is the nominated gap-curve candidate, or None."""
-
-    kind: PropCritKind
-    ratio: object
-    reason: str
-    certificate: PropCritCertificate
-    curve: object = None
-
-
-def prop_crit_check(dec):
-    """Does every member of the cofactor pencil cut Z(h) in codimension 2?
-
-    Decided exactly by C = pencil_constancy_locus(dec): Established when
-    C(0) != 0.  Otherwise f_hat : g_hat is constant on a component of Z(h)
-    through 0 and the hypothesis fails; the outcome is GapLineFound when a
-    ratio nominated by :func:`find_gap_lines` verifies exactly as a gap
-    line, and Inconclusive when none does.  The nominated gap-curve
-    candidate rides along for :func:`classify` to check.
-    """
-    res = find_gap_lines(dec)
-    cert = PropCritCertificate(c=res.c, refuted=res.refuted)
-    if not res.c.constant_term().is_zero():
-        return PropCritOutcome(
-            kind=PropCritKind.ESTABLISHED, ratio=None, reason="", certificate=cert
-        )
-    if res.verified:
-        return PropCritOutcome(
-            kind=PropCritKind.GAP_LINE_FOUND,
-            ratio=res.verified[0],
-            reason="a nominated ratio is constant along a component of Z(h) "
-            "and verifies exactly as a gap line",
-            certificate=cert,
-            curve=res.curve,
-        )
-    bits = [
-        "the pencil ratio is constant on a component of Z(h) through 0, so the "
-        "criterion hypothesis fails"
-    ]
-    if res.refuted:
-        bits.append(
-            f"{len(res.refuted)} nominated ratio(s) fail the germ inclusion, so no gap line"
-        )
-    if res.curve is not None:
-        bits.append(f"{res.curve.phi.degree()} ratio(s) outside Q(i) nominate a gap curve")
-    if res.reason:
-        bits.append(f"no ratio was nominated: {res.reason}")
-    return PropCritOutcome(
-        kind=PropCritKind.INCONCLUSIVE,
-        ratio=None,
-        reason="; ".join(bits),
-        certificate=cert,
-        curve=res.curve,
-    )
-
-
 # ---------------------------------------------------------------------------
-# gap curves
+# gap curves and the nomination walk
 # ---------------------------------------------------------------------------
 
 
@@ -420,7 +278,7 @@ def _weighted_nominations(h_bar, f, g):
             if not locus.constant_term().is_zero():
                 continue
             found = next(_line_resultants(a**q1, b**p1, locus), None)
-            split = None if found is None else gaussian_rational_roots(found[0])
+            split = None if found is None else gaussian_rational_roots(found)
             if split is None:
                 continue
             roots, rest = split
@@ -436,30 +294,69 @@ def _normalized(phi):
     return phi.scale(ONE / next(c for m, c in phi.terms if sum(m) == low))
 
 
-def bounded_gap_curve_search(germ, dec):
-    """Gap curves nominated exactly from the weighted pencil, each verified exactly.
+@dataclass(frozen=True)
+class GapSearch:
+    """What the nomination walk verified and refuted.
 
-    Newton-Puiseux run in the target: every candidate of
-    :func:`_weighted_nominations` is checked against the germ with
-    :func:`is_gap_curve`.  When a candidate u + c*v^p' or u^q' + c*v
-    (c != 0) is refuted, the target is sheared along it, f <- f + c*g^p' or
-    g <- g + f^q'/c (which keeps h), and the same steps run on the new
-    pair, at most _SHEAR_DEPTH shears deep; a candidate found there is
-    mapped back by the inverse substitution.  Not a decision procedure: an
-    empty result does not prove that no gap curve exists.
+    ``lines`` and ``refuted`` hold the ratios [c : 1] of the unsheared
+    lines u + c*v that pass and fail :func:`is_gap_curve`; ``curves`` holds
+    the verified gap curves, searched only when no line passes.  True when
+    the walk verified a gap line or curve.
+    """
+
+    lines: tuple = ()
+    refuted: tuple = ()
+    curves: tuple = ()
+
+    def __bool__(self):
+        return bool(self.lines or self.curves)
+
+
+def bounded_gap_curve_search(germ, dec):
+    """The one nomination walk of the C(0) = 0 branch: lines first, then curves.
+
+    Newton-Puiseux run in the target.  :func:`_weighted_nominations` runs
+    on (f, g); each root c in Q(i) of a piece with p' = q' = 1 is the line
+    u + c*v, and all of them are checked with :func:`is_gap_curve` before
+    any curve.  When none passes, every candidate is checked in turn; when
+    a candidate u + c*v^p' or u^q' + c*v (c != 0) is refuted, the target is
+    sheared along it, f <- f + c*g^p' or g <- g + f^q'/c (which keeps h),
+    and the same steps run on the new pair, at most _SHEAR_DEPTH shears
+    deep; a candidate found there is mapped back by the inverse
+    substitution.  Not a decision procedure: an empty result does not prove
+    that no gap curve exists.
     """
     if dec.h.is_unit_germ():
-        return ()  # codimension-two case: no gap curve can exist
+        return GapSearch()  # codimension-two case: no gap curve can exist
     h_bar = squarefree_part(dec.h)
+    checked = {}  # curve -> is_gap_curve, None where the curve contains the image
+
+    def check(curve):
+        if curve not in checked:
+            try:
+                checked[curve] = is_gap_curve(germ, dec, curve)
+            except ImageContainsCurveError:
+                checked[curve] = None
+        return checked[curve]
+
+    nominated = list(_weighted_nominations(h_bar, germ.f, germ.g))
+    lines = {
+        ProjectiveRatio(c, ONE): check(PlaneCurveCandidate(phi))
+        for p1, q1, c, phi in nominated
+        if p1 == q1 == 1 and c is not None
+    }
+    refuted = tuple(ratio for ratio, ok in lines.items() if ok is False)
+    verified = tuple(ratio for ratio, ok in lines.items() if ok)
+    if verified:
+        return GapSearch(lines=verified, refuted=refuted)
     hits = []
 
-    def search(f, g, back_u, back_v, depth):
+    def search(nominations, f, g, back_u, back_v, depth):
         # back_u, back_v: the current target coordinates in terms of the original ones
-        for p1, q1, c, phi in _weighted_nominations(h_bar, f, g):
+        for p1, q1, c, phi in nominations:
             curve = PlaneCurveCandidate(_normalized(substitute(phi, [back_u, back_v])))
-            try:
-                verified = is_gap_curve(germ, dec, curve)
-            except ImageContainsCurveError:
+            verified = check(curve)
+            if verified is None:
                 continue
             if verified and curve not in hits:
                 hits.append(curve)
@@ -472,11 +369,88 @@ def bounded_gap_curve_search(germ, dec):
                 sheared = (f, g + (f**q1).scale(s), back_u, back_v + (back_u**q1).scale(s))
             else:
                 continue
-            search(*sheared, depth + 1)
+            search(_weighted_nominations(h_bar, *sheared[:2]), *sheared, depth + 1)
 
     u, v = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-    search(germ.f, germ.g, u, v, 0)
-    return tuple(hits)
+    search(nominated, germ.f, germ.g, u, v, 0)
+    return GapSearch(refuted=refuted, curves=tuple(hits))
+
+
+# ---------------------------------------------------------------------------
+# the pencil criterion
+# ---------------------------------------------------------------------------
+
+
+class PropCritKind(enum.Enum):
+    ESTABLISHED = "Established"
+    GAP_LINE_FOUND = "GapLineFound"
+    INCONCLUSIVE = "Inconclusive"
+
+
+@dataclass(frozen=True)
+class PropCritCertificate:
+    """The exact openness certificate C = :func:`pencil_constancy_locus`.
+
+    The criterion holds exactly when C(0) != 0; :func:`verify_witness`
+    recomputes C.
+    """
+
+    c: Polynomial
+    note: str = (
+        "exact certificate: C = gcd(h_bar, minors of (omega, dh_bar)) does not "
+        "vanish at 0, so f_hat : g_hat is constant on no component of Z(h) "
+        "through 0 and every pencil member meets Z(h) in codimension 2"
+    )
+
+
+@dataclass(frozen=True)
+class PropCritOutcome:
+    """The criterion's outcome and the nomination walk behind it.
+
+    ``certificate`` holds C.  ``search`` is the :class:`GapSearch` of
+    :func:`bounded_gap_curve_search` when C(0) = 0, and empty when nothing
+    was nominated (Established).  The kind is GapLineFound exactly when
+    ``search.lines`` is not empty.
+    """
+
+    kind: PropCritKind
+    reason: str
+    certificate: PropCritCertificate
+    search: GapSearch = GapSearch()
+
+
+def prop_crit_check(germ, dec):
+    """Does every member of the cofactor pencil cut Z(h) in codimension 2?
+
+    Decided exactly by C = pencil_constancy_locus(dec): Established when
+    C(0) != 0.  Otherwise f_hat : g_hat is constant on a component of Z(h)
+    through 0 and the hypothesis fails; :func:`bounded_gap_curve_search`
+    then runs the nomination walk once, and the outcome is GapLineFound
+    when one of its lines verifies, Inconclusive when none does.
+    """
+    cert = PropCritCertificate(pencil_constancy_locus(dec))
+    if not cert.c.constant_term().is_zero():
+        return PropCritOutcome(PropCritKind.ESTABLISHED, "", cert)
+    search = bounded_gap_curve_search(germ, dec)
+    if search.lines:
+        reason = (
+            "a nominated ratio is constant along a component of Z(h) and "
+            "verifies exactly as a gap line"
+        )
+        return PropCritOutcome(PropCritKind.GAP_LINE_FOUND, reason, cert, search)
+    bits = [
+        "the pencil ratio is constant on a component of Z(h) through 0, so the "
+        "criterion hypothesis fails"
+    ]
+    if search.refuted:
+        bits.append(
+            f"{len(search.refuted)} nominated ratio(s) fail the germ inclusion, so no gap line"
+        )
+    if search.curves:
+        bits.append(f"{len(search.curves)} nominated gap curve(s) verify")
+    else:
+        bits.append(f"no nominated curve verifies within {_SHEAR_DEPTH} target shears")
+    return PropCritOutcome(PropCritKind.INCONCLUSIVE, "; ".join(bits), cert, search)
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +593,11 @@ def classify(germ):
     if dec.f_hat_is_unit or dec.g_hat_is_unit:
         raise InternalConsistencyError("unit cofactor escaped the containment branch")
 
-    outcome = prop_crit_check(dec)
+    outcome = prop_crit_check(germ, dec)
     if outcome.kind is PropCritKind.GAP_LINE_FOUND:
         return Verdict(
             status=Status.NOT_A_GERM,
-            witness=GapLineWitness(outcome.ratio),
+            witness=GapLineWitness(outcome.search.lines[0]),
             subflat_label=SubflatLabel.NOT_SUBFLAT,
             rationale=(
                 "verified gap line: the line meets the image only at 0; a gap "
@@ -648,14 +622,10 @@ def classify(germ):
             prop_crit=outcome,
         )
 
-    if outcome.curve is not None and is_gap_curve(germ, dec, outcome.curve):
-        candidates = (outcome.curve,)
-    else:
-        candidates = bounded_gap_curve_search(germ, dec)
-    if candidates:
+    if outcome.search.curves:
         return Verdict(
             status=Status.NOT_A_GERM,
-            witness=GapCurveWitness(candidates[0]),
+            witness=GapCurveWitness(outcome.search.curves[0]),
             subflat_label=SubflatLabel.NOT_SUBFLAT,
             rationale=(
                 "verified gap curve: its pullback vanishes only inside the "
@@ -695,7 +665,8 @@ def verify_witness(germ, verdict):
         return decompose(germ).h.is_unit_germ()
     if isinstance(w, GapLineWitness):
         dec = decompose(germ)
-        return _pencil_applies(dec) and is_gap_line(dec, w.ratio)
+        line = PlaneCurveCandidate(Polynomial(2, {(1, 0): w.ratio.beta, (0, 1): w.ratio.alpha}))
+        return _pencil_applies(dec) and is_gap_curve(germ, dec, line)
     if isinstance(w, GapCurveWitness):
         try:
             return is_gap_curve(germ, decompose(germ), w.curve)

@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: classify, gap-lines, gap-curve, image-curve, probe, corpus.
+``gap-lines`` prints what ``classify`` found in the pencil branch: the
+constancy locus C, the gap lines verified and refuted, and the verified gap
+curves; a germ outside that branch is an input error.
 Exit codes: 0 success, 1 classification mismatch (corpus), 2 input error.
 """
 
@@ -12,15 +15,9 @@ import sys
 import time
 
 from .algebra import decompose
-from .classifier import (
-    PlaneCurveCandidate,
-    classify,
-    find_gap_lines,
-    is_gap_curve,
-    witness_kind,
-)
+from .classifier import PlaneCurveCandidate, classify, is_gap_curve, witness_kind
 from .corpus import load_corpus, run_corpus, summary_table
-from .errors import GermImageError, ImageContainsCurveError
+from .errors import GermImageError, ImageContainsCurveError, PreconditionError
 from .groebner import image_curve_equation
 from .parsing import (
     TARGET_VARS,
@@ -114,28 +111,33 @@ def cmd_classify(args):
 def cmd_gap_lines(args):
     name, varnames, f_text, g_text = _resolve_input(args)
     germ = parse_map_germ(varnames, f_text, g_text)
-    dec = decompose(germ)
-    result = find_gap_lines(dec)
-    curve = None if result.curve is None else format_target_polynomial(result.curve.phi)
+    outcome = classify(germ).prop_crit
+    if outcome is None:
+        raise PreconditionError(
+            "the cofactor pencil needs zero sets that are not nested and a common "
+            "factor through 0; the containment or codimension branch decides this germ"
+        )
+    search = outcome.search
+    c = format_polynomial(outcome.certificate.c, varnames)
+    curves = [format_target_polynomial(curve.phi) for curve in search.curves]
     payload = {
         "input": {"name": name, "vars": list(varnames), "f": f_text, "g": g_text},
-        "c": format_polynomial(result.c, varnames),
-        "verified": [serialize_ratio(r) for r in result.verified],
-        "refuted": [serialize_ratio(r) for r in result.refuted],
-        "curve": curve,
+        "c": c,
+        "verified": [serialize_ratio(r) for r in search.lines],
+        "refuted": [serialize_ratio(r) for r in search.refuted],
+        "curves": curves,
     }
     if args.json:
         sys.stdout.write(dumps_report(payload))
     else:
-        if result.verified:
-            for r in result.verified:
-                print(f"gap line: alpha={r.alpha}, beta={r.beta}")
-        else:
+        print(f"C: {c}")
+        for label, ratios in (("gap line", search.lines), ("refuted", search.refuted)):
+            for r in ratios:
+                print(f"{label}: alpha={r.alpha}, beta={r.beta}")
+        if not search.lines:
             print("no verified gap lines")
-        if curve is not None:
-            print(f"gap-curve candidate (unverified): {curve}")
-        if result.reason:
-            print(f"nomination gave up: {result.reason}")
+        for curve in curves:
+            print(f"gap curve: {curve}")
     return 0
 
 
@@ -261,7 +263,7 @@ def build_parser():
     p.add_argument("--bins", type=int, default=8)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("gap-lines", help="find and verify gap lines")
+    p = sub.add_parser("gap-lines", help="the pencil criterion's gap lines and curves")
     _add_input_args(p)
     p.set_defaults(func=cmd_gap_lines)
 

@@ -60,7 +60,7 @@ def witness_json(witness, varnames):
         body["minor"] = format_polynomial(witness.minor, varnames)
         return body
     if isinstance(witness, PropCritCertificate):
-        body["stats"] = {**_certificate_json(witness, varnames), "note": witness.note}
+        body["stats"] = {"c": format_polynomial(witness.c, varnames), "note": witness.note}
         return body
     if isinstance(witness, ProbeOnlyWitness):
         body["probe"] = occupancy_json(witness.report) if witness.report else None
@@ -87,18 +87,12 @@ def decomposition_json(dec, varnames):
     }
 
 
-def _certificate_json(cert, varnames):
-    return {
-        "c": format_polynomial(cert.c, varnames),
-        "refuted": [serialize_ratio(r) for r in cert.refuted],
-    }
-
-
 def prop_crit_json(outcome, varnames):
     return {
         "result": outcome.kind.value,
         "reason": outcome.reason,
-        **_certificate_json(outcome.certificate, varnames),
+        "c": format_polynomial(outcome.certificate.c, varnames),
+        "refuted": [serialize_ratio(r) for r in outcome.search.refuted],
     }
 
 

@@ -17,7 +17,6 @@ from germimage.classifier import (
     ProjectiveRatio,
     Status,
     SubflatLabel,
-    find_gap_lines,
     prop_crit_check,
     witness_kind,
 )
@@ -69,9 +68,10 @@ def test_criterion_1_corpus_classification(corpus_run):
         for name, status in expected.items():
             assert by_name[name].verdict.status.value == status, name
 
-        # blowup: the single gap line (0, 1) is discoverable
-        gl = find_gap_lines(decompose(_entry_germ(by_name, "blowup")))
-        assert gl.verified == (ProjectiveRatio(0, 1),)
+        # blowup: the gap line u = 0 nests the zero sets, so the containment branch decides
+        blowup = by_name["blowup"]
+        assert witness_kind(blowup.verdict.witness) == "ContainmentNonvanishingJacobian"
+        assert "prop_crit" not in blowup.report
 
         # diagonal: gap-line witness (-1, 1)
         diag = by_name["diagonal"].verdict
@@ -86,8 +86,7 @@ def test_criterion_1_corpus_classification(corpus_run):
         u, v = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
         assert witness_kind(ng.witness) == "GapCurve"
         assert ng.witness.curve.phi == v - u * u
-        gl2 = find_gap_lines(decompose(_entry_germ(by_name, "nogapline")))
-        assert gl2.verified == () and gl2.curve is None
+        assert ng.prop_crit.search.lines == () and ng.prop_crit.search.refuted == ()
 
         # rouche: the openness test is inconclusive
         assert by_name["rouche"].report["prop_crit"]["result"] == "Inconclusive"
@@ -234,7 +233,7 @@ def test_reports_match_a_fresh_recomputation(corpus_run):
         if nested or dec.h.is_unit_germ() or dec.f_hat_is_unit or dec.g_hat_is_unit:
             assert "prop_crit" not in res.report, name
             continue
-        expected = prop_crit_json(prop_crit_check(dec), res.entry.varnames)
+        expected = prop_crit_json(prop_crit_check(germ, dec), res.entry.varnames)
         assert res.report["prop_crit"] == expected, name
         applied.add(name)
     # both cases are exercised by the corpus

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from germimage.classifier import (
     _line_resultant,
     GapLineWitness,
     GapCurveWitness,
+    GapSearch,
     PlaneCurveCandidate,
     ProjectiveRatio,
     PropCritCertificate,
@@ -25,9 +27,7 @@ from germimage.classifier import (
     Verdict,
     bounded_gap_curve_search,
     classify,
-    find_gap_lines,
     is_gap_curve,
-    is_gap_line,
     pencil_constancy_locus,
     prop_crit_check,
     verify_witness,
@@ -35,6 +35,7 @@ from germimage.classifier import (
 )
 from germimage.errors import ImageContainsCurveError, PreconditionError
 from germimage.poly import MapGerm, Polynomial
+from germimage.rationals import I, GaussianRational
 from germimage.report import verdict_json
 
 from _helpers import factor_pool, random_unimodular, source_change, target_change, variables
@@ -43,6 +44,7 @@ x, y = variables(2)
 x3, y3, z3 = variables(3)
 u, v = variables(2)
 ONE = Polynomial.one(2)
+ONE3 = Polynomial.one(3)
 
 ANGLE = MapGerm(x, x * y)
 BLOWUP = MapGerm(x * x, x * y)
@@ -64,46 +66,18 @@ def test_projective_ratio_canonical():
         ProjectiveRatio(0, 0)
 
 
-def test_is_gap_line_examples():
-    dec = decompose(BLOWUP)  # (x; x; y)
-    assert is_gap_line(dec, ProjectiveRatio(0, 1)) is True
-    dec2 = decompose(DIAGONAL)  # (x; x+y; y)
-    assert is_gap_line(dec2, ProjectiveRatio(-1, 1)) is True
-    dec3 = decompose(NOGAPLINE)
+def _line(ratio):
+    """The line beta*u + alpha*v = 0 of the ratio [alpha : beta]."""
+    return PlaneCurveCandidate(u.scale(ratio.beta) + v.scale(ratio.alpha))
+
+
+def test_gap_line_examples():
+    assert is_gap_curve(BLOWUP, decompose(BLOWUP), _line(ProjectiveRatio(0, 1))) is True
+    assert is_gap_curve(DIAGONAL, decompose(DIAGONAL), _line(ProjectiveRatio(-1, 1))) is True
+    dec = decompose(NOGAPLINE)
     for ratio in [ProjectiveRatio(0, 1), ProjectiveRatio(1, 0), ProjectiveRatio(1, 1),
                   ProjectiveRatio(2, -3)]:
-        assert is_gap_line(dec3, ratio) is False
-
-
-def test_is_gap_line_precondition():
-    dec = decompose(ANGLE)  # f_hat = 1 is a unit
-    with pytest.raises(PreconditionError):
-        is_gap_line(dec, ProjectiveRatio(0, 1))
-    dec2 = decompose(MapGerm(x, y))  # h = 1 misses the origin
-    with pytest.raises(PreconditionError):
-        is_gap_line(dec2, ProjectiveRatio(0, 1))
-
-
-def test_find_gap_lines_examples():
-    res = find_gap_lines(decompose(BLOWUP))
-    assert res.c == x
-    assert res.verified == (ProjectiveRatio(0, 1),)
-    assert res.refuted == () and res.curve is None and res.reason == ""
-
-    res2 = find_gap_lines(decompose(NOGAPLINE))
-    assert res2.c == y
-    assert res2.verified == () and res2.curve is None
-    assert res2.refuted == (ProjectiveRatio(1, 0),)
-
-    # C(0) != 0 rules gap lines out before any nomination
-    res3 = find_gap_lines(decompose(HUCKLEBERRY))
-    assert res3.c == ONE
-    assert res3.verified == () and res3.refuted == () and res3.curve is None
-
-    res4 = find_gap_lines(decompose(MapGerm(x * x * y, x * y * y)))
-    assert res4.c == x * y
-    assert set(res4.verified) == {ProjectiveRatio(0, 1), ProjectiveRatio(1, 0)}
-    assert res4.refuted == ()
+        assert is_gap_curve(NOGAPLINE, dec, _line(ratio)) is False
 
 
 def _is_multiple(p, q):
@@ -121,14 +95,16 @@ def test_irrational_constant_ratio_gives_a_gap_curve():
         assert witness_kind(verdict.witness) == "GapCurve"
         assert _is_multiple(verdict.witness.curve.phi, Polynomial(2, h.terms))
         assert verify_witness(germ, verdict) is True
-        assert verdict.prop_crit.certificate.refuted == ()
+        assert verdict.prop_crit.search.refuted == ()
 
 
 def test_irrational_ratios_are_not_refuted_as_rationals():
     h = y * y - (x * x).scale(2)
-    res = find_gap_lines(decompose(MapGerm(x * h, y * h)))
-    assert res.verified == () and res.refuted == () and res.reason == ""
-    assert _is_multiple(res.curve.phi, v * v - (u * u).scale(2))
+    germ = MapGerm(x * h, y * h)
+    search = prop_crit_check(germ, decompose(germ)).search
+    assert search.lines == () and search.refuted == ()
+    (curve,) = search.curves
+    assert _is_multiple(curve.phi, v * v - (u * u).scale(2))
 
 
 def test_nomination_skips_a_degenerate_first_line(monkeypatch):
@@ -144,29 +120,44 @@ def test_nomination_skips_a_degenerate_first_line(monkeypatch):
         return _line_resultant(first, second, locus, a, d)
 
     monkeypatch.setattr(classifier, "_line_resultant", spy)
-    res = find_gap_lines(dec)
+    out = prop_crit_check(MapGerm(x * h, y * h), dec)
     expected = {ProjectiveRatio(1, -1), ProjectiveRatio(2, 1)}
-    assert set(res.verified) == expected
-    assert res.refuted == () and res.curve is None and res.reason == ""
+    assert out.kind is PropCritKind.GAP_LINE_FOUND
+    assert set(out.search.lines) == expected
+    assert out.search.refuted == () and out.search.curves == ()
     (a0, d0), (a1, d1) = lines
     pencil = (dec.f_hat, dec.g_hat)
     assert d0 == (1, 1) and _line_resultant(*pencil, c, a0, d0) is None
     # other lines nominate the same ratios
     for a, d in [(a1, d1), (d1, a1), ((1, 0), (1, 2)), ((0, 1), (3, 1)), ((2, 1), (1, 3))]:
-        roots, rest = gaussian_rational_roots(_line_resultant(*pencil, c, a, d)[0])
+        roots, rest = gaussian_rational_roots(_line_resultant(*pencil, c, a, d))
         assert {ProjectiveRatio(r, 1) for r in roots} == expected and rest.degree() == 0
 
 
+def _prop_crit(germ):
+    return prop_crit_check(germ, decompose(germ))
+
+
 def test_prop_crit_examples():
-    assert prop_crit_check(decompose(HUCKLEBERRY)).kind is PropCritKind.ESTABLISHED
+    # C(0) != 0 rules gap lines out before any nomination
+    out = _prop_crit(HUCKLEBERRY)
+    assert out.kind is PropCritKind.ESTABLISHED
+    assert out.certificate.c == ONE and out.search == GapSearch()
 
-    out = prop_crit_check(decompose(BLOWUP))
+    out = _prop_crit(DIAGONAL)
     assert out.kind is PropCritKind.GAP_LINE_FOUND
-    assert out.ratio == ProjectiveRatio(0, 1)
+    assert out.certificate.c == x
+    assert out.search == GapSearch(lines=(ProjectiveRatio(-1, 1),))
 
-    out2 = prop_crit_check(decompose(ROUCHE))
-    assert out2.kind is PropCritKind.INCONCLUSIVE
-    assert out2.certificate.refuted == (ProjectiveRatio(1, 0),)
+    # the axis [1 : 0] is never nominated, so nothing is refuted
+    out = _prop_crit(NOGAPLINE)
+    assert out.kind is PropCritKind.INCONCLUSIVE
+    assert out.certificate.c == y
+    assert out.search == GapSearch(curves=(PlaneCurveCandidate(v - u * u),))
+
+    out = _prop_crit(ROUCHE)
+    assert out.kind is PropCritKind.INCONCLUSIVE
+    assert out.search == GapSearch() and not out.search
 
 
 def test_pencil_constancy_locus_examples():
@@ -193,7 +184,7 @@ def test_prop_crit_exact_when_constant_ratio_lies_away_from_0():
 def _forged_open_verdict(c):
     return Verdict(
         status=Status.LOCALLY_OPEN,
-        witness=PropCritCertificate(c=c, refuted=()),
+        witness=PropCritCertificate(c=c),
         subflat_label=SubflatLabel.SUBFLAT,
         rationale="forged",
     )
@@ -271,18 +262,19 @@ def test_plane_curve_candidate_validation():
 
 def test_bounded_search_examples():
     # ord f = 1 and ord g = 2 along y = 0, where x^2 : (x^2 + y) = 1: v - u^2 = 0 is nominated
-    hits = bounded_gap_curve_search(NOGAPLINE, decompose(NOGAPLINE))
-    assert hits == (PlaneCurveCandidate(v - u * u),)
+    search = bounded_gap_curve_search(NOGAPLINE, decompose(NOGAPLINE))
+    assert search.curves == (PlaneCurveCandidate(v - u * u),) and search
 
-    assert bounded_gap_curve_search(HUCKLEBERRY, decompose(HUCKLEBERRY)) == ()
-    assert bounded_gap_curve_search(ROUCHE, decompose(ROUCHE)) == ()
+    assert not bounded_gap_curve_search(HUCKLEBERRY, decompose(HUCKLEBERRY))
+    assert bounded_gap_curve_search(ROUCHE, decompose(ROUCHE)) == GapSearch()
 
-    hits_d = bounded_gap_curve_search(DIAGONAL, decompose(DIAGONAL))
-    assert hits_d == (PlaneCurveCandidate(u - v),)
+    # a verified line ends the walk before any curve
+    search_d = bounded_gap_curve_search(DIAGONAL, decompose(DIAGONAL))
+    assert search_d == GapSearch(lines=(ProjectiveRatio(-1, 1),))
 
     # codimension-two case short-circuits
     ident = MapGerm(x, y)
-    assert bounded_gap_curve_search(ident, decompose(ident)) == ()
+    assert bounded_gap_curve_search(ident, decompose(ident)) == GapSearch()
 
 
 def test_weighted_nomination_decides_a_gap_curve_family():
@@ -312,10 +304,75 @@ def test_weighted_nomination_decides_a_gap_curve_family():
     assert verify_witness(sheared, verdict) is True
 
 
-def test_germ_inclusion_strips_instead_of_taking_squarefree_parts(monkeypatch):
-    """(h*a, h^3*(a^3 + h*b)), h = xy + z: the pencil member at [1 : 0] is large.
+def test_weighted_nomination_decides_a_gap_line_family():
+    """(h*a, h*(c*a + h*b)) with b(0) != 0 has the gap line v = c*u: g - c*f = h^2*b.
 
-    Every inclusion test, in ``is_gap_line`` and ``is_gap_curve`` alike,
+    The pencil ratio is 1 : c on every component of Z(h), so the (1, 1)
+    piece nominates the line; sympy's factorization over Q(i) confirms that
+    every factor of g - c*f through 0 divides h.
+    """
+    sympy = pytest.importorskip("sympy")
+    from test_sympy_oracle import GENS, to_sympy
+
+    rng = random.Random(3)
+    through = [fac for fac, at_zero in factor_pool() if at_zero]
+    away = [fac for fac, at_zero in factor_pool() if not at_zero]
+    for c in (GaussianRational(2), GaussianRational(-1), I, GaussianRational(Fraction(1, 3), -2)):
+        h, a = rng.sample(through, 2)
+        germ = MapGerm(h * a, h * (a.scale(c) + h * rng.choice(away)))
+        verdict = classify(germ)
+        assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapLine")
+        assert verdict.witness.ratio == ProjectiveRatio(1, -c)
+        assert verify_witness(germ, verdict) is True
+        member = to_sympy(germ.g - germ.f.scale(c))
+        _, pairs = sympy.factor_list(member, *GENS, extension=sympy.I)
+        origin = dict.fromkeys(GENS, 0)
+        for fac, _ in pairs:
+            if fac.subs(origin) == 0:
+                assert sympy.rem(to_sympy(h), fac, *GENS, extension=sympy.I) == 0
+
+
+def test_no_coordinate_axis_is_a_gap_line_in_the_pencil_branch():
+    """If u = 0 were a gap line, Z(f) = Z(h) u Z(f_hat) would lie in Z(h), inside Z(g).
+
+    So on germs (h*p, h*q) with h(0) = 0 whose zero sets are not nested,
+    neither axis is a gap line, and the walk need not nominate them.
+    """
+    rng = random.Random(11)
+    pool = [fac for fac, _ in factor_pool()]
+    through = [fac for fac, at_zero in factor_pool() if at_zero]
+    axes = [PlaneCurveCandidate(u), PlaneCurveCandidate(v)]
+    tested = 0
+    while tested < 30:
+        h = rng.choice(through) * (rng.choice(through) if rng.random() < 0.4 else ONE3)
+        p, q = (rng.choice(pool) * rng.choice(pool + [ONE3]) for _ in range(2))
+        germ = MapGerm(h * p, h * q)
+        if zero_set_germ_included(germ.f, germ.g) or zero_set_germ_included(germ.g, germ.f):
+            continue
+        dec = decompose(germ)
+        assert [is_gap_curve(germ, dec, axis) for axis in axes] == [False, False]
+        tested += 1
+
+
+def test_classify_nominates_once_on_the_unsheared_pair(monkeypatch):
+    nominations = classifier._weighted_nominations
+    pairs = []
+
+    def spy(h_bar, f, g):
+        pairs.append((f, g))
+        return nominations(h_bar, f, g)
+
+    monkeypatch.setattr(classifier, "_weighted_nominations", spy)
+    for germ in [NOGAPLINE, DIAGONAL, ROUCHE]:
+        pairs.clear()
+        classify(germ)
+        assert pairs.count((germ.f, germ.g)) == 1
+
+
+def test_germ_inclusion_strips_instead_of_taking_squarefree_parts(monkeypatch):
+    """(h*a, h^3*(a^3 + h*b)), h = xy + z: the pullbacks of the nominated curves are large.
+
+    Every inclusion test, of the zero sets and of the gap candidates alike,
     strips common factors by gcds and never takes a squarefree part.
     """
     h, a, b = x3 * y3 + z3, z3**3 + x3, x3 * x3 + y3 + Polynomial.one(3)
@@ -332,7 +389,7 @@ def test_germ_inclusion_strips_instead_of_taking_squarefree_parts(monkeypatch):
 
     monkeypatch.setattr(algebra, "squarefree_part", squarefree_spy)
     monkeypatch.setattr(classifier, "zero_set_germ_included", inclusion_spy)
-    assert prop_crit_check(decompose(germ)).kind is PropCritKind.INCONCLUSIVE
+    assert prop_crit_check(germ, decompose(germ)).kind is PropCritKind.INCONCLUSIVE
     verdict = classify(germ)
     assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
     assert verify_witness(germ, verdict) is True
@@ -390,8 +447,8 @@ def test_mutual_exclusion_on_open_verdicts():
     for germ in [OPENBALL, HUCKLEBERRY]:
         assert classify(germ).status is Status.LOCALLY_OPEN
         dec = decompose(germ)
-        assert find_gap_lines(dec).verified == ()
-        assert bounded_gap_curve_search(germ, dec) == ()
+        assert prop_crit_check(germ, dec).search == GapSearch()
+        assert not bounded_gap_curve_search(germ, dec)
 
 
 def test_status_invariant_under_source_change():

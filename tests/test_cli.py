@@ -121,18 +121,24 @@ def test_classify_timing_flag(capsys):
 
 
 def test_gap_lines_command(capsys):
-    code, out, _ = run_cli(
+    # nested zero sets: the containment branch decides, the pencil does not apply
+    code, out, err = run_cli(
         capsys, "--json", "gap-lines", "--vars", "x,y", "--f", "x^2", "--g", "x*y"
+    )
+    assert code == 2 and out == ""
+    assert "containment" in err
+
+    code, out, _ = run_cli(
+        capsys, "--json", "gap-lines", "--vars", "x,y", "--f", "x*(x+y)", "--g", "x*y"
     )
     doc = json.loads(out)
     assert code == 0
+    assert set(doc) == {"input", "c", "verified", "refuted", "curves"}
     assert doc["c"] == "x"
-    assert doc["verified"] == [{"alpha": "0/1", "beta": "1/1"}]
-    assert doc["refuted"] == []
-    assert doc["curve"] is None
-    assert set(doc) == {"input", "c", "verified", "refuted", "curve"}
+    assert doc["verified"] == [{"alpha": "1/1", "beta": "-1/1"}]
+    assert doc["refuted"] == [] and doc["curves"] == []
 
-    # the ratios +-1/sqrt(3) lie outside Q(i): no gap line, one curve candidate
+    # the ratios +-1/sqrt(3) lie outside Q(i): no gap line, one verified gap curve
     code, out, _ = run_cli(
         capsys, "--json", "gap-lines", "--vars", "x,y",
         "--f", "x*(y^2-3*x^2)", "--g", "y*(y^2-3*x^2)",
@@ -141,12 +147,35 @@ def test_gap_lines_command(capsys):
     assert code == 0
     assert doc["c"] == "x^2-(1/3)*y^2"
     assert doc["verified"] == [] and doc["refuted"] == []
-    assert doc["curve"] == "u^2-(1/3)*v^2"
+    assert doc["curves"] == ["u^2-(1/3)*v^2"]
     code, out, _ = run_cli(
         capsys, "gap-lines", "--vars", "x,y",
         "--f", "x*(y^2-3*x^2)", "--g", "y*(y^2-3*x^2)",
     )
-    assert "gap-curve candidate (unverified): u^2-(1/3)*v^2" in out
+    assert "no verified gap lines" in out and "gap curve: u^2-(1/3)*v^2" in out
+
+
+def test_gap_lines_and_classify_share_the_walk(capsys):
+    """On every corpus entry in the pencil branch both commands report the same C and line."""
+    shared = 0
+    for entry in load_corpus():
+        code, out, _ = run_cli(capsys, "--json", "classify", "--entry", entry.name)
+        report = json.loads(out)
+        code_g, out_g, _ = run_cli(capsys, "--json", "gap-lines", "--entry", entry.name)
+        if "prop_crit" not in report:
+            assert code_g == 2, entry.name
+            continue
+        doc = json.loads(out_g)
+        assert (code, code_g) == (0, 0)
+        assert doc["c"] == report["prop_crit"]["c"]
+        assert doc["refuted"] == report["prop_crit"]["refuted"]
+        witness = report["verdict"]["witness"]
+        if witness["kind"] == "GapLine":
+            assert doc["verified"][0] == witness["ratio"]
+        else:
+            assert doc["verified"] == []
+        shared += 1
+    assert shared >= 4
 
 
 def test_gap_curve_command(capsys):
