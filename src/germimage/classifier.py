@@ -247,7 +247,33 @@ def _order_layers(h_bar, f):
     return layers
 
 
-def _weighted_nominations(h_bar, f, g):
+def _piece_nominations(f, g, p, q, layer_f, layer_g):
+    """The weighted candidates (p', q', c, phi) of the piece with ord f = p, ord g = q."""
+    piece = gcd(layer_f, layer_g)
+    if not piece.constant_term().is_zero():
+        return []
+    a, b = f.exact_divide(piece**p), g.exact_divide(piece**q)
+    k = math.gcd(p, q)
+    p1, q1 = p // k, q // k
+    omega = [
+        b * a.partial_derivative(i).scale(q1) - a * b.partial_derivative(i).scale(p1)
+        for i in range(f.nvars)
+    ]
+    locus = _constancy_locus(piece, omega)
+    if not locus.constant_term().is_zero():
+        return []
+    found = next(_line_resultants(a**q1, b**p1, locus), None)
+    split = None if found is None else gaussian_rational_roots(found)
+    if split is None:
+        return []
+    roots, rest = split
+    found = [(p1, q1, c, Polynomial(2, {(q1, 0): ONE, (0, p1): c})) for c in roots]
+    if rest.degree():
+        found.append((p1, q1, None, _weighted_curve(rest, q1, p1)))
+    return found
+
+
+class _WeightedNominations:
     """Weighted gap-curve candidates (p', q', c, phi) of the pair (f, g).
 
     h_bar splits into pieces P: the components D with ord_D f = p and
@@ -260,32 +286,46 @@ def _weighted_nominations(h_bar, f, g):
     and then R = 0 and the line is skipped.  Each root c in Q(i) nominates
     phi = u^q' + c*v^p', and the rest of R one weighted-homogeneous phi
     (with c = None).
+
+    A piece's candidates are built when first asked for, and kept:
+    :meth:`lines` builds only the pieces with p = q, whose roots are the
+    lines u + c*v; iterating yields the candidates of every piece in the
+    order of (p, q), reusing the pieces already built.
     """
-    layers_g = _order_layers(h_bar, g)
-    for p, layer_f in enumerate(_order_layers(h_bar, f), 1):
-        for q, layer_g in enumerate(layers_g, 1):
-            piece = gcd(layer_f, layer_g)
-            if not piece.constant_term().is_zero():
-                continue
-            a, b = f.exact_divide(piece**p), g.exact_divide(piece**q)
-            k = math.gcd(p, q)
-            p1, q1 = p // k, q // k
-            omega = [
-                b * a.partial_derivative(i).scale(q1) - a * b.partial_derivative(i).scale(p1)
-                for i in range(f.nvars)
-            ]
-            locus = _constancy_locus(piece, omega)
-            if not locus.constant_term().is_zero():
-                continue
-            found = next(_line_resultants(a**q1, b**p1, locus), None)
-            split = None if found is None else gaussian_rational_roots(found)
-            if split is None:
-                continue
-            roots, rest = split
-            for c in roots:
-                yield p1, q1, c, Polynomial(2, {(q1, 0): ONE, (0, p1): c})
-            if rest.degree():
-                yield p1, q1, None, _weighted_curve(rest, q1, p1)
+
+    def __init__(self, h_bar, f, g):
+        self._f, self._g = f, g
+        layers_g = _order_layers(h_bar, g)
+        self._pieces = [
+            (p, q, layer_f, layer_g)
+            for p, layer_f in enumerate(_order_layers(h_bar, f), 1)
+            for q, layer_g in enumerate(layers_g, 1)
+        ]
+        self._built = {}
+
+    def _of(self, p, q, layer_f, layer_g):
+        if (p, q) not in self._built:
+            self._built[p, q] = _piece_nominations(self._f, self._g, p, q, layer_f, layer_g)
+        return self._built[p, q]
+
+    def lines(self):
+        """The candidates u + c*v, c in Q(i), of the pieces with p = q, in the order of p."""
+        return [
+            found
+            for piece in self._pieces
+            if piece[0] == piece[1]
+            for found in self._of(*piece)
+            if found[2] is not None
+        ]
+
+    def __iter__(self):
+        for piece in self._pieces:
+            yield from self._of(*piece)
+
+
+def _weighted_nominations(h_bar, f, g):
+    """The :class:`_WeightedNominations` of the pair (f, g)."""
+    return _WeightedNominations(h_bar, f, g)
 
 
 def _normalized(phi):
@@ -316,9 +356,11 @@ def bounded_gap_curve_search(germ, dec):
     """The one nomination walk of the C(0) = 0 branch: lines first, then curves.
 
     Newton-Puiseux run in the target.  :func:`_weighted_nominations` runs
-    on (f, g); each root c in Q(i) of a piece with p' = q' = 1 is the line
-    u + c*v, and all of them are checked with :func:`is_gap_curve` before
-    any curve.  When none passes, every candidate is checked in turn; when
+    on (f, g); each root c in Q(i) of a piece with p = q (p' = q' = 1) is
+    the line u + c*v.  Those pieces are built first, and all their lines
+    are checked with :func:`is_gap_curve` before any other piece is built
+    or any curve checked.  When none passes, every candidate is checked in
+    turn, in the order of the pieces (p, q); when
     a candidate u + c*v^p' or u^q' + c*v (c != 0) is refuted, the target is
     sheared along it, f <- f + c*g^p' or g <- g + f^q'/c (which keeps h),
     and the same steps run on the new pair, at most _SHEAR_DEPTH shears
@@ -339,11 +381,10 @@ def bounded_gap_curve_search(germ, dec):
                 checked[curve] = None
         return checked[curve]
 
-    nominated = list(_weighted_nominations(h_bar, germ.f, germ.g))
+    nominated = _weighted_nominations(h_bar, germ.f, germ.g)
     lines = {
         ProjectiveRatio(c, ONE): check(PlaneCurveCandidate(phi))
-        for p1, q1, c, phi in nominated
-        if p1 == q1 == 1 and c is not None
+        for _, _, c, phi in nominated.lines()
     }
     refuted = tuple(ratio for ratio, ok in lines.items() if ok is False)
     verified = tuple(ratio for ratio, ok in lines.items() if ok)

@@ -5,27 +5,51 @@ One numpy backend.  Both kernels walk the points in fixed blocks of
 their scratch memory does not grow with the number of points and a
 block's working set stays in cache.
 
+Two threads share the rows.  Each kernel cuts the row range at the
+block edge nearest its middle; the calling thread walks the first half
+and one helper thread, started and joined inside the call, walks the
+second.  The calling thread allocates each half's buffers before the
+helper starts: a coordinate and scratch set of ``_ROWS`` rows for
+evaluation, an integer count array for binning; only binning's
+per-block temporaries are made on the helper.  A thread writes only its
+own rows of the output (evaluation) or its own count array (binning),
+and the two count arrays are added once both halves are done.  The
+helper runs private code and numpy only, never a public function of
+this package.  Its error is re-raised by the call, after the helper has
+stopped, so no call returns rows left unwritten and no thread outlives
+a call.  With fewer than two blocks' worth of rows the calling thread
+runs alone.
+
 Evaluation performs, for each output element, the same sequence of IEEE
 multiply/add operations as :meth:`Polynomial.evaluate`: powers by
 repeated multiplication, terms accumulated in the polynomial's canonical
 order, and each complex multiply expanded into the real multiplies and
 adds that scalar code performs (numpy's complex128 vector path differs
-from it at the last ulp).  Blocking changes only which elements share a
-numpy call, never the operations applied to one element, and the real
-and imaginary sums are written straight into the parts of the complex
-output, so the two agree bit for bit; the determinism tests rely on
-that.  Binning adds up integer bincounts over the blocks, which equals
-the one-shot count exactly.
+from it at the last ulp).  Blocking and the split change only which
+elements share a numpy call and which thread makes it, never the
+operations applied to one element, and the real and imaginary sums
+accumulate straight in the parts of the complex output, so the two agree
+bit for bit; the determinism tests rely on that.  Binning adds up
+integer bincounts over the blocks and the halves, which equals the
+one-shot count exactly.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+
 import numpy as np
 
-# Rows per block.  2^14 rows keep the six evaluation buffers and the
-# block's coordinates (≈ 1 MB at n = 2) in a core's cache; evaluating a
-# degree-5 map at 2·10^6 points on a 2-core x86-64 machine took 32 ms
-# with 2^14 rows, 35 ms with 2^13 and 39 ms with 2^15.
+# Rows per block.  2^14 rows keep a thread's four scratch buffers and
+# the block's coordinates (≈ 1 MB at n = 2) in a core's cache; evaluating
+# a degree-5 map at 2·10^6 points on one core of a 2-core x86-64 machine
+# took 32 ms with 2^14 rows, 35 ms with 2^13 and 39 ms with 2^15.  Split
+# over two threads, evaluating both components of the corpus map
+# ``rouche`` (degrees 5 and 9) at 2·10^6 points in slices of 2^18 took
+# 40.6 ms with 2^14 rows, 56.6 ms with 2^13 (contention for the
+# interpreter lock) and 47.0 ms with 2^15, against 52.2 ms on one thread
+# (same machine, medians of seven).
 _ROWS = 1 << 14
 
 
@@ -35,8 +59,77 @@ def active_backend():
 
 
 # ---------------------------------------------------------------------------
+# the two-thread split
+# ---------------------------------------------------------------------------
+
+
+def _halves(npts):
+    """Row ranges (lo, hi) of the two threads, cut at the block edge nearest npts / 2.
+
+    One range, all rows, when that edge is 0 or the end.
+    """
+    cut = (npts + _ROWS) // (2 * _ROWS) * _ROWS
+    return [(0, cut), (cut, npts)] if 0 < cut < npts else [(0, npts)]
+
+
+def _on_two_threads(task, jobs):
+    """``[task(*job) for job in jobs]``, with the second of two jobs on a helper thread.
+
+    The calling thread runs the first job while the helper runs the
+    second.  The helper is joined before this returns or raises, and an
+    error it raised is raised here.
+    """
+    if len(jobs) == 1:
+        return [task(*jobs[0])]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        second = helper.submit(task, *jobs[1])
+        first = task(*jobs[0])
+        return [first, second.result()]
+
+
+# ---------------------------------------------------------------------------
 # batch polynomial evaluation
 # ---------------------------------------------------------------------------
+
+
+def _evaluate_rows(terms, points, out, lo, hi, coords, scratch):
+    """Write the values at rows [lo, hi) of ``points`` into ``out[lo:hi]``, block by block.
+
+    ``coords`` (2, nvars, _ROWS) takes a block's real and imaginary
+    coordinates and ``scratch`` (4, _ROWS) its term buffers; the sums
+    accumulate straight in the real and imaginary parts of ``out``.
+    """
+    zre, zim = coords
+    for start in range(lo, hi, _ROWS):
+        stop = min(start + _ROWS, hi)
+        k = stop - start
+        block = points[start:stop]
+        np.copyto(zre[:, :k], block.real.T)
+        np.copyto(zim[:, :k], block.imag.T)
+        acc_re = out.real[start:stop]
+        acc_im = out.imag[start:stop]
+        acc_re.fill(0.0)
+        acc_im.fill(0.0)
+        for factors, cre, cim in terms:
+            # the term (xr, xi) starts as the scalar coefficient; each
+            # multiply by z = zr + i zi leaves it in the buffers (tr, ti):
+            #   (xr zr - xi zi) + i (xr zi + xi zr)
+            tr, ti, a, b = scratch[:, :k]
+            xr, xi = cre, cim
+            for v, e in factors:
+                zr = zre[v, :k]
+                zi = zim[v, :k]
+                for _ in range(e):
+                    np.multiply(xr, zr, out=a)
+                    np.multiply(xi, zi, out=b)
+                    np.subtract(a, b, out=a)
+                    np.multiply(xr, zi, out=b)
+                    np.multiply(xi, zr, out=tr)
+                    np.add(b, tr, out=ti)
+                    tr, a = a, tr
+                    xr, xi = tr, ti
+            np.add(acc_re, xr, out=acc_re)
+            np.add(acc_im, xi, out=acc_im)
 
 
 def evaluate_batch(poly, points):
@@ -61,40 +154,11 @@ def evaluate_batch(poly, points):
         terms.append(([(v, e) for v, e in enumerate(m) if e], c.real, c.imag))
     out = np.empty(npts, dtype=np.complex128)
     rows = min(_ROWS, npts)
-    zre = np.empty((poly.nvars, rows))
-    zim = np.empty((poly.nvars, rows))
-    buffers = [np.empty(rows) for _ in range(6)]
-    for start in range(0, npts, rows):
-        stop = min(start + rows, npts)
-        k = stop - start
-        block = points[start:stop]
-        np.copyto(zre[:, :k], block.real.T)
-        np.copyto(zim[:, :k], block.imag.T)
-        acc_re, acc_im, *scratch = (buf[:k] for buf in buffers)
-        acc_re.fill(0.0)
-        acc_im.fill(0.0)
-        for factors, cre, cim in terms:
-            # the term (xr, xi) starts as the scalar coefficient; each
-            # multiply by z = zr + i zi leaves it in the buffers (tr, ti):
-            #   (xr zr - xi zi) + i (xr zi + xi zr)
-            tr, ti, a, b = scratch
-            xr, xi = cre, cim
-            for v, e in factors:
-                zr = zre[v, :k]
-                zi = zim[v, :k]
-                for _ in range(e):
-                    np.multiply(xr, zr, out=a)
-                    np.multiply(xi, zi, out=b)
-                    np.subtract(a, b, out=a)
-                    np.multiply(xr, zi, out=b)
-                    np.multiply(xi, zr, out=tr)
-                    np.add(b, tr, out=ti)
-                    tr, a = a, tr
-                    xr, xi = tr, ti
-            np.add(acc_re, xr, out=acc_re)
-            np.add(acc_im, xi, out=acc_im)
-        out.real[start:stop] = acc_re
-        out.imag[start:stop] = acc_im
+    jobs = [
+        (lo, hi, np.empty((2, poly.nvars, rows)), np.empty((4, rows)))
+        for lo, hi in _halves(npts)
+    ]
+    _on_two_threads(partial(_evaluate_rows, terms, points, out), jobs)
     return out
 
 
@@ -103,26 +167,30 @@ def evaluate_batch(poly, points):
 # ---------------------------------------------------------------------------
 
 
-def _bin_hits(u, v, radius, bins, counts):
-    """Add the hits of one block to ``counts``."""
+def _bin_rows(u, v, radius, bins, lo, hi, counts):
+    """``counts`` plus the hits of rows [lo, hi), added block by block."""
     r2 = radius * radius
-    inside = (
-        (u.real * u.real + u.imag * u.imag < r2)
-        & (v.real * v.real + v.imag * v.imag < r2)
-    )
-    if not inside.any():
-        return
     width = (2.0 * radius) / bins
-    idx = None
-    for part in (u.real, u.imag, v.real, v.imag):
-        cell = np.minimum(((part[inside] + radius) / width).astype(np.int64), bins - 1)
-        if idx is None:
-            idx = cell
-        else:
-            idx *= bins
-            idx += cell
-    hits = np.bincount(idx)
-    counts[: hits.size] += hits
+    for start in range(lo, hi, _ROWS):
+        stop = min(start + _ROWS, hi)
+        bu, bv = u[start:stop], v[start:stop]
+        inside = (
+            (bu.real * bu.real + bu.imag * bu.imag < r2)
+            & (bv.real * bv.real + bv.imag * bv.imag < r2)
+        )
+        if not inside.any():
+            continue
+        idx = None
+        for part in (bu.real, bu.imag, bv.real, bv.imag):
+            cell = np.minimum(((part[inside] + radius) / width).astype(np.int64), bins - 1)
+            if idx is None:
+                idx = cell
+            else:
+                idx *= bins
+                idx += cell
+        hits = np.bincount(idx)
+        counts[: hits.size] += hits
+    return counts
 
 
 def bin_hits(u, v, radius, bins):
@@ -131,7 +199,7 @@ def bin_hits(u, v, radius, bins):
     The grid splits each of (Re u, Im u, Re v, Im v) into ``bins`` cells
     over [-radius, radius]; only samples strictly inside the polydisk
     {|u| < radius, |v| < radius} are counted.  Counts are additive, so the
-    result is independent of sample order and of the blocking.
+    result is independent of sample order, of the blocking and of the split.
     """
     u = np.ascontiguousarray(u, dtype=np.complex128)
     v = np.ascontiguousarray(v, dtype=np.complex128)
@@ -139,10 +207,10 @@ def bin_hits(u, v, radius, bins):
         raise ValueError("u and v must be 1-D arrays of equal length")
     radius = float(radius)
     bins = int(bins)
-    counts = np.zeros(bins**4, dtype=np.int64)
-    for start in range(0, u.shape[0], _ROWS):
-        stop = start + _ROWS
-        _bin_hits(u[start:stop], v[start:stop], radius, bins, counts)
+    jobs = [(lo, hi, np.zeros(bins**4, dtype=np.int64)) for lo, hi in _halves(u.shape[0])]
+    counts, *other = _on_two_threads(partial(_bin_rows, u, v, radius, bins), jobs)
+    for more in other:
+        counts += more
     return counts
 
 

@@ -19,6 +19,20 @@ the samples in fixed row blocks; each value still goes through one fixed
 sequence of IEEE operations and each hit count is an integer sum, so no
 report depends on the blocking.
 
+Two threads: the sampler and both kernels use the machine's second core
+inside the call.  :func:`unit_ball_samples` owns two sets of chunk
+buffers; a helper thread draws the next chunk into one set while the
+calling thread scales, filters and copies the chunk in the other, and
+the one generator is still consumed chunk by chunk in order, with
+``out=`` fills that draw the numbers fresh arrays would hold.  The
+kernels cut their rows at a block edge, and each thread writes only its
+own rows or its own count array (see :mod:`germimage.kernels`).  So the
+(seed, k) contract and the bitwise parity hold as on one thread.  The
+helper threads run private helpers and numpy only, never a public
+function of this package, so whoever wraps the public functions sees the
+calls a single thread makes; each helper is joined, and its error
+re-raised, before the call that started it returns.
+
 Shared draws: every probe takes an optional ``draw``, called as
 ``draw(nvars, count, seed)`` in place of :func:`unit_ball_samples`.  A
 :class:`SharedBallSamples` made for one corpus run keeps the longest
@@ -37,6 +51,7 @@ cells (32 bins per axis) is rejected before anything is allocated.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +59,8 @@ import numpy as np
 from .errors import PreconditionError
 from .kernels import bin_hits, centers_inside_polydisk, evaluate_batch
 
-# Largest 4-D grid a probe may ask for: 32^4 cells, 8 MB of int64 counts.
+# Largest 4-D grid a probe may ask for: 32^4 cells, 8 MB of int64 counts
+# per count array (a probe keeps one, and bin_hits one per thread).
 _MAX_CELLS = 1 << 20
 
 
@@ -124,6 +140,12 @@ class ResidualReport:
 _CHUNK = 1 << 16
 
 
+def _draw_chunk(rng, gauss, uniform):
+    """Fill one chunk's buffers in place: its Gaussians, then its uniforms."""
+    rng.standard_normal(out=gauss)
+    rng.random(out=uniform)
+
+
 def unit_ball_samples(nvars, count, seed):
     """``count`` points uniform in the open unit ball of C^nvars = R^(2*nvars).
 
@@ -137,21 +159,47 @@ def unit_ball_samples(nvars, count, seed):
     is a prefix of a longer one.  Real and imaginary parts alternate in
     the float rows, which are returned as a complex128 view of shape
     (count, nvars).
+
+    Two threads share the work.  This function allocates two sets of
+    chunk buffers (Gaussians and uniforms) before any draw.  While the
+    calling thread scales, filters and copies the chunk in one set, a
+    helper thread fills the other set with the next chunk's draws, by
+    ``standard_normal(out=...)`` and ``random(out=...)`` on the one
+    generator; the calling thread waits for it before it reads that set
+    or touches the generator.  So the generator is still consumed chunk
+    by chunk in order, the fills draw the numbers that fresh arrays of the
+    same shape would hold, and every point is the same bits as from a
+    single thread.  The next chunk is drawn ahead only when the current
+    one cannot finish the request; a chunk that comes up short (rows
+    dropped) is followed by a draw on the calling thread.  The helper runs
+    only the private fill, and it is joined before this returns or raises;
+    an error it raised is raised here.
     """
     rng = np.random.default_rng(seed)
     dim = 2 * nvars
     out = np.empty((count, dim), dtype=np.float64)
+    current, following = [(np.empty((_CHUNK, dim)), np.empty(_CHUNK)) for _ in range(2)]
+    ahead = None  # the helper's fill of the next chunk, when one was started
     have = 0
-    while have < count:
-        rows = rng.standard_normal((_CHUNK, dim))
-        radius = rng.random(_CHUNK) ** (1.0 / dim)
-        rows *= (radius / np.sqrt(np.einsum("ij,ij->i", rows, rows)))[:, None]
-        inside = np.einsum("ij,ij->i", rows, rows) < 1.0
-        if not inside.all():  # rare: skip the copy when no row is dropped
-            rows = rows[inside]
-        take = min(count - have, rows.shape[0])
-        out[have : have + take] = rows[:take]
-        have += take
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        while have < count:
+            if ahead is None:
+                _draw_chunk(rng, *current)
+            else:
+                ahead.result()
+            ahead = None
+            if count - have > _CHUNK:  # this chunk cannot finish the request
+                ahead = helper.submit(_draw_chunk, rng, *following)
+            rows, uniform = current
+            radius = uniform ** (1.0 / dim)
+            rows *= (radius / np.sqrt(np.einsum("ij,ij->i", rows, rows)))[:, None]
+            inside = np.einsum("ij,ij->i", rows, rows) < 1.0
+            if not inside.all():  # rare: skip the copy when no row is dropped
+                rows = rows[inside]
+            take = min(count - have, rows.shape[0])
+            out[have : have + take] = rows[:take]
+            have += take
+            current, following = following, current
     return out.view(np.complex128)
 
 

@@ -369,6 +369,34 @@ def test_classify_nominates_once_on_the_unsheared_pair(monkeypatch):
         assert pairs.count((germ.f, germ.g)) == 1
 
 
+def test_a_verified_gap_line_builds_no_other_piece(monkeypatch):
+    """(x^2*y*z, x*y*(x*z + y)): y has orders (1, 1), x has orders (2, 1).
+
+    The (1, 1) piece nominates the gap line; the (2, 1) piece, whose
+    candidates are curves, is never built.  Walking every candidate builds
+    the other pieces only, in the order of (p, q).
+    """
+    germ = MapGerm(x3 * x3 * y3 * z3, x3 * y3 * (x3 * z3 + y3))
+    build = classifier._piece_nominations
+    built = []
+
+    def spy(f, g, p, q, layer_f, layer_g):
+        built.append((p, q))
+        return build(f, g, p, q, layer_f, layer_g)
+
+    monkeypatch.setattr(classifier, "_piece_nominations", spy)
+    verdict = classify(germ)
+    assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapLine")
+    assert verify_witness(germ, verdict) is True
+    assert built == [(1, 1)]
+
+    built.clear()
+    nominated = classifier._weighted_nominations(x3 * y3, germ.f, germ.g)
+    (line,) = nominated.lines()
+    assert built == [(1, 1)]
+    assert list(nominated)[0] == line and built == [(1, 1), (2, 1)]
+
+
 def test_germ_inclusion_strips_instead_of_taking_squarefree_parts(monkeypatch):
     """(h*a, h^3*(a^3 + h*b)), h = xy + z: the pullbacks of the nominated curves are large.
 

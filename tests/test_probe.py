@@ -2,9 +2,12 @@
 
 ``germimage.kernels`` has one numpy backend; its bitwise contract with
 ``Polynomial.evaluate`` is checked in ``test_batch_matches_scalar_evaluate``
-and, across the kernels' row blocks, in ``test_evaluate_batch_blocks_bitwise``.
+and, across the kernels' row blocks and the cut between their two
+threads, in ``test_evaluate_batch_blocks_bitwise``.
 """
 
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -214,7 +217,14 @@ def test_curve_residual_examples():
 
 ROWS = kernels._ROWS
 PIECE = probe._PIECE
-BLOCK_COUNTS = (0, 1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5)
+CHUNK = probe._CHUNK
+# Row counts at the block edges and at the cut between the kernels' two
+# threads: 2 * ROWS +- 1 cut at ROWS, and 5 * ROWS + 3, an odd number of
+# blocks, at 3 * ROWS.
+BLOCK_COUNTS = (
+    0, 1, ROWS - 1, ROWS, ROWS + 1,
+    2 * ROWS - 1, 2 * ROWS, 2 * ROWS + 1, 3 * ROWS + 5, 5 * ROWS + 3,
+)
 
 
 def _random_poly(nvars, nterms, max_exp, seed):
@@ -279,7 +289,7 @@ def test_bin_hits_blocks_match_one_shot():
     edge = np.nextafter(radius, 0.0)
     assert (edge + radius) / width >= bins  # this point needs the bins - 1 clamp
     rng = np.random.default_rng(8)
-    count = 3 * ROWS + 5
+    count = BLOCK_COUNTS[-1]
     u = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * radius
     v = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * radius
     special = [
@@ -299,6 +309,147 @@ def test_bin_hits_blocks_match_one_shot():
             _one_shot_bin_hits(u[:n], v[:n], radius, bins),
         )
     assert np.array_equal(kernels.bin_hits(u, v, radius, bins), reference)
+
+
+def _reference_ball_samples(nvars, count, seed, spoil):
+    """The sampler on one thread: fresh arrays per chunk, each drawn when needed.
+
+    ``spoil(gauss, uniform)`` runs on every chunk's draws before they are
+    scaled.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 2 * nvars
+    kept, have, chunks = [], 0, 0
+    while have < count:
+        gauss = rng.standard_normal((CHUNK, dim))
+        uniform = rng.random(CHUNK)
+        chunks += 1
+        spoil(gauss, uniform)
+        gauss *= (uniform ** (1.0 / dim) / np.sqrt(np.einsum("ij,ij->i", gauss, gauss)))[:, None]
+        gauss = gauss[np.einsum("ij,ij->i", gauss, gauss) < 1.0]
+        kept.append(gauss[: count - have])
+        have += kept[-1].shape[0]
+    return np.concatenate(kept).view(np.complex128), chunks
+
+
+def _drop_rows(gauss, uniform):
+    """Turn every 1000th row into NaNs, which the sampler drops: each chunk comes up short."""
+    gauss[::1000] = np.nan
+
+
+@pytest.mark.parametrize("short", [False, True])
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_unit_ball_samples_match_a_one_thread_loop(monkeypatch, nvars, short):
+    """The draw-ahead sampler gives the single-threaded loop's bits, chunk for chunk.
+
+    With ``short``, every chunk loses rows, so a chunk that was to finish
+    the request falls short and the next one is drawn on demand.  Either
+    way the sampler draws exactly the chunks the loop draws: none ahead
+    that the request does not need.
+    """
+    spoil = _drop_rows if short else (lambda gauss, uniform: None)
+    fill = probe._draw_chunk
+    calls = []
+
+    def counted_fill(rng, gauss, uniform):
+        fill(rng, gauss, uniform)
+        spoil(gauss, uniform)
+        calls.append(threading.current_thread())
+
+    monkeypatch.setattr(probe, "_draw_chunk", counted_fill)
+    for count in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7):
+        calls.clear()
+        got = unit_ball_samples(nvars, count, seed=count)
+        want, chunks = _reference_ball_samples(nvars, count, count, spoil)
+        assert got.shape == (count, nvars)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert len(calls) == chunks
+    assert threading.current_thread() in calls  # the first and the short chunks
+    assert set(calls) != {threading.current_thread()}  # the chunks drawn ahead
+
+
+def test_helper_thread_errors_reach_the_caller(monkeypatch):
+    """An error on either thread is raised by the call, which leaves no thread behind.
+
+    Inputs below the split run on the calling thread alone and are not
+    touched by an error planted on the helper.
+    """
+
+    class Planted(RuntimeError):
+        pass
+
+    caller = threading.current_thread()
+    poly = _random_poly(2, 4, 5, seed=3)
+    pts = 0.9 * unit_ball_samples(2, 2 * ROWS + 1, seed=3)
+    uv = kernels.evaluate_batch(poly, pts)
+    before = threading.active_count()
+
+    def fail_on(helper_side):
+        def plant(fn):
+            def failing(*args):
+                if (threading.current_thread() is not caller) == helper_side:
+                    raise Planted(fn.__name__)
+                return fn(*args)
+
+            return failing
+
+        planted = ((kernels, "_evaluate_rows"), (kernels, "_bin_rows"), (probe, "_draw_chunk"))
+        for module, name in planted:
+            monkeypatch.setattr(module, name, plant(getattr(module, name)))
+
+    for helper_side in (True, False):
+        fail_on(helper_side)
+        with pytest.raises(Planted, match="_evaluate_rows"):
+            kernels.evaluate_batch(poly, pts)
+        with pytest.raises(Planted, match="_bin_rows"):
+            kernels.bin_hits(uv, uv, 0.5, 4)
+        with pytest.raises(Planted, match="_draw_chunk"):
+            unit_ball_samples(2, 3 * CHUNK, seed=3)
+        assert threading.active_count() == before
+        monkeypatch.undo()
+
+    fail_on(True)
+    small = kernels.evaluate_batch(poly, pts[:ROWS])
+    assert np.array_equal(small.view(np.uint64), uv[:ROWS].view(np.uint64))
+    assert kernels.bin_hits(uv[:ROWS], uv[:ROWS], 0.5, 4).sum() > 0
+    assert unit_ball_samples(2, CHUNK // 2, seed=3).shape == (CHUNK // 2, 2)
+    assert threading.active_count() == before
+
+
+def test_probe_kernels_bitwise_under_concurrent_callers():
+    """Three callers at once, each with its helper, on two cores and a short switch interval.
+
+    A buffer, row range or generator shared between calls or threads would
+    show as a difference from the serial results.
+    """
+    poly = _random_poly(3, 4, 5, seed=4)
+
+    def run(seed):
+        pts = 0.9 * unit_ball_samples(3, 2 * CHUNK + 11, seed=seed)
+        vals = kernels.evaluate_batch(poly, pts)
+        return pts, vals, kernels.bin_hits(vals, vals[::-1], 0.5, 6)
+
+    serial = {seed: run(seed) for seed in (1, 2, 3)}
+    results = {}
+
+    def call(seed):
+        results[seed] = run(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(seed,)) for seed in serial]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert results.keys() == serial.keys()
+    for seed, arrays in serial.items():
+        for got, want in zip(results[seed], arrays):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_probes_match_unblocked_formulas():
