@@ -1,8 +1,9 @@
 """Exact predicates on zero sets at the origin.
 
 Multivariate gcd (recursive content / primitive-part reduction with a
-subresultant polynomial remainder sequence in a chosen main variable),
-squarefree parts, the germ-inclusion test for zero sets at 0, the gcd
+subresultant polynomial remainder sequence in a chosen main variable,
+behind a modular screen that settles coprime pairs and divisors from one
+image per variable in F_P[x_v]), squarefree parts, the germ-inclusion test for zero sets at 0, the gcd
 decomposition f = h*fhat, g = h*ghat, and the Jacobian rank test.
 
 No irreducible factorization anywhere: germ inclusion of zero sets is
@@ -16,6 +17,14 @@ dimension n-2 exactly when their equations share no factor vanishing at 0
 (Krull height: the intersection has codimension at most 2 everywhere, and
 codimension exactly 2 at 0 unless a common component passes through 0).
 That reduces the dimension dichotomy to the constant term of gcd(f, g).
+
+The modular screen (Brown, "On Euclid's algorithm and the computation of
+polynomial greatest common divisors", JACM 1971; Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 7) only ever returns a gcd it
+has proved: 1 from a coprimality certificate, or a divisor confirmed by
+exact division.  Otherwise the PRS path runs, so every gcd, and every
+verdict built on one, is the same with or without it.  The proof is in
+the docstring of ``gcd``.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import GcdUndefinedError, PreconditionError
+from .errors import DivisibilityError, GcdUndefinedError, PreconditionError
 from .poly import MapGerm, Polynomial
 from .rationals import ONE, ZERO, GaussianRational
 
@@ -145,6 +154,99 @@ def gcd_many(polys):
     return g
 
 
+# The modular screen works in F_P with P = 119 * 2^23 + 1 = 1 mod 4, so that
+# -1 has the square root IOTA (3 generates the units of F_P); i maps to IOTA.
+_PRIME = 998_244_353
+_IOTA = pow(3, (_PRIME - 1) // 4, _PRIME)
+# The point at which every variable but one is put: x_k goes to _POINT[k],
+# taken cyclically (digits of pi, e and the square roots of 2, 3, 5, 7).
+_POINT = (314159265, 271828182, 141421356, 173205080, 223606797, 264575131)
+
+
+def _residues(p):
+    """The terms of ``p`` with coefficients mapped to F_P, or None if P divides a denominator."""
+    out = []
+    for m, c in p.terms:
+        a, b, d = c.triple()
+        r = a + b * _IOTA
+        if d != 1:
+            if d % _PRIME == 0:
+                return None
+            r *= pow(d, -1, _PRIME)
+        out.append((m, r % _PRIME))
+    return out
+
+
+def _image(residues, var, degree):
+    """Coefficients by power of the image in F_P[x_var], trailing zeros dropped.
+
+    Every variable but ``var`` is put at ``_POINT``.
+    """
+    coeffs = [0] * (degree + 1)
+    for m, r in residues:
+        for w, e in enumerate(m):
+            if e and w != var:
+                r = r * pow(_POINT[w % len(_POINT)], e, _PRIME) % _PRIME
+        coeffs[m[var]] += r
+    coeffs = [c % _PRIME for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _gcd_degree(a, b):
+    """Degree of gcd(a, b) in F_P[x] for coefficient lists with nonzero tops (-1 if both are 0)."""
+    while b:
+        inv, db = pow(b[-1], -1, _PRIME), len(b) - 1
+        a = list(a)
+        while len(a) > db:
+            t, k = a[-1] * inv % _PRIME, len(a) - 1 - db
+            for i in range(db):
+                a[k + i] = (a[k + i] - t * b[i]) % _PRIME
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _modular_screen(p, q):
+    """gcd(p, q) of nonconstant ``p``, ``q`` when one image per variable settles it, else None.
+
+    For each variable v shared by p and q the screen maps both to F_P[x_v]
+    (i to IOTA, the other variables to ``_POINT``).  If each pair of images
+    is coprime and one of them keeps its x_v-degree, the gcd is 1.  If s,
+    the argument with fewer terms, uses only variables of the other, b,
+    keeps every x_v-degree and each image gcd has the x_v-degree of s, then
+    s is nominated and returned exactly when it divides b.  Proof in the
+    docstring of ``gcd``.
+    """
+    shared = [v for v in p.variables_used() if q.max_degree_in(v)]
+    s_is_p = len(p.terms) <= len(q.terms)
+    s, b = (p, q) if s_is_p else (q, p)
+    nominate = len(shared) == len(s.variables_used())
+    rp, rq = _residues(p), _residues(q)
+    if rp is None or rq is None:
+        return None
+    coprime = True
+    for v in shared:
+        dp, dq = p.max_degree_in(v), q.max_degree_in(v)
+        ip, iq = _image(rp, v, dp), _image(rq, v, dq)
+        common = _gcd_degree(ip, iq)
+        coprime = coprime and common == 0 and (len(ip) - 1 == dp or len(iq) - 1 == dq)
+        ds, image_s = (dp, ip) if s_is_p else (dq, iq)
+        nominate = nominate and common == ds == len(image_s) - 1
+        if not (coprime or nominate):
+            return None
+    if coprime:
+        return Polynomial.one(p.nvars)
+    try:
+        b.exact_divide(s)
+    except DivisibilityError:
+        return None
+    return s.monic()
+
+
 def _content_and_pp(p, var):
     cont = gcd_many(_coeffs_in(p, var))
     return cont, p.exact_divide(cont)
@@ -168,6 +270,29 @@ def gcd(p, q):
 
     ``gcd(p, 0)`` is the normalization of ``p``; both arguments zero is an
     error.
+
+    Every call, the recursive content gcds included, first goes through
+    ``_modular_screen``.  For a variable v let phi_v: Z[i][x] -> F_P[x_v]
+    send i to IOTA (IOTA^2 = -1 in F_P, as P = 1 mod 4) and every other
+    variable to its coordinate of ``_POINT``; it is a ring map.  A
+    coefficient (a + bi)/d maps to (a + b*IOTA)/d, which needs P not to
+    divide d; scaling p by its denominators changes its images by a unit
+    only.  Coprime certificate: let d = gcd(p, q), which by Gauss's lemma
+    over the UFD Z[i] may be taken primitive in Z[i][x], with p = d*a and
+    q = d*b in Z[i][x].  Suppose d is not constant; it then has positive
+    degree in a variable v that p and q share.  Then phi_v(d) divides
+    phi_v(p) and phi_v(q), which are coprime, so phi_v(d) is a constant;
+    and if phi_v(p) keeps the degree of p in x_v, then
+    deg_v p = deg phi_v(d) + deg phi_v(a) <= deg phi_v(d) + deg_v a, so
+    deg_v d <= deg phi_v(d) = 0, a contradiction (likewise for q).  So if
+    the images in every shared variable are coprime and one of each pair
+    keeps its degree, the gcd is 1.  Divisor nomination: when s, the
+    argument with fewer terms, looks like a divisor of the other, b, the
+    screen returns s made monic exactly when ``b.exact_divide(s)``
+    succeeds, for then gcd(s, b) = s.  In every other case, and whenever P
+    divides a denominator, the screen steps aside and the content / PRS
+    path below runs unchanged.  Either way the result is the same monic
+    gcd.
     """
     if not isinstance(q, Polynomial) or not isinstance(p, Polynomial):
         raise TypeError("gcd expects Polynomial arguments")
@@ -180,6 +305,9 @@ def gcd(p, q):
     p._check_same_ring(q)
     if p.is_constant() or q.is_constant():
         return Polynomial.one(p.nvars)
+    screened = _modular_screen(p, q)
+    if screened is not None:
+        return screened
 
     var = _pick_main_var(p, q)
     ca, pa = _content_and_pp(p, var)
@@ -328,7 +456,7 @@ def gaussian_rational_roots(p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GcdDecomposition:
     """f = h*f_hat, g = h*g_hat with h = gcd(f, g) monic and coprime cofactors."""
 

@@ -72,7 +72,7 @@ from .poly import MapGerm, Polynomial, compose_target, substitute
 from .rationals import I, ONE, GaussianRational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectiveRatio:
     """A point [alpha : beta] of P^1 over the Gaussian rationals.
 
@@ -98,7 +98,7 @@ class ProjectiveRatio:
         return f"ProjectiveRatio({self.alpha}, {self.beta})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaneCurveCandidate:
     """A plane curve {phi = 0} through the target origin."""
 
@@ -334,7 +334,7 @@ def _normalized(phi):
     return phi.scale(ONE / next(c for m, c in phi.terms if sum(m) == low))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapSearch:
     """What the nomination walk verified and refuted.
 
@@ -428,7 +428,7 @@ class PropCritKind(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropCritCertificate:
     """The exact openness certificate C = :func:`pencil_constancy_locus`.
 
@@ -444,7 +444,7 @@ class PropCritCertificate:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropCritOutcome:
     """The criterion's outcome and the nomination walk behind it.
 
@@ -512,34 +512,34 @@ class SubflatLabel(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CodimTwoWitness:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapLineWitness:
     ratio: ProjectiveRatio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapCurveWitness:
     curve: PlaneCurveCandidate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContainmentWitness:
     direction: str  # "g_in_f" or "f_in_g"
     minor_vars: tuple
     minor: Polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveEquationWitness:
     phi: Polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeOnlyWitness:
     report: object
 
@@ -561,7 +561,7 @@ def witness_kind(witness):
     return _WITNESS_KINDS[type(witness)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """A decision, its witness, and what ``classify`` computed on the way.
 

@@ -17,6 +17,7 @@ the order of the terms (``neg``, ``scale``, ``monic``) skip it.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from operator import add
 
 from .errors import DimensionError, DivisibilityError, NotAGermError
@@ -271,7 +272,11 @@ class Polynomial:
 
         Single-divisor multivariate division under grevlex, demanding a zero
         remainder; no coefficient field extension is involved because Q(i)
-        is a field.
+        is a field.  A constant divisor only scales.  Otherwise the
+        remainder's leading term comes off a heap keyed by
+        ``_descending_key``; an entry whose term has cancelled is stale and
+        skipped.  A term, once taken, never comes back: every term it adds
+        is smaller, because grevlex is a monomial order.
         """
         self._check_same_ring(divisor)
         if divisor.is_zero():
@@ -279,10 +284,15 @@ class Polynomial:
         if self.is_zero():
             return self
         lead_m, lead_c = divisor.terms[0]
+        if divisor.is_constant():
+            return self if lead_c.is_one() else self.scale(ONE / lead_c)
         rem = {m: c for m, c in self.terms}
+        heap = [(_descending_key(m), m) for m in rem]  # self.terms is sorted: a heap already
         quot = {}
         while rem:
-            m = min(rem, key=_descending_key)
+            m = heappop(heap)[1]
+            if m not in rem:
+                continue
             c = rem.pop(m)
             if not monomial_divides(lead_m, m):
                 raise DivisibilityError("not an exact factor")
@@ -291,9 +301,12 @@ class Polynomial:
             quot[qm] = qc
             for dm, dc in divisor.terms[1:]:
                 t = monomial_mul(qm, dm)
-                nc = rem.get(t, ZERO) - qc * dc
-                if nc.is_zero():
-                    rem.pop(t, None)
+                old = rem.get(t)
+                if old is None:
+                    rem[t] = -(qc * dc)
+                    heappush(heap, (_descending_key(t), t))
+                elif (nc := old - qc * dc).is_zero():
+                    del rem[t]
                 else:
                     rem[t] = nc
         return Polynomial._trusted(self.nvars, quot)

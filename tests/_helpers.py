@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
+from fractions import Fraction
+
 from germimage.poly import MapGerm, Polynomial
-from germimage.rationals import I
+from germimage.rationals import GaussianRational, I
 
 
 def P(nvars, terms):
@@ -114,3 +116,34 @@ def compose_case(rng, pool, max_factors=4):
     q_set = {fac for fac, _ in gs}
     oracle = all(fac in q_set for fac, through in fs if through)
     return p, q, oracle
+
+
+def four_variable_pool():
+    """Irreducible factors in x, y, z, w, some through 0, one with Gaussian coefficients."""
+    x4, y4, z4, w4 = variables(4)
+    one4 = Polynomial.one(4)
+    lifted = [Polynomial(4, {m + (0,): c for m, c in fac.terms}) for fac, _ in factor_pool()]
+    return lifted + [
+        w4,
+        x4 + w4 * w4,
+        y4 + w4.scale(I),
+        z4 * w4 + x4,
+        x4 + w4 * w4 * x4 + w4 * w4 * y4 + z4.scale(2),
+        w4 * w4 - x4**4 + w4 * w4 * x4 + y4.scale(I),
+        w4 + one4.scale(GaussianRational(Fraction(1, 2), 1)),
+    ]
+
+
+def gcd_pair(rng, pool, nvars):
+    """p = c*a, q = c*b over random factor lists; c is empty a third of the time."""
+    def product(k):
+        out = Polynomial.one(nvars)
+        for _ in range(k):
+            out = out * rng.choice(pool)
+        return out
+
+    common = product(rng.choice([0, 1, 2]))
+    p, q = common * product(rng.randint(1, 2)), common * product(rng.randint(0, 2))
+    if rng.random() < 0.3:  # a Gaussian unit or scalar must not change the monic gcd
+        p = p.scale(GaussianRational(rng.randint(1, 3), rng.randint(-2, 2)))
+    return p, q

@@ -1,14 +1,17 @@
 """gcd, squarefree parts, germ inclusion, decomposition, Jacobian rank."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from germimage import algebra
 from germimage.algebra import (
     IntersectionCase,
     _coeffs_in,
     _from_coeffs,
+    _modular_screen,
     decompose,
     first_nonzero_minor,
     gcd,
@@ -17,11 +20,19 @@ from germimage.algebra import (
     squarefree_part,
     zero_set_germ_included,
 )
-from germimage.errors import GcdUndefinedError, PreconditionError
+from germimage.errors import DivisibilityError, GcdUndefinedError, PreconditionError
 from germimage.poly import MapGerm, Polynomial
 from germimage.rationals import GaussianRational, I
 
-from _helpers import compose_case, factor_pool, random_unimodular, source_change, variables
+from _helpers import (
+    compose_case,
+    factor_pool,
+    four_variable_pool,
+    gcd_pair,
+    random_unimodular,
+    source_change,
+    variables,
+)
 
 x, y = variables(2)
 x3, y3, z3 = variables(3)
@@ -193,3 +204,89 @@ def test_univariate_views_are_canonical(p):
             bucket = {m[:var] + (0,) + m[var + 1 :]: c for m, c in p.terms if m[var] == e}
             assert view.terms == Polynomial(n, bucket).terms
         assert _from_coeffs(views, var, n).terms == p.terms
+
+
+# -- the modular screen in front of the PRS -----------------------------------
+
+
+def test_screen_prime_and_square_root_of_minus_one():
+    p = algebra._PRIME
+    assert p % 4 == 1
+    assert all(p % d for d in range(2, int(p**0.5) + 1))
+    assert algebra._IOTA**2 % p == p - 1
+
+
+def test_screened_gcd_agrees_with_the_prs_path(monkeypatch):
+    rng = random.Random(15)
+    pools = {3: [fac for fac, _ in factor_pool()], 4: four_variable_pool()}
+    pairs = [gcd_pair(rng, pools[n], n) for n in (3, 4) for _ in range(30)]
+    screened = [gcd(p, q) for p, q in pairs]
+    settled = sum(_modular_screen(p, q) is not None for p, q in pairs)
+    monkeypatch.setattr(algebra, "_modular_screen", lambda p, q: None)
+    assert screened == [gcd(p, q) for p, q in pairs]
+    # the pairs reach both answers of the screen and the PRS path
+    assert 0 < settled < len(pairs)
+    assert any(g.is_constant() for g in screened) and not all(g.is_constant() for g in screened)
+
+
+def _step_aside_cases():
+    """(p, q, exact gcd) for the point (2, 3): each pair defeats one part of the screen."""
+    c = one.scale
+    w = x - y + c(5)
+    cases = [
+        # both leading coefficients in x vanish at y = 3
+        ((y - c(3)) * x + c(1), (y - c(3)) * x + c(2)),
+        # at y = 3 both images are x + 3; the pair is coprime
+        (x + y, x + y.scale(2) - c(3)),
+    ]
+    return [(p, q, one) for p, q in cases] + [(p * w, q * w, w) for p, q in cases]
+
+
+def test_screen_steps_aside_on_an_unlucky_point(monkeypatch):
+    monkeypatch.setattr(algebra, "_POINT", (2, 3))
+    for p, q, expected in _step_aside_cases():
+        assert _modular_screen(p, q) is None
+        assert gcd(p, q) == expected
+        assert gcd(q, p) == expected
+
+
+def test_screen_steps_aside_on_a_denominator_multiple_of_the_prime(monkeypatch):
+    monkeypatch.setattr(algebra, "_PRIME", 13)
+    monkeypatch.setattr(algebra, "_IOTA", 5)  # 5^2 = 25 = -1 mod 13
+    a = x + y.scale(GaussianRational(Fraction(1, 26)))
+    p, q = a * (x - y), a * (x + one.scale(2))
+    assert _modular_screen(p, q) is None
+    assert gcd(p, q) == a
+    # x + 13*y and x map to the same image mod 13, yet are coprime
+    b = x + y.scale(13)
+    assert _modular_screen(b, x * (x + y)) is None
+    assert gcd(b, x * (x + y)) == one
+
+
+def test_screen_steps_aside_when_the_nominated_divisor_fails(monkeypatch):
+    monkeypatch.setattr(algebra, "_POINT", (2, 3))
+    s = x + y
+    # b(x, 3) = (x + 3)(x + 1) and b(2, y) = 3(y + 2), but x + y does not divide b
+    b = s * (x + one) + (x - one.scale(2)) * (y - one.scale(3))
+    failed = []
+    real_divide = Polynomial.exact_divide
+
+    def spy(self, divisor):
+        try:
+            return real_divide(self, divisor)
+        except DivisibilityError:
+            failed.append((self, divisor))
+            raise
+
+    monkeypatch.setattr(Polynomial, "exact_divide", spy)
+    assert _modular_screen(s, b) is None
+    assert failed == [(b, s)]
+    assert gcd(s, b) == one
+    assert gcd(s * (x - y), b * (x - y)) == x - y
+
+
+def test_screen_settles_coprime_pairs_and_divisors():
+    p, q = x * y + one, x - y
+    assert _modular_screen(p, q) == one
+    assert _modular_screen(q.scale(I), p * q) == q.monic()
+    assert _modular_screen(x, y) == one  # no shared variable

@@ -304,6 +304,38 @@ def test_weighted_nomination_decides_a_gap_curve_family():
     assert verify_witness(sheared, verdict) is True
 
 
+def test_gcds_of_large_germs_stay_within_a_prs_bound(monkeypatch):
+    """Germs whose gcds once ran 1169 and 272 subresultant PRSs (about 20 s and 1.3 s).
+
+    Most of those gcds have the answer 1 or a divisor of the other argument,
+    and the modular screen settles them without a PRS.  The bounds count
+    work, not wall time.
+    """
+    x4, y4, z4, w4 = variables(4)
+    h = x4 + w4 * w4 * x4 + w4 * w4 * y4 + z4.scale(2)
+    germ = MapGerm(
+        h * (y4 + x4 * x4 * w4 + x4 * x4 * y4 * z4 + w4 * w4),
+        h**3 * (w4 * w4 - x4**4 + w4 * w4 * x4 + y4.scale(I)),
+    )
+    calls, real = [], algebra._subresultant_prs
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_subresultant_prs", counted)
+    assert classify(germ).status is Status.UNDETERMINED
+    assert len(calls) <= 20
+    # the k = 3 member of the gap-curve family above, after the shear v -> v + 3u
+    h, a, b = x3 + y3.scale(I), x3 * y3 + z3, x3 * x3 + y3 + ONE3
+    sheared = target_change(MapGerm(h * a, h**3 * (a**3 + h * b)), ((1, 0), (3, 1)))
+    calls.clear()
+    verdict = classify(sheared)
+    assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
+    assert verify_witness(sheared, verdict) is True
+    assert len(calls) <= 60
+
+
 def test_weighted_nomination_decides_a_gap_line_family():
     """(h*a, h*(c*a + h*b)) with b(0) != 0 has the gap line v = c*u: g - c*f = h^2*b.
 

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from germimage import algebra
 from germimage.algebra import (
     decompose,
     gaussian_rational_roots,
@@ -24,7 +25,7 @@ from germimage.groebner import image_curve_equation
 from germimage.poly import MapGerm, Polynomial
 from germimage.rationals import GaussianRational
 
-from _helpers import compose_case, factor_pool, poly_subs
+from _helpers import compose_case, factor_pool, four_variable_pool, gcd_pair, poly_subs
 
 sympy = pytest.importorskip("sympy")
 
@@ -70,6 +71,25 @@ def test_gcd_and_squarefree_part_match_factor_list():
         common = {fac: min(m, fq[fac]) for fac, m in fp.items() if fac in fq}
         assert monic(to_sympy(gcd(p, q))) == monic(product(common))
         assert monic(to_sympy(squarefree_part(p))) == monic(product(dict.fromkeys(fp, 1)))
+
+
+def test_screened_gcd_matches_sympy_gcd(monkeypatch):
+    """gcd over Q(i) in 3 and 4 variables, with and without the modular screen."""
+    rng = random.Random(21)
+    gens = sympy.symbols("x y z w")
+    pools = {3: [fac for fac, _ in factor_pool()], 4: four_variable_pool()}
+    pairs = [gcd_pair(rng, pools[n], n) for n in (3, 4) for _ in range(15)]
+    expected = [
+        sympy.Poly(sympy.gcd(to_sympy(p, gens), to_sympy(q, gens)), *gens, domain="QQ_I").monic()
+        for p, q in pairs
+    ]
+
+    def ours():
+        return [sympy.Poly(to_sympy(gcd(p, q), gens), *gens, domain="QQ_I").monic() for p, q in pairs]
+
+    assert ours() == expected
+    monkeypatch.setattr(algebra, "_modular_screen", lambda p, q: None)
+    assert ours() == expected
 
 
 def _pencil_case(rng, pool):
