@@ -7,10 +7,10 @@ image per variable in F_P[x_v]), squarefree parts, the germ-inclusion test for z
 decomposition f = h*fhat, g = h*ghat, and the Jacobian rank test.
 
 No irreducible factorization anywhere: germ inclusion of zero sets is
-decided by the gcd-stripping/constant-term trick.  Dividing ``p`` by
-gcd(p, q) until that gcd is constant leaves exactly the factors of ``p``
-that do not divide ``q``; the rest is a unit at 0 exactly when none of
-them passes through the origin.
+decided by the gcd-stripping/constant-term trick.  Dividing ``p`` by its
+common factors with ``q`` until none is left leaves exactly the factors
+of ``p`` that do not divide ``q``; the rest is a unit at 0 exactly when
+none of them passes through the origin.
 
 Dimension convention: two hypersurface germs through 0 in C^n intersect in
 dimension n-2 exactly when their equations share no factor vanishing at 0
@@ -345,17 +345,27 @@ def zero_set_germ_included(p, q):
 
     True iff every irreducible factor of ``p`` vanishing at the origin
     divides ``q``.  The factors ``p`` shares with ``q`` are stripped off
-    layer by layer, one gcd per layer, which costs far less than the
-    squarefree part of ``p`` (n + 1 gcds of large arguments); what is left
-    keeps exactly the factors of ``p`` that do not divide ``q``, and passes
-    through 0 exactly when one of them does.  Factors away from the origin
-    are irrelevant to the germ and may survive.
+    without building the squarefree part of ``p`` (n + 1 gcds of large
+    arguments).  Let c = gcd(p, q).  Divide ``p`` by c as many times as
+    it divides; then every irreducible factor of what is left that divides
+    ``q`` divides c, so the next common factor is gcd(p, c), a proper
+    divisor of c.  The gcds therefore shrink, and their count is bounded
+    by the degree of gcd(p, q), not by the multiplicities in ``p``: x^k·y
+    against x·y takes three gcds whatever k is.  What is left keeps
+    exactly the factors of ``p`` that do not divide ``q``, and passes
+    through 0 exactly when one of them does.  Factors away from the
+    origin are irrelevant to the germ and may survive.
     """
     if p.is_zero() or q.is_zero():
         raise PreconditionError("germ inclusion needs nonzero polynomials")
     p._check_same_ring(q)
-    while not (common := gcd(p, q)).is_constant():
-        p = p.exact_divide(common)
+    common = gcd(p, q)
+    while not common.is_constant():
+        try:
+            while True:  # the first division is exact: common divides p
+                p = p.exact_divide(common)
+        except DivisibilityError:
+            common = gcd(p, common)
     return not p.constant_term().is_zero()
 
 

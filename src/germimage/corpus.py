@@ -277,10 +277,12 @@ def run_corpus(path=None, seed=0, out_dir=None, with_probe=True):
 
     The whole file is parsed and checked before the first entry runs.
     All probes of one call share one :class:`SharedBallSamples`, so each
-    (n, seed) unit-ball stream is drawn once, and again only when a later
-    entry asks for more points than were drawn.  A shared draw gives the
-    points a fresh one would, so the reports are the same; the draws are
-    dropped when the call returns.
+    point of an (n, seed) unit-ball stream is drawn once: a later entry
+    that asks for more points than were drawn resumes the stream and draws
+    only the new ones, while its probe bins the points already written.
+    A shared draw gives the points a fresh one would, so the reports are
+    the same; the draws are dropped when the call returns, and no thread
+    outlives it.
     """
     entries = load_corpus(path)
     draw = SharedBallSamples()

@@ -3,18 +3,23 @@
 One numpy backend.  Both kernels walk the points in fixed blocks of
 ``_ROWS`` rows and work in place in buffers allocated once per call, so
 their scratch memory does not grow with the number of points and a
-block's working set stays in cache.
+block's working set stays in cache.  :func:`bin_hits` is fused: per
+block it copies the coordinates once, evaluates both components of the
+map into block buffers and bins them, so a probe never holds the images
+u = f(points) and v = g(points) at full length.  :func:`evaluate_batch`
+writes one polynomial's values at every point, for the residual probe.
+Both evaluate through one block routine, ``_evaluate_block``.
 
 Two threads share the rows.  Each kernel cuts the row range at the
 block edge nearest its middle; the calling thread walks the first half
 and one helper thread, started and joined inside the call, walks the
 second.  The calling thread allocates each half's buffers before the
-helper starts: a coordinate and scratch set of ``_ROWS`` rows for
-evaluation, an integer count array for binning; only binning's
-per-block temporaries are made on the helper.  A thread writes only its
-own rows of the output (evaluation) or its own count array (binning),
-and the two count arrays are added once both halves are done.  The
-helper runs private code and numpy only, never a public function of
+helper starts: a coordinate and scratch set of ``_ROWS`` rows, the value
+buffers of both components and an integer count array for binning; only
+binning's per-block temporaries are made on the helper.  A thread writes
+only its own rows of the output (evaluation) or its own count array
+(binning), and the two count arrays are added once both halves are done.
+The helper runs private code and numpy only, never a public function of
 this package.  Its error is re-raised by the call, after the helper has
 stopped, so no call returns rows left unwritten and no thread outlives
 a call.  With fewer than two blocks' worth of rows the calling thread
@@ -25,13 +30,12 @@ multiply/add operations as :meth:`Polynomial.evaluate`: powers by
 repeated multiplication, terms accumulated in the polynomial's canonical
 order, and each complex multiply expanded into the real multiplies and
 adds that scalar code performs (numpy's complex128 vector path differs
-from it at the last ulp).  Blocking and the split change only which
-elements share a numpy call and which thread makes it, never the
-operations applied to one element, and the real and imaginary sums
-accumulate straight in the parts of the complex output, so the two agree
-bit for bit; the determinism tests rely on that.  Binning adds up
-integer bincounts over the blocks and the halves, which equals the
-one-shot count exactly.
+from it at the last ulp).  Blocking, the split and the fusion change
+only which elements share a numpy call, which thread makes it and where
+the sums accumulate, never the operations applied to one element, so the
+values agree bit for bit; the determinism tests rely on that.  Binning
+adds up integer bincounts over the blocks and the halves, which equals
+the one-shot count exactly.
 """
 
 from __future__ import annotations
@@ -92,44 +96,73 @@ def _on_two_threads(task, jobs):
 # ---------------------------------------------------------------------------
 
 
+def _terms(poly):
+    """Per term: the (variable, exponent) factors in order, then the coefficient's parts."""
+    terms = []
+    for m, c in poly.terms:
+        c = complex(c)
+        terms.append(([(v, e) for v, e in enumerate(m) if e], c.real, c.imag))
+    return terms
+
+
+def _checked_points(points, nvars):
+    points = np.ascontiguousarray(points, dtype=np.complex128)
+    if points.ndim != 2 or points.shape[1] != nvars:
+        raise ValueError(f"points must have shape (N, {nvars}), got {points.shape}")
+    return points
+
+
+def _load_block(points, start, stop, coords):
+    """Copy the real and imaginary coordinates of rows [start, stop) into ``coords``."""
+    k = stop - start
+    block = points[start:stop]
+    np.copyto(coords[0, :, :k], block.real.T)
+    np.copyto(coords[1, :, :k], block.imag.T)
+
+
+def _evaluate_block(terms, coords, k, scratch, acc_re, acc_im):
+    """Sum the terms at the first ``k`` points of ``coords`` into ``acc_re``, ``acc_im``.
+
+    ``coords`` (2, nvars, _ROWS) holds a block's real and imaginary
+    coordinates and ``scratch`` (4, _ROWS) takes the term buffers; the
+    accumulators (k floats each) are zeroed first.
+    """
+    zre, zim = coords
+    acc_re.fill(0.0)
+    acc_im.fill(0.0)
+    for factors, cre, cim in terms:
+        # the term (xr, xi) starts as the scalar coefficient; each
+        # multiply by z = zr + i zi leaves it in the buffers (tr, ti):
+        #   (xr zr - xi zi) + i (xr zi + xi zr)
+        tr, ti, a, b = scratch[:, :k]
+        xr, xi = cre, cim
+        for v, e in factors:
+            zr = zre[v, :k]
+            zi = zim[v, :k]
+            for _ in range(e):
+                np.multiply(xr, zr, out=a)
+                np.multiply(xi, zi, out=b)
+                np.subtract(a, b, out=a)
+                np.multiply(xr, zi, out=b)
+                np.multiply(xi, zr, out=tr)
+                np.add(b, tr, out=ti)
+                tr, a = a, tr
+                xr, xi = tr, ti
+        np.add(acc_re, xr, out=acc_re)
+        np.add(acc_im, xi, out=acc_im)
+
+
 def _evaluate_rows(terms, points, out, lo, hi, coords, scratch):
     """Write the values at rows [lo, hi) of ``points`` into ``out[lo:hi]``, block by block.
 
-    ``coords`` (2, nvars, _ROWS) takes a block's real and imaginary
-    coordinates and ``scratch`` (4, _ROWS) its term buffers; the sums
-    accumulate straight in the real and imaginary parts of ``out``.
+    The sums accumulate straight in the real and imaginary parts of ``out``.
     """
-    zre, zim = coords
     for start in range(lo, hi, _ROWS):
         stop = min(start + _ROWS, hi)
-        k = stop - start
-        block = points[start:stop]
-        np.copyto(zre[:, :k], block.real.T)
-        np.copyto(zim[:, :k], block.imag.T)
-        acc_re = out.real[start:stop]
-        acc_im = out.imag[start:stop]
-        acc_re.fill(0.0)
-        acc_im.fill(0.0)
-        for factors, cre, cim in terms:
-            # the term (xr, xi) starts as the scalar coefficient; each
-            # multiply by z = zr + i zi leaves it in the buffers (tr, ti):
-            #   (xr zr - xi zi) + i (xr zi + xi zr)
-            tr, ti, a, b = scratch[:, :k]
-            xr, xi = cre, cim
-            for v, e in factors:
-                zr = zre[v, :k]
-                zi = zim[v, :k]
-                for _ in range(e):
-                    np.multiply(xr, zr, out=a)
-                    np.multiply(xi, zi, out=b)
-                    np.subtract(a, b, out=a)
-                    np.multiply(xr, zi, out=b)
-                    np.multiply(xi, zr, out=tr)
-                    np.add(b, tr, out=ti)
-                    tr, a = a, tr
-                    xr, xi = tr, ti
-            np.add(acc_re, xr, out=acc_re)
-            np.add(acc_im, xi, out=acc_im)
+        _load_block(points, start, stop, coords)
+        _evaluate_block(
+            terms, coords, stop - start, scratch, out.real[start:stop], out.imag[start:stop]
+        )
 
 
 def evaluate_batch(poly, points):
@@ -138,27 +171,17 @@ def evaluate_batch(poly, points):
     Powers expand by repeated multiplication and terms accumulate in the
     canonical order, matching :meth:`Polynomial.evaluate` bit for bit.
     """
-    points = np.ascontiguousarray(points, dtype=np.complex128)
-    if points.ndim != 2 or points.shape[1] != poly.nvars:
-        raise ValueError(
-            f"points must have shape (N, {poly.nvars}), got {points.shape}"
-        )
+    points = _checked_points(points, poly.nvars)
     npts = points.shape[0]
     if not poly.terms or npts == 0:
         return np.zeros(npts, dtype=np.complex128)
-    # per term: the (variable, exponent) factors in order, then the
-    # coefficient's real and imaginary parts
-    terms = []
-    for m, c in poly.terms:
-        c = complex(c)
-        terms.append(([(v, e) for v, e in enumerate(m) if e], c.real, c.imag))
     out = np.empty(npts, dtype=np.complex128)
     rows = min(_ROWS, npts)
     jobs = [
         (lo, hi, np.empty((2, poly.nvars, rows)), np.empty((4, rows)))
         for lo, hi in _halves(npts)
     ]
-    _on_two_threads(partial(_evaluate_rows, terms, points, out), jobs)
+    _on_two_threads(partial(_evaluate_rows, _terms(poly), points, out), jobs)
     return out
 
 
@@ -167,21 +190,26 @@ def evaluate_batch(poly, points):
 # ---------------------------------------------------------------------------
 
 
-def _bin_rows(u, v, radius, bins, lo, hi, counts):
-    """``counts`` plus the hits of rows [lo, hi), added block by block."""
+def _bin_rows(fterms, gterms, points, radius, bins, lo, hi, coords, scratch, uv, counts):
+    """``counts`` plus the hits of F at rows [lo, hi) of ``points``, block by block.
+
+    Each block's coordinates go into ``coords`` once; f and g are
+    evaluated into the rows of ``uv`` (4, _ROWS): Re u, Im u, Re v, Im v.
+    """
     r2 = radius * radius
     width = (2.0 * radius) / bins
     for start in range(lo, hi, _ROWS):
         stop = min(start + _ROWS, hi)
-        bu, bv = u[start:stop], v[start:stop]
-        inside = (
-            (bu.real * bu.real + bu.imag * bu.imag < r2)
-            & (bv.real * bv.real + bv.imag * bv.imag < r2)
-        )
+        k = stop - start
+        _load_block(points, start, stop, coords)
+        ure, uim, vre, vim = uv[:, :k]
+        _evaluate_block(fterms, coords, k, scratch, ure, uim)
+        _evaluate_block(gterms, coords, k, scratch, vre, vim)
+        inside = (ure * ure + uim * uim < r2) & (vre * vre + vim * vim < r2)
         if not inside.any():
             continue
         idx = None
-        for part in (bu.real, bu.imag, bv.real, bv.imag):
+        for part in (ure, uim, vre, vim):
             cell = np.minimum(((part[inside] + radius) / width).astype(np.int64), bins - 1)
             if idx is None:
                 idx = cell
@@ -193,22 +221,36 @@ def _bin_rows(u, v, radius, bins, lo, hi, counts):
     return counts
 
 
-def bin_hits(u, v, radius, bins):
-    """Per-bin hit counts on the 4-D grid over the open target polydisk.
+def bin_hits(points, f, g, radius, bins):
+    """Per-bin hit counts of F = (f, g) at ``points`` on the 4-D grid over the target polydisk.
 
-    The grid splits each of (Re u, Im u, Re v, Im v) into ``bins`` cells
-    over [-radius, radius]; only samples strictly inside the polydisk
-    {|u| < radius, |v| < radius} are counted.  Counts are additive, so the
-    result is independent of sample order, of the blocking and of the split.
+    ``points`` is complex128 of shape (N, nvars).  The grid splits each of
+    (Re u, Im u, Re v, Im v) into ``bins`` cells over [-radius, radius];
+    only images strictly inside the polydisk {|u| < radius, |v| < radius}
+    are counted.  u = f(x) and v = g(x) are the bits of
+    :meth:`Polynomial.evaluate`, and counts are additive, so the result is
+    independent of sample order, of the blocking and of the split.
     """
-    u = np.ascontiguousarray(u, dtype=np.complex128)
-    v = np.ascontiguousarray(v, dtype=np.complex128)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("u and v must be 1-D arrays of equal length")
+    if f.nvars != g.nvars:
+        raise ValueError("f and g must have the same number of variables")
+    points = _checked_points(points, f.nvars)
+    npts = points.shape[0]
     radius = float(radius)
     bins = int(bins)
-    jobs = [(lo, hi, np.zeros(bins**4, dtype=np.int64)) for lo, hi in _halves(u.shape[0])]
-    counts, *other = _on_two_threads(partial(_bin_rows, u, v, radius, bins), jobs)
+    rows = min(_ROWS, npts)
+    jobs = [
+        (
+            lo,
+            hi,
+            np.empty((2, f.nvars, rows)),
+            np.empty((4, rows)),
+            np.empty((4, rows)),
+            np.zeros(bins**4, dtype=np.int64),
+        )
+        for lo, hi in _halves(npts)
+    ]
+    task = partial(_bin_rows, _terms(f), _terms(g), points, radius, bins)
+    counts, *other = _on_two_threads(task, jobs)
     for more in other:
         counts += more
     return counts

@@ -12,7 +12,8 @@ operations (and the univariate views of :mod:`germimage.algebra`) are
 built by the private ``Polynomial._trusted``, which trusts its dict of
 exponent tuples to ``GaussianRational``.  Both end in ``_canonical_terms``,
 the one place that drops zeros and orders the terms.  Operations that keep
-the order of the terms (``neg``, ``scale``, ``monic``) skip it.
+the order of the terms (``neg``, ``scale``, ``monic``) skip it, and so do
+the constants, which have at most one term.
 """
 
 from __future__ import annotations
@@ -132,11 +133,15 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, [((0,) * nvars, c)])
+        """The constant ``c``, built as one term (none when ``c`` is 0) without validation."""
+        if nvars < 1:
+            raise DimensionError("nvars must be positive")
+        c = _coerce_coeff(c)
+        return cls._ordered(nvars, (((0,) * nvars, c),) if c else ())
 
     @classmethod
     def one(cls, nvars):
-        return cls.constant(nvars, 1)
+        return cls.constant(nvars, ONE)
 
     @classmethod
     def variable(cls, nvars, index):

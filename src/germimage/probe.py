@@ -19,39 +19,52 @@ the samples in fixed row blocks; each value still goes through one fixed
 sequence of IEEE operations and each hit count is an integer sum, so no
 report depends on the blocking.
 
-Two threads: the sampler and both kernels use the machine's second core
-inside the call.  :func:`unit_ball_samples` owns two sets of chunk
-buffers; a helper thread draws the next chunk into one set while the
+Threads: the sampler and the kernels use the machine's second core
+inside the call.  The sampler owns two sets of chunk buffers; a helper
+thread draws the next chunk into one set while the
 calling thread scales, filters and copies the chunk in the other, and
 the one generator is still consumed chunk by chunk in order, with
 ``out=`` fills that draw the numbers fresh arrays would hold.  The
 kernels cut their rows at a block edge, and each thread writes only its
-own rows or its own count array (see :mod:`germimage.kernels`).  So the
-(seed, k) contract and the bitwise parity hold as on one thread.  The
-helper threads run private helpers and numpy only, never a public
-function of this package, so whoever wraps the public functions sees the
-calls a single thread makes; each helper is joined, and its error
-re-raised, before the call that started it returns.
+own rows or its own count array (see :mod:`germimage.kernels`); a probe
+slice starts one kernel helper, which evaluates and bins both
+components.  So the (seed, k) contract and the bitwise parity hold as on
+one thread.  Helper threads run private helpers and numpy only, never a
+public function of this package, so whoever wraps the public functions
+sees the calls a single thread makes; each helper is joined, and its
+error re-raised, before the call that started it returns.
 
-Shared draws: every probe takes an optional ``draw``, called as
-``draw(nvars, count, seed)`` in place of :func:`unit_ball_samples`.  A
-:class:`SharedBallSamples` made for one corpus run keeps the longest
-draw of each (n, seed) stream and hands shorter requests a prefix of it.
-Since a shorter draw is a prefix of a longer one, the k-th sample still
-depends only on (seed, k), and a shared draw returns exactly the points a
-fresh one would.
+Shared draws: every probe takes an optional ``draw``, a
+:class:`SharedBallSamples` made for one run, in place of a fresh
+:func:`unit_ball_samples` draw.  It keeps each (n, seed) stream as its
+points so far, the generator state at the start of the last chunk drawn
+and how many kept rows of that chunk are used.  A request within the
+stream reads a prefix; a longer one restores that state, redraws that
+chunk, skips its used rows and draws on, so only the new points are
+added.  A producer thread draws them, with the draw-ahead helper of a
+fresh draw, while the probe scales, evaluates and bins each slice of
+``_PIECE`` rows as soon as it is written; the probe joins both before
+it returns or raises.  Every chunk goes through the sampler of a fresh
+draw, so the k-th sample still depends only on (seed, k), and a shared
+draw returns exactly the points a fresh one would.
 
 Resources are bounded: a probe holds its unit sample, walks it in slices
 of ``_PIECE`` rows (scale, evaluate, bin, slice after slice), and keeps
 one count per grid cell, so beyond the sample its scratch memory does
-not grow with ``samples``.  The residual probe also keeps one float per
-sample, for the mean.  A config asking for more than ``_MAX_CELLS``
-cells (32 bins per axis) is rejected before anything is allocated.
+not grow with ``samples``; binning never holds the images f(points) and
+g(points) at full length.  A fresh sample is freed once its last slice
+is scaled.  A stream's producer writes only into buffers allocated on
+the probe's thread before it starts, and every draw scales with
+``out=`` operations.  The residual probe also keeps one float per sample, for
+the mean.  A config asking for more than ``_MAX_CELLS`` cells (32 bins
+per axis) is rejected before anything is allocated.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +148,12 @@ class ResidualReport:
     seed: int
 
 
+# Rows of the unit sample scaled, evaluated and binned at a time.  2^18
+# rows keep the per-slice arrays a few MB; every probe of up to 2^18
+# samples is a single slice, with the allocations of a whole-array probe.
+_PIECE = 1 << 18
+
+
 # Rows drawn per chunk.  Fixed, whatever the sample count, so that the
 # k-th sample depends only on (seed, k).
 _CHUNK = 1 << 16
@@ -144,6 +163,39 @@ def _draw_chunk(rng, gauss, uniform):
     """Fill one chunk's buffers in place: its Gaussians, then its uniforms."""
     rng.standard_normal(out=gauss)
     rng.random(out=uniform)
+
+
+def _place_chunk(gauss, uniform, norms, inside, out, have, skip):
+    """Scale a drawn chunk to ball points and copy its kept rows into ``out[have:]``.
+
+    The first ``skip`` kept rows are passed over, and as many of the rest
+    are copied as ``out`` has room for.  Returns how many kept rows of
+    the chunk are used: ``skip`` plus those copied.  Every step writes
+    into the chunk's buffers (``norms`` and the mask ``inside`` are
+    ``_CHUNK`` long) with the operations that fresh arrays would take.
+    """
+    dim = gauss.shape[1]
+    np.einsum("ij,ij->i", gauss, gauss, out=norms)
+    np.sqrt(norms, out=norms)
+    uniform **= 1.0 / dim  # the radius U^(1/2n), bit for bit as uniform ** (1.0 / dim)
+    np.divide(uniform, norms, out=norms)
+    gauss *= norms[:, None]
+    np.einsum("ij,ij->i", gauss, gauss, out=norms)
+    np.less(norms, 1.0, out=inside)
+    rows = gauss if inside.all() else gauss[inside]  # rare: skip the copy when no row is dropped
+    take = min(out.shape[0] - have, rows.shape[0] - skip)
+    out[have : have + take] = rows[skip : skip + take]
+    return skip + take
+
+
+def _chunk_buffers(dim):
+    """One chunk's Gaussians and uniforms."""
+    return np.empty((_CHUNK, dim)), np.empty(_CHUNK)
+
+
+def _scale_buffers():
+    """The row norms and the kept-row mask of one chunk."""
+    return np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool)
 
 
 def unit_ball_samples(nvars, count, seed):
@@ -160,8 +212,9 @@ def unit_ball_samples(nvars, count, seed):
     the float rows, which are returned as a complex128 view of shape
     (count, nvars).
 
-    Two threads share the work.  This function allocates two sets of
-    chunk buffers (Gaussians and uniforms) before any draw.  While the
+    Two threads share the work (``_Sampler``, which also extends the
+    streams of :class:`SharedBallSamples`).  Two sets of chunk buffers
+    (Gaussians and uniforms) are allocated before any draw.  While the
     calling thread scales, filters and copies the chunk in one set, a
     helper thread fills the other set with the next chunk's draws, by
     ``standard_normal(out=...)`` and ``random(out=...)`` on the one
@@ -176,89 +229,194 @@ def unit_ball_samples(nvars, count, seed):
     an error it raised is raised here.
     """
     rng = np.random.default_rng(seed)
-    dim = 2 * nvars
-    out = np.empty((count, dim), dtype=np.float64)
-    current, following = [(np.empty((_CHUNK, dim)), np.empty(_CHUNK)) for _ in range(2)]
-    ahead = None  # the helper's fill of the next chunk, when one was started
-    have = 0
+    out = np.empty((count, 2 * nvars), dtype=np.float64)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        while have < count:
-            if ahead is None:
-                _draw_chunk(rng, *current)
-            else:
-                ahead.result()
-            ahead = None
-            if count - have > _CHUNK:  # this chunk cannot finish the request
-                ahead = helper.submit(_draw_chunk, rng, *following)
-            rows, uniform = current
-            radius = uniform ** (1.0 / dim)
-            rows *= (radius / np.sqrt(np.einsum("ij,ij->i", rows, rows)))[:, None]
-            inside = np.einsum("ij,ij->i", rows, rows) < 1.0
-            if not inside.all():  # rare: skip the copy when no row is dropped
-                rows = rows[inside]
-            take = min(count - have, rows.shape[0])
-            out[have : have + take] = rows[:take]
-            have += take
-            current, following = following, current
+        _Sampler(rng, out, 0, 0).fill_to(count, helper)
     return out.view(np.complex128)
+
+
+class _Sampler:
+    """Draws the points of one stream into ``rows`` chunk by chunk, from row ``have`` on.
+
+    ``rng`` stands at the start of a chunk of which the first ``skip``
+    kept rows are in ``rows`` already.  The buffers are allocated here,
+    on the thread that makes the sampler: two sets of chunk buffers and
+    one set of scale buffers.  ``state`` and ``used`` follow the last
+    chunk placed: the generator state at its start, and how many of its
+    kept rows are in ``rows``.
+    """
+
+    def __init__(self, rng, rows, have, skip):
+        dim = rows.shape[1]
+        self.rng, self.rows, self.have, self.skip = rng, rows, have, skip
+        self.current, self.following = _chunk_buffers(dim), _chunk_buffers(dim)
+        self.scale = _scale_buffers()
+        self.ahead = None  # (state, fill) of the next chunk, when the helper draws it
+        self.state, self.used = None, 0
+
+    def fill_to(self, target, helper):
+        """Place chunks until the first ``target`` rows are written.
+
+        ``helper`` draws the next chunk while this thread places the
+        current one, whenever the current one cannot finish all the rows.
+        """
+        rng, count = self.rng, self.rows.shape[0]
+        while self.have < target:
+            if self.ahead is None:
+                self.state = rng.bit_generator.state
+                _draw_chunk(rng, *self.current)
+            else:
+                self.state, fill = self.ahead
+                fill.result()
+            self.ahead = None
+            if count - self.have > _CHUNK:  # this chunk cannot finish the rows
+                state = rng.bit_generator.state
+                self.ahead = state, helper.submit(_draw_chunk, rng, *self.following)
+            used = _place_chunk(*self.current, *self.scale, self.rows, self.have, self.skip)
+            self.have += used - self.skip
+            self.used, self.skip = used, 0
+            self.current, self.following = self.following, self.current
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """One (nvars, seed) stream of a :class:`SharedBallSamples`.
+
+    ``points`` holds the points drawn so far (read-only); ``state`` is the
+    generator state at the start of the last chunk drawn, and ``used`` is
+    how many kept rows of that chunk are in ``points``.
+    """
+
+    points: np.ndarray
+    state: dict | None
+    used: int
+
+
+def _drawn(rows):
+    """``ready`` of a sample whose rows are all drawn."""
 
 
 class SharedBallSamples:
     """Unit-ball draws shared by the probes of one run.
 
-    Called as ``(nvars, count, seed)``, like :func:`unit_ball_samples`.
-    For each (nvars, seed) it keeps the longest array drawn so far: a
-    shorter request gets a prefix view of it, and a longer one draws the
-    stream again at the new length, which is exact because a shorter draw
-    is a prefix of a longer one.  The arrays are read-only, so a probe
-    that wrote into a shared sample would fail instead of changing the
-    points of later probes.
+    Each (nvars, seed) stream is drawn once, chunk by chunk, and resumed
+    where it stopped when a request asks for more (see the module
+    docstring), so a request gets exactly the first ``count`` points of a
+    fresh :func:`unit_ball_samples` draw.  The points are read-only, so a
+    probe that wrote into a shared sample would fail instead of changing
+    the points of later probes.
     """
 
     def __init__(self):
-        self._longest = {}
+        self._streams = {}
 
     def __call__(self, nvars, count, seed):
+        """The first ``count`` points of the (nvars, seed) stream, once all are drawn."""
+        with self.stream(nvars, count, seed) as (unit, ready):
+            ready(count)
+        return unit
+
+    @contextmanager
+    def stream(self, nvars, count, seed):
+        """``(unit, ready)``: the first ``count`` points of the stream, and a wait for them.
+
+        ``ready(rows)`` returns once the first ``rows`` points of ``unit``
+        are written, and raises the producer's error if it failed.  Rows
+        past the points kept so far are drawn by one producer thread, with
+        the sampler's draw-ahead helper; it waits for no one and writes
+        each slice of ``_PIECE`` rows in turn.  Both are joined before
+        this context exits, and the stream takes the new points only if
+        every row was drawn.
+        """
         key = (nvars, seed)
-        have = self._longest.get(key)
-        if have is None or have.shape[0] < count:
-            have = unit_ball_samples(nvars, count, seed)
-            have.flags.writeable = False
-            self._longest[key] = have
-        return have[:count]
+        old = self._streams.get(key) or _Stream(np.empty((0, nvars), np.complex128), None, 0)
+        have = old.points.shape[0]
+        if count <= have:
+            yield old.points[:count], _drawn
+            return
+        rows = np.empty((count, 2 * nvars))
+        rng = np.random.default_rng(seed)
+        if old.state is not None:
+            rng.bit_generator.state = old.state
+        sampler = _Sampler(rng, rows, have, old.used)
+        unit = rows.view(np.complex128)
+        shared = unit[:]
+        shared.flags.writeable = False
+        drawn = have
+
+        def ready(upto):
+            nonlocal drawn
+            while drawn < upto:
+                end, job = pending.popleft()
+                job.result()
+                drawn = end
+
+        with (
+            ThreadPoolExecutor(max_workers=1) as helper,
+            ThreadPoolExecutor(max_workers=1) as producer,
+        ):
+            # one job per slice that holds new rows, in order
+            first = have - have % _PIECE + _PIECE
+            ends = [min(end, count) for end in range(first, count + _PIECE, _PIECE)]
+            pending = deque((end, producer.submit(sampler.fill_to, end, helper)) for end in ends)
+            unit[:have] = old.points  # while the producer draws the first new chunk
+            # the copy stands for the old points from here on, which frees
+            # them, and keeps the stream whole if the extension fails
+            self._streams[key] = old = _Stream(shared[:have], old.state, old.used)
+            try:
+                yield shared, ready
+                ready(count)
+            except BaseException:
+                producer.shutdown(wait=False, cancel_futures=True)
+                raise
+        rows.flags.writeable = False
+        self._streams[key] = _Stream(shared, sampler.state, sampler.used)
 
 
-# Rows of the unit sample scaled, evaluated and binned at a time.  2^18
-# rows keep the per-slice arrays a few MB; every probe of up to 2^18
-# samples is a single slice, with the allocations of a whole-array probe.
-_PIECE = 1 << 18
-
-
-def _unit_sample(germ, cfg, draw):
-    if draw is None:
-        draw = unit_ball_samples
-    return draw(germ.n, cfg.samples, cfg.seed)
-
-
-def _slices(unit, eps):
+def _slices(unit, eps, ready=_drawn):
     """(rows, eps * unit[rows]) for consecutive slices of ``_PIECE`` rows.
 
-    The reference to ``unit`` goes once the last slice is scaled, so a
-    sample the probe drew for itself is freed before that slice is
-    evaluated, and a one-slice probe holds what a whole-array probe held.
+    Each slice waits for ``ready`` first.  The reference to ``unit`` goes
+    once the last slice is scaled, so a sample the probe drew for itself
+    is freed before that slice is evaluated, and a one-slice probe holds
+    what a whole-array probe held.
     """
     count = unit.shape[0]
     for lo in range(0, count, _PIECE):
         rows = slice(lo, lo + _PIECE)
+        ready(min(lo + _PIECE, count))
         pts = eps * unit[rows]
         if lo + _PIECE >= count:
             del unit
         yield rows, pts
 
 
+@contextmanager
+def _unit_sample(germ, cfg, draw):
+    """``(unit, ready)`` of the probe's sample: a fresh draw, or ``draw``'s stream."""
+    if draw is None:
+        yield unit_ball_samples(germ.n, cfg.samples, cfg.seed), _drawn
+    else:
+        with draw.stream(germ.n, cfg.samples, cfg.seed) as sample:
+            yield sample
+
+
+@contextmanager
+def _sample_slices(germ, cfg, draw, eps):
+    """:func:`_slices` of the probe's sample at scale ``eps``.
+
+    A fresh sample is held by the slices alone, so it is freed early.
+    """
+    if draw is None:
+        yield _slices(unit_ball_samples(germ.n, cfg.samples, cfg.seed), eps)
+    else:
+        with draw.stream(germ.n, cfg.samples, cfg.seed) as (unit, ready):
+            yield _slices(unit, eps, ready)
+
+
 def _add_hits(counts, germ, pts, radius, bins):
     """``counts`` plus the grid hits of F(pts); ``None`` starts the count."""
-    hits = bin_hits(evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts), radius, bins)
+    hits = bin_hits(pts, germ.f, germ.g, radius, bins)
     if counts is None:
         return hits
     counts += hits
@@ -278,8 +436,9 @@ def ball_image_occupancy(germ, cfg, draw=None):
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts = None
-    for _, pts in _slices(_unit_sample(germ, cfg, draw), cfg.epsilon):
-        counts = _add_hits(counts, germ, pts, r, bins)
+    with _sample_slices(germ, cfg, draw, cfg.epsilon) as slices:
+        for _, pts in slices:
+            counts = _add_hits(counts, germ, pts, r, bins)
     inside = centers_inside_polydisk(r, bins)
     total = int(inside.sum())
     occupied = int(_occupancy_bitmap(counts, inside).sum())
@@ -311,14 +470,14 @@ def germ_stability_probe(germ, eps1, eps2, cfg, draw=None):
     """
     if not eps1 > eps2 > 0:
         raise ValueError("need eps1 > eps2 > 0")
-    unit = _unit_sample(germ, cfg, draw)
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts1 = counts2 = None
-    for rows, pts in _slices(unit, eps2):
-        counts2 = _add_hits(counts2, germ, pts, r, bins)
-        np.multiply(eps1, unit[rows], out=pts)  # the same operation as eps1 * unit[rows]
-        counts1 = _add_hits(counts1, germ, pts, r, bins)
+    with _unit_sample(germ, cfg, draw) as (unit, ready):
+        for rows, pts in _slices(unit, eps2, ready):
+            counts2 = _add_hits(counts2, germ, pts, r, bins)
+            np.multiply(eps1, unit[rows], out=pts)  # the same operation as eps1 * unit[rows]
+            counts1 = _add_hits(counts1, germ, pts, r, bins)
     counts1 += counts2
 
     inside = centers_inside_polydisk(r, bins)
@@ -354,9 +513,10 @@ def curve_residual_probe(germ, phi, cfg, draw=None):
     if phi.is_zero():
         raise ValueError("residual probe needs a nonzero curve equation")
     res = np.empty(cfg.samples)
-    for rows, pts in _slices(_unit_sample(germ, cfg, draw), cfg.epsilon):
-        uv = np.column_stack([evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts)])
-        np.abs(evaluate_batch(phi, uv), out=res[rows])
+    with _sample_slices(germ, cfg, draw, cfg.epsilon) as slices:
+        for rows, pts in slices:
+            uv = np.column_stack([evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts)])
+            np.abs(evaluate_batch(phi, uv), out=res[rows])
     return ResidualReport(
         max_residual=float(res.max()),
         mean_residual=float(res.mean()),

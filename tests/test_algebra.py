@@ -78,6 +78,26 @@ def test_germ_inclusion_examples():
         zero_set_germ_included(zero, x)
 
 
+def test_germ_inclusion_gcds_do_not_grow_with_multiplicity(monkeypatch):
+    """x^k * y against x * y takes as many gcds, recursive ones included, at k = 10 as at 1000."""
+    calls = []
+    inner = algebra.gcd
+
+    def counted(p, q):
+        calls.append(1)
+        return inner(p, q)
+
+    monkeypatch.setattr(algebra, "gcd", counted)
+    counts = {}
+    for k in (10, 1000):
+        calls.clear()
+        assert zero_set_germ_included(x**k * y, x * y) is True
+        assert zero_set_germ_included(x**k * (y + one), x * y) is True  # y + 1 misses 0
+        assert zero_set_germ_included(x**k * (x + y), x * y) is False
+        counts[k] = len(calls)
+    assert counts[10] == counts[1000]
+
+
 def test_decompose_examples():
     dec = decompose(MapGerm(x * y, x * x * y * y + y**3))
     assert dec.h == y

@@ -1,12 +1,15 @@
 """The corpus runner's shared unit-ball draws: fewer draws, the same reports."""
 
+import threading
+
 import pytest
 
 from germimage import probe
 from germimage.corpus import run_corpus, run_probe
 
 # n = 2 at 3000 points and a prefix of it, n = 3 at 2000, n = 2 growing to
-# 5000 (a residual probe), then a prefix of each: three draws, not six.
+# 5000 (a residual probe), then a prefix of each: 7000 points drawn, each
+# once, not the 18 000 of six fresh draws.
 _SMALL = """
 [open2]
 vars = x y
@@ -80,25 +83,43 @@ def draws(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def placed(monkeypatch):
+    """Points added per source dimension, as ``probe._place_chunk`` copies them."""
+    added = {}
+    place = probe._place_chunk
+
+    def spy(gauss, uniform, norms, inside, out, have, skip):
+        used = place(gauss, uniform, norms, inside, out, have, skip)
+        nvars = out.shape[1] // 2
+        added[nvars] = added.get(nvars, 0) + used - skip
+        return used
+
+    monkeypatch.setattr(probe, "_place_chunk", spy)
+    return added
+
+
 def _fresh_sections(results, seed):
     return {
         r.entry.name: run_probe(r.entry, r.entry.germ(), r.verdict, seed)[0] for r in results
     }
 
 
-def test_run_corpus_draws_once_per_stream_and_growth(tmp_path, draws):
+def test_run_corpus_draws_once_per_stream_and_growth(tmp_path, draws, placed):
+    """Each stream draws each of its points once: growing to 5000 adds 2000."""
     path = tmp_path / "small.txt"
     path.write_text(_SMALL)
-    once = [(2, 3000, 9), (3, 2000, 9), (2, 5000, 9)]
+    before = threading.active_count()
     results, code = run_corpus(path=str(path), seed=9)
     assert code == 0
-    assert draws == once
+    assert threading.active_count() == before
+    assert draws == []  # the streams draw through private routines only
+    assert placed == {2: 5000, 3: 2000}
     # a second run draws again: nothing outlives the call
     results_again, _ = run_corpus(path=str(path), seed=9)
-    assert draws == once + once
+    assert placed == {2: 10_000, 3: 4000}
     assert [r.report for r in results_again] == [r.report for r in results]
 
-    draws.clear()
     fresh = _fresh_sections(results, seed=9)
     assert len(draws) == len(results)
     assert {r.entry.name: r.report["probe"] for r in results} == fresh

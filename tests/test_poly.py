@@ -1,5 +1,7 @@
 """Exact polynomial arithmetic: contract examples and ring properties."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -228,3 +230,19 @@ def test_ring_operations_give_canonical_terms(first, second):
             if m[var]:
                 d.append((m[:var] + (m[var] - 1,) + m[var + 1 :], c * m[var]))
         assert p.partial_derivative(var).terms == grevlex_terms(d)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_constants_match_the_public_constructor(nvars):
+    origin = (0,) * nvars
+    values = [0, 1, GaussianRational(0, 1), Fraction(1, 2), GaussianRational(Fraction(1, 2))]
+    for c in values:
+        built = Polynomial.constant(nvars, c)
+        public = Polynomial(nvars, [(origin, c)])
+        assert built == public
+        assert built.terms == public.terms
+        assert built.is_constant()
+    assert Polynomial.constant(nvars, 0).is_zero()
+    assert Polynomial.one(nvars).terms == Polynomial(nvars, [(origin, 1)]).terms
+    with pytest.raises(DimensionError):
+        Polynomial.constant(0, 1)

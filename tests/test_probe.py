@@ -9,6 +9,7 @@ threads, in ``test_evaluate_batch_blocks_bitwise``.
 import sys
 import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,137 @@ def test_shared_ball_samples_refuse_writes():
             sample[0, 0] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             sample *= 2.0
+
+
+def _counting(monkeypatch, spoil=lambda gauss, uniform: None):
+    """Spy on the chunk routines: (chunks drawn, new points placed per call)."""
+    fill, place = probe._draw_chunk, probe._place_chunk
+    chunks, placed = [], []
+
+    def counted_fill(rng, gauss, uniform):
+        fill(rng, gauss, uniform)
+        spoil(gauss, uniform)
+        chunks.append(threading.current_thread())
+
+    def counted_place(gauss, uniform, norms, inside, out, have, skip):
+        used = place(gauss, uniform, norms, inside, out, have, skip)
+        placed.append(used - skip)
+        return used
+
+    monkeypatch.setattr(probe, "_draw_chunk", counted_fill)
+    monkeypatch.setattr(probe, "_place_chunk", counted_place)
+    return chunks, placed
+
+
+@pytest.mark.parametrize("short", [False, True])
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_shared_ball_samples_resume_where_they_stopped(monkeypatch, nvars, short):
+    """Rising requests give a fresh draw's bits and draw only their new points.
+
+    They end mid-chunk, on a chunk edge and several chunks and slices on.
+    A resumed stream draws again the chunk its last request stopped in,
+    skips the rows of it already used, and draws on.  With ``short``
+    every chunk drops rows, so a chunk's kept rows are fewer than its rows.
+    """
+    spoil = _drop_rows if short else (lambda gauss, uniform: None)
+    chunks, placed = _counting(monkeypatch, spoil)
+    draw = SharedBallSamples()
+    have, had_chunks = 0, 0
+    for count in (1000, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, PIECE + 5, 2 * PIECE + 9):
+        chunks.clear()
+        placed.clear()
+        got = draw(nvars, count, seed=6)
+        want, want_chunks = _reference_ball_samples(nvars, count, 6, spoil)
+        assert got.shape == (count, nvars)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert sum(placed) == count - have
+        assert len(chunks) == want_chunks - had_chunks + (1 if have else 0)
+        assert threading.current_thread() not in chunks  # the producer draws
+        have, had_chunks = count, want_chunks
+    chunks.clear()
+    assert draw(nvars, 500, seed=6).shape == (500, nvars)
+    assert not chunks  # a prefix draws nothing
+
+
+def test_resumed_stream_frees_its_old_points_while_it_draws():
+    """Once copied, the old points of a stream go: a resume holds one copy of them."""
+    draw = SharedBallSamples()
+    old = weakref.ref(draw(2, 1000, seed=1).base)
+    assert old() is not None
+    with draw.stream(2, 3 * PIECE, seed=1) as (unit, ready):
+        assert old() is None
+        ready(3 * PIECE)
+    assert np.array_equal(unit[:1000], unit_ball_samples(2, 1000, seed=1))
+
+
+def test_shared_probes_leave_no_thread_and_match_fresh_draws():
+    """Each probe kind with a shared draw joins its producer, and reports as a fresh draw."""
+    before = threading.active_count()
+    draw = SharedBallSamples()
+    base = dict(epsilon=0.2, target_radius=0.01, seed=3)
+    runs = [
+        (ball_image_occupancy, (ANGLE,), 1000, lambda rep: rep.hit_histogram),
+        (germ_stability_probe, (ANGLE, 0.2, 0.05), PIECE + 5, lambda rep: rep.bitmap_eps1),
+        (curve_residual_probe, (CUSP, u**3 - v * v), 2 * PIECE + 3, lambda rep: rep.max_residual),
+        (ball_image_occupancy, (ANGLE,), 2000, lambda rep: rep.hit_histogram),
+    ]
+    for probe_fn, args, samples, key in runs:
+        cfg = SamplerConfig(samples=samples, **base)
+        shared = probe_fn(*args, cfg, draw=draw)
+        assert threading.active_count() == before
+        assert np.array_equal(key(shared), key(probe_fn(*args, cfg)))
+
+
+def test_producer_and_probe_errors_reach_the_caller_after_the_join(monkeypatch):
+    """An error on the producer or on the probe's side is raised once the producer is joined.
+
+    A failed draw leaves its stream as it was.
+    """
+
+    class Planted(RuntimeError):
+        pass
+
+    caller = threading.current_thread()
+    before = threading.active_count()
+    producers = []
+    fill, bin_rows = probe._draw_chunk, kernels._bin_rows
+
+    def failing_fill(rng, gauss, uniform):
+        if threading.current_thread() is not caller:
+            producers.append(threading.current_thread())
+            raise Planted("_draw_chunk")
+        fill(rng, gauss, uniform)
+
+    def failing_bin(*args):
+        if threading.current_thread() is caller:
+            raise Planted("_bin_rows")
+        return bin_rows(*args)
+
+    draw = SharedBallSamples()
+    draw(2, 1000, seed=3)
+    cfg = SamplerConfig(epsilon=0.2, target_radius=0.01, samples=3 * PIECE, seed=3)
+    calls = [
+        lambda: ball_image_occupancy(ANGLE, cfg, draw=draw),
+        lambda: germ_stability_probe(ANGLE, 0.2, 0.05, cfg, draw=draw),
+        lambda: curve_residual_probe(CUSP, u - v, cfg, draw=draw),
+        lambda: draw(2, 5000, seed=3),
+    ]
+    for call in calls:
+        monkeypatch.setattr(probe, "_draw_chunk", failing_fill)
+        producers.clear()
+        with pytest.raises(Planted, match="_draw_chunk"):
+            call()
+        assert producers and not any(thread.is_alive() for thread in producers)
+        assert threading.active_count() == before
+        monkeypatch.undo()
+    monkeypatch.setattr(kernels, "_bin_rows", failing_bin)
+    with pytest.raises(Planted, match="_bin_rows"):
+        ball_image_occupancy(ANGLE, cfg, draw=draw)
+    assert threading.active_count() == before
+    monkeypatch.undo()
+    for count in (1000, 5000, 3 * PIECE):
+        fresh = unit_ball_samples(2, count, seed=3)
+        assert np.array_equal(draw(2, count, seed=3).view(np.uint64), fresh.view(np.uint64))
 
 
 def test_unit_ball_samples_inside_at_n6():
@@ -260,7 +392,7 @@ def _unblocked_evaluate(poly, points):
 
 
 def _one_shot_bin_hits(u, v, radius, bins):
-    """The whole-array binning the blocked kernel replaced."""
+    """The whole-array binning of the images u, v that the fused kernel replaced."""
     r2 = radius * radius
     inside = (u.real**2 + u.imag**2 < r2) & (v.real**2 + v.imag**2 < r2)
     width = (2.0 * radius) / bins
@@ -269,6 +401,11 @@ def _one_shot_bin_hits(u, v, radius, bins):
         cell = np.minimum(((part[inside] + radius) / width).astype(np.int64), bins - 1)
         idx = idx * bins + cell
     return np.bincount(idx, minlength=bins**4)
+
+
+def _scalar_images(f, g, points):
+    """f and g at each point by ``Polynomial.evaluate``."""
+    return [np.array([poly.evaluate(p) for p in points], dtype=np.complex128) for poly in (f, g)]
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
@@ -284,14 +421,14 @@ def test_evaluate_batch_blocks_bitwise(nvars):
 
 
 def test_bin_hits_blocks_match_one_shot():
+    """At the identity map, images on the clamp edges and the boundary land as one-shot."""
     radius, bins = 0.05, 7
     width = 2 * radius / bins
     edge = np.nextafter(radius, 0.0)
     assert (edge + radius) / width >= bins  # this point needs the bins - 1 clamp
     rng = np.random.default_rng(8)
     count = BLOCK_COUNTS[-1]
-    u = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * radius
-    v = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) * radius
+    pts = (rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))) * radius
     special = [
         (edge, 0.0),  # inside, clamped in Re u
         (0.0, 1j * edge),  # inside, clamped in Im v
@@ -300,15 +437,37 @@ def test_bin_hits_blocks_match_one_shot():
         (0.0, -1j * radius),  # on the boundary |v| = radius: not counted
     ]
     for k, at in enumerate((ROWS - 1, ROWS, 2 * ROWS + 3, 3 * ROWS, count - 1)):
-        u[at], v[at] = special[k]
+        pts[at] = special[k]
+    u, v = _scalar_images(IDENTITY.f, IDENTITY.g, pts)
     reference = _one_shot_bin_hits(u, v, radius, bins)
     assert reference.sum() > 0
     for n in BLOCK_COUNTS:
         assert np.array_equal(
-            kernels.bin_hits(u[:n], v[:n], radius, bins),
+            kernels.bin_hits(pts[:n], IDENTITY.f, IDENTITY.g, radius, bins),
             _one_shot_bin_hits(u[:n], v[:n], radius, bins),
         )
-    assert np.array_equal(kernels.bin_hits(u, v, radius, bins), reference)
+    assert np.array_equal(kernels.bin_hits(pts, IDENTITY.f, IDENTITY.g, radius, bins), reference)
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_fused_bin_hits_match_scalar_evaluate(nvars):
+    """``bin_hits(points, f, g, r, bins)`` is the one-shot bincount of ``Polynomial.evaluate``.
+
+    The counts run across the block edges and the cut between the two
+    threads, and some of the images fall outside the polydisk.
+    """
+    f = _random_poly(nvars, 4, 3, seed=nvars)
+    g = _random_poly(nvars, 3, 2, seed=10 + nvars)
+    counts = (0, 1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5)
+    pts = 0.8 * unit_ball_samples(nvars, counts[-1], seed=nvars)
+    u, v = _scalar_images(f, g, pts)
+    radius, bins = float(np.median(np.maximum(abs(u), abs(v)))), 6  # about half inside
+    for n in counts:
+        reference = _one_shot_bin_hits(u[:n], v[:n], radius, bins)
+        got = kernels.bin_hits(pts[:n], f, g, radius, bins)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference)
+    assert 0 < reference.sum() < counts[-1]
 
 
 def _reference_ball_samples(nvars, count, seed, spoil):
@@ -382,6 +541,7 @@ def test_helper_thread_errors_reach_the_caller(monkeypatch):
     poly = _random_poly(2, 4, 5, seed=3)
     pts = 0.9 * unit_ball_samples(2, 2 * ROWS + 1, seed=3)
     uv = kernels.evaluate_batch(poly, pts)
+    both = kernels.bin_hits(pts, poly, poly, 0.5, 4)
     before = threading.active_count()
 
     def fail_on(helper_side):
@@ -402,7 +562,7 @@ def test_helper_thread_errors_reach_the_caller(monkeypatch):
         with pytest.raises(Planted, match="_evaluate_rows"):
             kernels.evaluate_batch(poly, pts)
         with pytest.raises(Planted, match="_bin_rows"):
-            kernels.bin_hits(uv, uv, 0.5, 4)
+            kernels.bin_hits(pts, poly, poly, 0.5, 4)
         with pytest.raises(Planted, match="_draw_chunk"):
             unit_ball_samples(2, 3 * CHUNK, seed=3)
         assert threading.active_count() == before
@@ -411,7 +571,8 @@ def test_helper_thread_errors_reach_the_caller(monkeypatch):
     fail_on(True)
     small = kernels.evaluate_batch(poly, pts[:ROWS])
     assert np.array_equal(small.view(np.uint64), uv[:ROWS].view(np.uint64))
-    assert kernels.bin_hits(uv[:ROWS], uv[:ROWS], 0.5, 4).sum() > 0
+    assert kernels.bin_hits(pts[:ROWS], poly, poly, 0.5, 4).sum() > 0
+    assert np.array_equal(both, _one_shot_bin_hits(uv, uv, 0.5, 4))
     assert unit_ball_samples(2, CHUNK // 2, seed=3).shape == (CHUNK // 2, 2)
     assert threading.active_count() == before
 
@@ -423,11 +584,12 @@ def test_probe_kernels_bitwise_under_concurrent_callers():
     show as a difference from the serial results.
     """
     poly = _random_poly(3, 4, 5, seed=4)
+    other = _random_poly(3, 3, 4, seed=5)
 
     def run(seed):
         pts = 0.9 * unit_ball_samples(3, 2 * CHUNK + 11, seed=seed)
         vals = kernels.evaluate_batch(poly, pts)
-        return pts, vals, kernels.bin_hits(vals, vals[::-1], 0.5, 6)
+        return pts, vals, kernels.bin_hits(pts, poly, other, 0.5, 6)
 
     serial = {seed: run(seed) for seed in (1, 2, 3)}
     results = {}
