@@ -64,7 +64,7 @@ def _from_coeffs(coeffs, var, nvars):
     return Polynomial._trusted(nvars, acc)
 
 
-def _strip(coeffs):
+def _trim(coeffs):
     while coeffs and coeffs[-1].is_zero():
         coeffs.pop()
     return coeffs
@@ -83,7 +83,7 @@ def _prem(a, b):
         for i in range(db + 1):
             nxt[i + k] = nxt[i + k] - lr * b[i]
         nxt.pop()  # the top coefficient cancels exactly
-        r = _strip(nxt)
+        r = _trim(nxt)
         steps_left -= 1
     if steps_left > 0 and r:
         f = lb**steps_left
@@ -266,10 +266,12 @@ def _pick_main_var(p, q):
 
 
 def gcd(p, q):
-    """A greatest common divisor, normalized to leading coefficient 1.
+    """The greatest common divisor of leading coefficient 1.
 
     ``gcd(p, 0)`` is the normalization of ``p``; both arguments zero is an
-    error.
+    error.  Over the field Q(i) a gcd is unique up to a nonzero constant,
+    so the normalization makes it unique: gcd(q, p) is gcd(p, q) term for
+    term, whichever path below computes either.
 
     Every call, the recursive content gcds included, first goes through
     ``_modular_screen``.  For a variable v let phi_v: Z[i][x] -> F_P[x_v]
@@ -340,33 +342,76 @@ def squarefree_part(p):
     return p.exact_divide(g)
 
 
+def _divide_out(p, c):
+    """``p`` divided by the highest power of ``c`` that divides it.
+
+    Galloping: divide by c, c^2, c^4, ... while the division is exact.
+    When c^(2^j) fails, c^(2^j - 1) has come off and c divides what is
+    left fewer than 2^j times, so one pass back down through the powers
+    that divided takes the rest, as the binary digits of that count.
+    Exact divisions number about 2 log2 of the multiplicity, not the
+    multiplicity; a power of higher degree than what is left cannot
+    divide it and is not tried.
+    """
+    powers = []
+    power = c
+    while power.degree() <= p.degree():
+        try:
+            p = p.exact_divide(power)
+        except DivisibilityError:
+            break
+        powers.append(power)
+        power = power * power
+    for power in reversed(powers):
+        if power.degree() <= p.degree():
+            try:
+                p = p.exact_divide(power)
+            except DivisibilityError:
+                pass
+    return p
+
+
+def _strip(p, common):
+    """Is ``p``, freed of the factors of ``common``, a unit at 0?
+
+    With common = gcd(p, q) the answer says whether the germ of Z(p) lies
+    in that of Z(q), and so it does with p / common in place of p.  Divide
+    the factors of ``common`` out of ``p`` as often as they divide
+    (:func:`_divide_out`); every irreducible factor of what is left that
+    divides ``q`` divides ``common``, so the next common factor is
+    gcd(p, common), a proper divisor of ``common``.  The gcds therefore
+    shrink, and their number is bounded by the degree of ``common``, not
+    by the multiplicities in ``p``.  What is left keeps exactly the
+    factors of ``p`` that do not divide ``q``, and passes through 0
+    exactly when one of them does.  Factors away from the origin are
+    irrelevant to the germ and may survive.
+
+    Started at p / common instead of p, the loop runs as it does from p
+    after its first division, which is always exact, so both starts give
+    the same answer: ``classify`` starts from the cofactors of
+    :func:`decompose`.
+    """
+    while not common.is_constant():
+        p = _divide_out(p, common)
+        common = gcd(p, common)
+    return not p.constant_term().is_zero()
+
+
 def zero_set_germ_included(p, q):
     """Is the germ at 0 of Z(p) included in the germ at 0 of Z(q)?
 
     True iff every irreducible factor of ``p`` vanishing at the origin
     divides ``q``.  The factors ``p`` shares with ``q`` are stripped off
-    without building the squarefree part of ``p`` (n + 1 gcds of large
-    arguments).  Let c = gcd(p, q).  Divide ``p`` by c as many times as
-    it divides; then every irreducible factor of what is left that divides
-    ``q`` divides c, so the next common factor is gcd(p, c), a proper
-    divisor of c.  The gcds therefore shrink, and their count is bounded
-    by the degree of gcd(p, q), not by the multiplicities in ``p``: x^k·y
-    against x·y takes three gcds whatever k is.  What is left keeps
-    exactly the factors of ``p`` that do not divide ``q``, and passes
-    through 0 exactly when one of them does.  Factors away from the
-    origin are irrelevant to the germ and may survive.
+    by :func:`_strip` from c = gcd(p, q), without building the squarefree
+    part of ``p`` (n + 1 gcds of large arguments).  The top-level gcds
+    number at most deg c + 1 whatever the multiplicities in ``p``, and the
+    exact divisions grow with their logarithm: x^k·y against x·y makes as
+    many gcds, recursive ones included, at k = 10 as at k = 1000.
     """
     if p.is_zero() or q.is_zero():
         raise PreconditionError("germ inclusion needs nonzero polynomials")
     p._check_same_ring(q)
-    common = gcd(p, q)
-    while not common.is_constant():
-        try:
-            while True:  # the first division is exact: common divides p
-                p = p.exact_divide(common)
-        except DivisibilityError:
-            common = gcd(p, common)
-    return not p.constant_term().is_zero()
+    return _strip(p, gcd(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +523,17 @@ class GcdDecomposition:
 
 
 def decompose(germ):
-    h = gcd(germ.f, germ.g)
+    """The :class:`GcdDecomposition` of ``germ``, with h = gcd(f, g) computed afresh."""
+    return _decomposition(germ, gcd(germ.f, germ.g))
+
+
+def _decomposition(germ, h):
+    """The :class:`GcdDecomposition` of ``germ`` from h = gcd(f, g), already known.
+
+    ``gcd`` returns the unique gcd of leading coefficient 1, so an h
+    computed elsewhere, in either argument order, is the h of
+    :func:`decompose` term for term.
+    """
     f_hat = germ.f.exact_divide(h)
     g_hat = germ.g.exact_divide(h)
     return GcdDecomposition(

@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 from .algebra import (
     IntersectionCase,
+    _decomposition,
+    _strip,
     decompose,
     first_nonzero_minor,
     gaussian_rational_roots,
@@ -566,8 +568,10 @@ class Verdict:
     """A decision, its witness, and what ``classify`` computed on the way.
 
     ``decomposition`` is the gcd decomposition; it is None on the nested
-    branches, which decide without it.  ``prop_crit`` is the outcome of the
-    pencil criterion, None where the criterion did not run.
+    branches, which do not keep it (a verdict that carried it would hold
+    f_hat and g_hat alive for every nested germ a caller keeps).
+    ``prop_crit`` is the outcome of the pencil criterion, None where the
+    criterion did not run.
     """
 
     status: Status
@@ -587,8 +591,12 @@ def classify(germ):
     elif g.is_zero():
         g_in_f, f_in_g = False, True
     else:
-        g_in_f = zero_set_germ_included(g, f)
-        f_in_g = zero_set_germ_included(f, g)
+        # one gcd for both inclusions and the decomposition: gcd(g, f) is
+        # gcd(f, g), and g_hat = g / h is where the strip from g stands
+        # after its first division (see algebra._strip)
+        dec = _decomposition(germ, gcd(f, g))
+        g_in_f = _strip(dec.g_hat, dec.h)
+        f_in_g = _strip(dec.f_hat, dec.h)
 
     if g_in_f or f_in_g:
         nonzero_minor = first_nonzero_minor(germ)
@@ -618,7 +626,6 @@ def classify(germ):
             ),
         )
 
-    dec = decompose(germ)
     if intersection_dimension_case(germ, dec) is IntersectionCase.CODIM_TWO:
         return Verdict(
             status=Status.LOCALLY_OPEN,

@@ -281,14 +281,19 @@ def run_corpus(path=None, seed=0, out_dir=None, with_probe=True):
     that asks for more points than were drawn resumes the stream and draws
     only the new ones, while its probe bins the points already written.
     A shared draw gives the points a fresh one would, so the reports are
-    the same; the draws are dropped when the call returns, and no thread
-    outlives it.
+    the same.  A stream is dropped after the last entry with a probe at
+    its n, so it does not hold memory through the entries that follow,
+    and no thread outlives the call.
     """
     entries = load_corpus(path)
     draw = SharedBallSamples()
+    last_reader = {len(e.varnames): e for e in entries if e.probe_kind}
     results = []
     for entry in entries:
         results.append(run_entry(entry, seed=seed, with_probe=with_probe, draw=draw))
+        n = len(entry.varnames)
+        if last_reader.get(n) is entry:
+            draw.release(n, seed)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for res in results:

@@ -316,6 +316,10 @@ class SharedBallSamples:
             ready(count)
         return unit
 
+    def release(self, nvars, seed):
+        """Drop the (nvars, seed) stream; a later request draws it afresh."""
+        self._streams.pop((nvars, seed), None)
+
     @contextmanager
     def stream(self, nvars, count, seed):
         """``(unit, ready)``: the first ``count`` points of the stream, and a wait for them.

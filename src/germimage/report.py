@@ -144,8 +144,8 @@ def build_classify_report(
     ``probe`` is a pair (JSON section, probe report) or None.  An occupancy
     probe becomes the witness of an Undetermined verdict that has none; it
     never changes the decision.  The decomposition and the criterion
-    outcome are read from the verdict; only a nested verdict, for which
-    ``classify`` does not decompose, has its decomposition computed here.
+    outcome are read from the verdict; only a nested verdict, which does
+    not carry its decomposition, has it computed here.
 
     Returns ``(verdict, report)``.
     """

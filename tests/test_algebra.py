@@ -98,6 +98,24 @@ def test_germ_inclusion_gcds_do_not_grow_with_multiplicity(monkeypatch):
     assert counts[10] == counts[1000]
 
 
+def test_germ_inclusion_divisions_grow_with_the_log_of_multiplicity(monkeypatch):
+    """x^k * y against x * y: each doubling of k adds at most a few exact divisions."""
+    divisions = []
+    real_divide = Polynomial.exact_divide
+
+    def counted(self, divisor):
+        divisions.append(1)
+        return real_divide(self, divisor)
+
+    monkeypatch.setattr(Polynomial, "exact_divide", counted)
+    counts = {}
+    for k in (2**5, 2**10):
+        divisions.clear()
+        assert zero_set_germ_included(x**k * y, x * y) is True
+        counts[k] = len(divisions)
+    assert counts[2**10] - counts[2**5] <= 3 * 5
+
+
 def test_decompose_examples():
     dec = decompose(MapGerm(x * y, x * x * y * y + y**3))
     assert dec.h == y

@@ -1,8 +1,10 @@
 """Gap lines, gap curves, the openness test and the full pipeline."""
 
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,7 @@ from germimage.classifier import (
     witness_kind,
 )
 from germimage.errors import ImageContainsCurveError, PreconditionError
+from germimage.parsing import parse_map_germ
 from germimage.poly import MapGerm, Polynomial
 from germimage.rationals import I, GaussianRational
 from germimage.report import verdict_json
@@ -55,6 +58,8 @@ NOGAPLINE = MapGerm(x * y, x * x * y * y + y**3)
 ROUCHE = MapGerm(x * (x**4 + y), y * (x**4 + y) ** 2)
 CUSP = MapGerm((x + y) ** 2, (x + y) ** 3)
 UNIT_BRANCH = MapGerm(x * y * (x + ONE), y * (x + ONE) ** 2 * (x + y))
+
+POOL_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "classify_pool.json"
 
 
 def test_projective_ratio_canonical():
@@ -401,6 +406,34 @@ def test_classify_nominates_once_on_the_unsheared_pair(monkeypatch):
         assert pairs.count((germ.f, germ.g)) == 1
 
 
+def test_classify_takes_the_gcd_of_f_and_g_once(monkeypatch):
+    """One gcd(f, g) feeds both germ inclusions and the decomposition.
+
+    Calls go through both names of ``gcd``, so an inclusion test or a
+    decomposition that took its own gcd of (f, g) would be counted.
+    """
+    pool = json.loads(POOL_PATH.read_text(encoding="utf-8"))
+    varnames = tuple(pool["vars"])
+    first_of_kind = {}
+    for entry in pool["germs"]:
+        first_of_kind.setdefault(entry["witness"], entry)
+    kinds = ("CodimTwo", "PropCritCertificate", "GapLine", "None")  # every non-nested kind
+    germs = [parse_map_germ(varnames, first_of_kind[k]["f"], first_of_kind[k]["g"]) for k in kinds]
+    inner = algebra.gcd
+    pairs = []
+
+    def spy(p, q):
+        pairs.append((p, q))
+        return inner(p, q)
+
+    monkeypatch.setattr(algebra, "gcd", spy)
+    monkeypatch.setattr(classifier, "gcd", spy)
+    for germ in germs:
+        pairs.clear()
+        classify(germ)
+        assert sum(pair in ((germ.f, germ.g), (germ.g, germ.f)) for pair in pairs) == 1
+
+
 def test_a_verified_gap_line_builds_no_other_piece(monkeypatch):
     """(x^2*y*z, x*y*(x*z + y)): y has orders (1, 1), x has orders (2, 1).
 
@@ -453,8 +486,8 @@ def test_germ_inclusion_strips_instead_of_taking_squarefree_parts(monkeypatch):
     verdict = classify(germ)
     assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
     assert verify_witness(germ, verdict) is True
-    assert len(inclusions) >= 3  # the containment branch, then the gap tests
-    assert "zero_set_germ_included" not in callers
+    assert len(inclusions) >= 3  # the gap tests
+    assert not {"zero_set_germ_included", "_strip", "_divide_out"} & set(callers)
 
 
 def test_classify_pipeline_examples():

@@ -63,13 +63,19 @@ def test_classify_json_nested_germ_has_no_criterion(capsys):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Count calls of ``decompose`` and ``prop_crit_check`` under every name.
+    """Count calls of ``decompose``, its builder and ``prop_crit_check`` under every name.
 
     Each ``germimage`` module attribute bound to one of them is replaced by
     a counting wrapper, so calls count whichever module makes them.
+    ``decompose`` builds through ``_decomposition``, so each of its calls
+    counts under both names.
     """
     counts = {}
-    targets = {algebra.decompose: "decompose", classifier.prop_crit_check: "prop_crit_check"}
+    targets = {
+        algebra.decompose: "decompose",
+        algebra._decomposition: "decomposition",
+        classifier.prop_crit_check: "prop_crit_check",
+    }
     for mod_name, mod in list(sys.modules.items()):
         if mod is None or not mod_name.startswith("germimage"):
             continue
@@ -89,18 +95,19 @@ def test_one_classification_pass_in_corpus_and_cli(call_counts, capsys):
     """A report reuses what ``classify`` computed: each step runs once."""
     (entry,) = [e for e in load_corpus() if e.name == "huckleberry"]
     run_entry(entry)
-    assert call_counts == {"decompose": 1, "prop_crit_check": 1}
+    assert call_counts == {"decomposition": 1, "prop_crit_check": 1}
 
     call_counts.clear()
     code, _, _ = run_cli(capsys, "--json", "classify", "--entry", "huckleberry")
     assert code == 0
-    assert call_counts == {"decompose": 1, "prop_crit_check": 1}
+    assert call_counts == {"decomposition": 1, "prop_crit_check": 1}
 
-    # a nested germ is decided without the decomposition; the report needs it once
+    # a nested verdict does not keep the decomposition its inclusion tests
+    # started from; the report decomposes once more
     call_counts.clear()
     code, _, _ = run_cli(capsys, "--json", "classify", "--vars", "x,y", "--f", "x", "--g", "x*y")
     assert code == 0
-    assert call_counts == {"decompose": 1}
+    assert call_counts == {"decompose": 1, "decomposition": 2}
 
 
 def test_classify_timing_flag(capsys):

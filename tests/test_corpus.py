@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from germimage import probe
+from germimage import corpus, probe
 from germimage.corpus import run_corpus, run_probe
 
 # n = 2 at 3000 points and a prefix of it, n = 3 at 2000, n = 2 growing to
@@ -123,6 +123,34 @@ def test_run_corpus_draws_once_per_stream_and_growth(tmp_path, draws, placed):
     fresh = _fresh_sections(results, seed=9)
     assert len(draws) == len(results)
     assert {r.entry.name: r.report["probe"] for r in results} == fresh
+
+
+def test_run_corpus_drops_each_stream_after_its_last_reader(tmp_path, monkeypatch):
+    """A stream goes right after the last entry with a probe at its n; none is kept."""
+    path = tmp_path / "small.txt"
+    path.write_text(_SMALL)
+    events, draws = [], []
+    run_entry, release = corpus.run_entry, probe.SharedBallSamples.release
+
+    def entry_spy(entry, *args, **kwargs):
+        events.append(entry.name)
+        return run_entry(entry, *args, **kwargs)
+
+    def release_spy(self, nvars, seed):
+        events.append((nvars, seed))
+        draws.append(self)
+        release(self, nvars, seed)
+
+    monkeypatch.setattr(corpus, "run_entry", entry_spy)
+    monkeypatch.setattr(probe.SharedBallSamples, "release", release_spy)
+    before = threading.active_count()
+    results, code = run_corpus(path=str(path), seed=9)
+    assert code == 0
+    assert threading.active_count() == before
+    assert events == [
+        "open2", "angle", "open3", "cusp", "open3-short", (3, 9), "open2-long", (2, 9)
+    ]
+    assert draws[0] is draws[1] and draws[0]._streams == {}
 
 
 def test_shipped_corpus_probes_match_fresh_draws():
