@@ -79,7 +79,7 @@ def _prem(a, b):
     while r and len(r) - 1 >= db:
         lr = r[-1]
         k = len(r) - 1 - db
-        nxt = [lb * c for c in r]
+        nxt = [lb * c if c else c for c in r]
         for i in range(db + 1):
             nxt[i + k] = nxt[i + k] - lr * b[i]
         nxt.pop()  # the top coefficient cancels exactly

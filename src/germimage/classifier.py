@@ -11,21 +11,21 @@ Branch structure:
    squarefree part of h = gcd(f, g), the image is open when
    C = gcd(h_bar, 2x2 minors of (g_hat*df_hat - f_hat*dg_hat, dh_bar))
    does not vanish at 0, i.e. when the cofactor ratio f_hat : g_hat is
-   constant on no component of Z(h) through 0.  When C(0) = 0, one
-   nomination walk looks for a gap witness.  h_bar splits into pieces: the
-   components D with ord_D f = p and ord_D g = q.  On each piece through 0,
-   f^q' : g^p', (p', q') = (p, q)/gcd(p, q), is constant on the components
-   of a locus like C, and the roots of one resultant on a line L with
-   small Gaussian-integer coefficients are exactly those constants.  A
-   root c in Q(i) nominates the curve u^q' + c*v^p' = 0, and the rest of
-   the resultant one more curve.  The pieces with p = q give the lines
-   u + c*v = 0, the constant ratios f_hat : g_hat; these are verified
-   first, and the first that passes is the gap line.  Failing them, every
-   curve is verified, and a refuted one shears the target along itself
-   for the next round (Newton-Puiseux run in the target, to a fixed
-   depth).  A verified gap witness rules out both openness and (in this
-   branch) a curve image, so the image is not a set germ.  With neither a
-   certificate nor a witness the honest answer is Undetermined.
+   constant on no component of Z(h) through 0.  One table of the pieces
+   of h_bar, the components D with ord_D f = p and ord_D g = q, gives C
+   and, when C(0) = 0, one nomination walk for a gap witness.  On each
+   piece through 0, f^q' : g^p', (p', q') = (p, q)/gcd(p, q), is constant
+   on the components of a locus like C, and the roots of one resultant on
+   a line L with small Gaussian-integer coefficients are exactly those
+   constants.  A root c in Q(i) nominates the curve u^q' + c*v^p' = 0,
+   and the rest of the resultant one more curve.  The pieces with p = q
+   give the lines u + c*v = 0, the constant ratios f_hat : g_hat; these
+   are verified first, and the first that passes is the gap line.
+   Failing them, every curve is verified, and a refuted one shears the
+   target along itself for the next round (Newton-Puiseux run in the
+   target, to a fixed depth).  A verified gap witness rules out both
+   openness and (in this branch) a curve image, so the image is not a set
+   germ.  With neither a certificate nor a witness the answer is Undetermined.
 
    The coordinate axes are never nominated, and never needed: in this
    branch neither u = 0 nor v = 0 is a gap line.  The preimage of u = 0 is
@@ -124,12 +124,14 @@ def _pencil_applies(dec):
     return not (dec.f_hat_is_unit or dec.g_hat_is_unit or dec.h.is_unit_germ())
 
 
-def _require_pencil(dec):
+def _pencil_table(dec, f, g):
+    """The :class:`_WeightedNominations` table of (f, g) = (h*f_hat, h*g_hat)."""
     if not _pencil_applies(dec):
         raise PreconditionError(
             "the cofactor pencil needs non-unit cofactors and a common factor "
             "through 0; route through the containment or codimension branch"
         )
+    return _WeightedNominations(squarefree_part(dec.h), f, g, dec.f_hat, dec.g_hat)
 
 
 def _constancy_locus(base, omega):
@@ -148,16 +150,22 @@ def _constancy_locus(base, omega):
 def pencil_constancy_locus(dec):
     """C = gcd(h_bar, 2x2 minors of (omega, dh_bar)), omega = g_hat*df_hat - f_hat*dg_hat.
 
-    h_bar is the squarefree part of h, so dh_bar vanishes on no component of
-    Z(h), and an irreducible factor of h_bar divides every minor exactly
-    when f_hat : g_hat is constant on its zero set.  C is the product of
-    those factors: C(0) != 0 says the ratio is constant on no component of
-    Z(h) through 0.
+    h_bar is the squarefree part of h, so dh_bar vanishes on no component
+    of Z(h), and C is the product of the components of Z(h) on which
+    f_hat : g_hat is constant: C(0) != 0 says there is none through 0.  It
+    is read off the pieces P_pq of h_bar (:class:`_WeightedNominations`)
+    as prod_{p != q} P_pq * prod_p gcd(P_pp, 2x2 minors of (omega, dP_pp)),
+    monic, squarefree, pairwise coprime factors: the monic gcd above, term
+    for term.  For a component D of a piece P:
+
+    1. p != q: D divides every minor.  One of f_hat, g_hat vanishes on D,
+       say f_hat = D^e*U with U prime to D.  If e >= 2, omega = 0 mod D; if
+       e = 1, omega = g_hat*U*dD and dh_bar = (h_bar/D)*dD mod D.
+    2. p = q: dh_bar = (h_bar/P)*dP mod P, and h_bar/P is prime to P.
+    3. The walk's (p, p) locus, from A = f/P^p, B = g/P^p, is the same: with
+       h = P^p*R, A = f_hat*R, B = g_hat*R, B*dA - A*dB = R^2*omega, R prime to P.
     """
-    _require_pencil(dec)
-    f, g = dec.f_hat, dec.g_hat
-    omega = [g * f.partial_derivative(i) - f * g.partial_derivative(i) for i in range(f.nvars)]
-    return _constancy_locus(squarefree_part(dec.h), omega)
+    return _pencil_table(dec, dec.h * dec.f_hat, dec.h * dec.g_hat).certificate()
 
 
 # The lines a + t*d of the nomination: d runs over _LINE_ENTRIES^n in
@@ -249,85 +257,81 @@ def _order_layers(h_bar, f):
     return layers
 
 
-def _piece_nominations(f, g, p, q, layer_f, layer_g):
-    """The weighted candidates (p', q', c, phi) of the piece with ord f = p, ord g = q."""
-    piece = gcd(layer_f, layer_g)
-    if not piece.constant_term().is_zero():
-        return []
-    a, b = f.exact_divide(piece**p), g.exact_divide(piece**q)
-    k = math.gcd(p, q)
-    p1, q1 = p // k, q // k
-    omega = [
-        b * a.partial_derivative(i).scale(q1) - a * b.partial_derivative(i).scale(p1)
-        for i in range(f.nvars)
-    ]
-    locus = _constancy_locus(piece, omega)
-    if not locus.constant_term().is_zero():
-        return []
-    found = next(_line_resultants(a**q1, b**p1, locus), None)
-    split = None if found is None else gaussian_rational_roots(found)
-    if split is None:
-        return []
-    roots, rest = split
-    found = [(p1, q1, c, Polynomial(2, {(q1, 0): ONE, (0, p1): c})) for c in roots]
-    if rest.degree():
-        found.append((p1, q1, None, _weighted_curve(rest, q1, p1)))
-    return found
-
-
 class _WeightedNominations:
-    """Weighted gap-curve candidates (p', q', c, phi) of the pair (f, g).
+    """The piece table of the pair (f, g): the certificate C and the gap candidates.
 
-    h_bar splits into pieces P: the components D with ord_D f = p and
-    ord_D g = q.  With A = f/P^p, B = g/P^q and (p', q') = (p, q)/gcd(p, q),
-    neither A nor B vanishes on D, and f^q' / g^p' = A^q' / B^p' is
-    constant there exactly when D divides C = gcd(P, 2x2 minors of
-    (q'*B*dA - p'*A*dB, dP)).  Where C(0) = 0, the roots of R(c) =
-    Res_t(C_L, A_L^q' + c*B_L^p') on a line L of the fixed list are those
-    constants, all finite and nonzero: where B vanishes on Z(C), so does A,
-    and then R = 0 and the line is skipped.  Each root c in Q(i) nominates
-    phi = u^q' + c*v^p', and the rest of R one weighted-homogeneous phi
-    (with c = None).
+    Its pieces P = gcd(E_p, F_q), from the ladders E, F of
+    :func:`_order_layers`, are the components D of h_bar with ord_D f = p
+    and ord_D g = q.  With A = f/P^p, B = g/P^q and (p', q') = (p, q) /
+    gcd(p, q), neither A nor B vanishes on D, and f^q' / g^p' = A^q' / B^p'
+    is constant there exactly when D divides C = gcd(P, 2x2 minors of
+    (q'*B*dA - p'*A*dB, dP)); for p = q this is the factor of
+    :meth:`certificate`, one for both.  Where C(0) = 0, the roots of
+    R(c) = Res_t(C_L, A_L^q' + c*B_L^p') on a line L of the fixed list are
+    those constants, all finite and nonzero: where B vanishes on Z(C), so
+    does A, and then R = 0 and the line is skipped.  Each root c in Q(i)
+    nominates phi = u^q' + c*v^p', and the rest of R one
+    weighted-homogeneous phi (with c = None).
 
-    A piece's candidates are built when first asked for, and kept:
+    Candidates are built per piece when first asked for, and kept:
     :meth:`lines` builds only the pieces with p = q, whose roots are the
-    lines u + c*v; iterating yields the candidates of every piece in the
-    order of (p, q), reusing the pieces already built.
+    lines u + c*v; iterating yields every piece's in the order of (p, q).
     """
 
-    def __init__(self, h_bar, f, g):
-        self._f, self._g = f, g
-        layers_g = _order_layers(h_bar, g)
-        self._pieces = [
-            (p, q, layer_f, layer_g)
-            for p, layer_f in enumerate(_order_layers(h_bar, f), 1)
-            for q, layer_g in enumerate(layers_g, 1)
-        ]
-        self._built = {}
+    def __init__(self, h_bar, f, g, f_hat, g_hat):
+        self.h_bar, self._f, self._g = h_bar, f, g
+        df, dg = ([x.partial_derivative(i) for i in range(f.nvars)] for x in (f_hat, g_hat))
+        omega = [g_hat * dfi - f_hat * dgi for dfi, dgi in zip(df, dg)]
+        self._layers = _order_layers(h_bar, f), _order_layers(h_bar, g)
+        self._diagonal = [gcd(*pair) for pair in zip(*self._layers)]
+        self._loci, self._built = [_constancy_locus(piece, omega) for piece in self._diagonal], {}
 
-    def _of(self, p, q, layer_f, layer_g):
+    def certificate(self):
+        """prod_{p != q} P_pq * prod_p (the locus of P_pp), the first as h_bar / prod_p P_pp."""
+        c = self.h_bar
+        for piece, locus in zip(self._diagonal, self._loci):
+            c = c.exact_divide(piece) * locus
+        return c
+
+    def _nominations(self, p, q):
         if (p, q) not in self._built:
-            self._built[p, q] = _piece_nominations(self._f, self._g, p, q, layer_f, layer_g)
+            self._built[p, q] = self._build(p, q)
         return self._built[p, q]
+
+    def _build(self, p, q):
+        """The candidates (p', q', c, phi) of the piece P_pq."""
+        layers_f, layers_g = self._layers
+        piece = self._diagonal[p - 1] if p == q else gcd(layers_f[p - 1], layers_g[q - 1])
+        if not piece.constant_term().is_zero():
+            return []
+        a, b = self._f.exact_divide(piece**p), self._g.exact_divide(piece**q)
+        p1, q1 = p // math.gcd(p, q), q // math.gcd(p, q)
+        if p == q:
+            locus = self._loci[p - 1]
+        else:
+            da, db = ([x.partial_derivative(i) for i in range(piece.nvars)] for x in (a, b))
+            omega = [b * x.scale(q1) - a * y.scale(p1) for x, y in zip(da, db)]
+            locus = _constancy_locus(piece, omega)
+        if not locus.constant_term().is_zero():
+            return []
+        found = next(_line_resultants(a**q1, b**p1, locus), None)
+        split = None if found is None else gaussian_rational_roots(found)
+        if split is None:
+            return []
+        roots, rest = split
+        found = [(p1, q1, c, Polynomial(2, {(q1, 0): ONE, (0, p1): c})) for c in roots]
+        if rest.degree():
+            found.append((p1, q1, None, _weighted_curve(rest, q1, p1)))
+        return found
 
     def lines(self):
         """The candidates u + c*v, c in Q(i), of the pieces with p = q, in the order of p."""
-        return [
-            found
-            for piece in self._pieces
-            if piece[0] == piece[1]
-            for found in self._of(*piece)
-            if found[2] is not None
-        ]
+        diagonal = (self._nominations(p, p) for p in range(1, len(self._diagonal) + 1))
+        return [found for built in diagonal for found in built if found[2] is not None]
 
     def __iter__(self):
-        for piece in self._pieces:
-            yield from self._of(*piece)
-
-
-def _weighted_nominations(h_bar, f, g):
-    """The :class:`_WeightedNominations` of the pair (f, g)."""
-    return _WeightedNominations(h_bar, f, g)
+        for p, q in itertools.product(*(range(1, len(e) + 1) for e in self._layers)):
+            yield from self._nominations(p, q)
 
 
 def _normalized(phi):
@@ -354,25 +358,22 @@ class GapSearch:
         return bool(self.lines or self.curves)
 
 
-def bounded_gap_curve_search(germ, dec):
+def bounded_gap_curve_search(germ, dec, nominated):
     """The one nomination walk of the C(0) = 0 branch: lines first, then curves.
 
-    Newton-Puiseux run in the target.  :func:`_weighted_nominations` runs
-    on (f, g); each root c in Q(i) of a piece with p = q (p' = q' = 1) is
-    the line u + c*v.  Those pieces are built first, and all their lines
-    are checked with :func:`is_gap_curve` before any other piece is built
-    or any curve checked.  When none passes, every candidate is checked in
-    turn, in the order of the pieces (p, q); when
-    a candidate u + c*v^p' or u^q' + c*v (c != 0) is refuted, the target is
-    sheared along it, f <- f + c*g^p' or g <- g + f^q'/c (which keeps h),
-    and the same steps run on the new pair, at most _SHEAR_DEPTH shears
-    deep; a candidate found there is mapped back by the inverse
-    substitution.  Not a decision procedure: an empty result does not prove
-    that no gap curve exists.
+    Newton-Puiseux run in the target on ``nominated``, the
+    :class:`_WeightedNominations` table of (f, g) that gave C.  Each root
+    c in Q(i) of a piece with p = q (p' = q' = 1) is the line u + c*v.
+    Those pieces are built first, and all their lines are checked with
+    :func:`is_gap_curve` before any other piece is built or any curve
+    checked.  When none passes, every candidate is checked in turn, in the
+    order of the pieces (p, q); when a candidate u + c*v^p' or u^q' + c*v
+    (c != 0) is refuted, the target is sheared along it, f <- f + c*g^p' or
+    g <- g + f^q'/c (which keeps h), and the same steps run on the table of
+    the new pair, at most _SHEAR_DEPTH shears deep; a candidate found there
+    is mapped back by the inverse substitution.  Not a decision procedure:
+    an empty result does not prove that no gap curve exists.
     """
-    if dec.h.is_unit_germ():
-        return GapSearch()  # codimension-two case: no gap curve can exist
-    h_bar = squarefree_part(dec.h)
     checked = {}  # curve -> is_gap_curve, None where the curve contains the image
 
     def check(curve):
@@ -383,7 +384,6 @@ def bounded_gap_curve_search(germ, dec):
                 checked[curve] = None
         return checked[curve]
 
-    nominated = _weighted_nominations(h_bar, germ.f, germ.g)
     lines = {
         ProjectiveRatio(c, ONE): check(PlaneCurveCandidate(phi))
         for _, _, c, phi in nominated.lines()
@@ -412,7 +412,9 @@ def bounded_gap_curve_search(germ, dec):
                 sheared = (f, g + (f**q1).scale(s), back_u, back_v + (back_u**q1).scale(s))
             else:
                 continue
-            search(_weighted_nominations(h_bar, *sheared[:2]), *sheared, depth + 1)
+            f2, g2 = sheared[:2]
+            hats = f2.exact_divide(dec.h), g2.exact_divide(dec.h)
+            search(_WeightedNominations(nominated.h_bar, f2, g2, *hats), *sheared, depth + 1)
 
     u, v = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     search(nominated, germ.f, germ.g, u, v, 0)
@@ -435,7 +437,7 @@ class PropCritCertificate:
     """The exact openness certificate C = :func:`pencil_constancy_locus`.
 
     The criterion holds exactly when C(0) != 0; :func:`verify_witness`
-    recomputes C.
+    builds the piece table afresh and recomputes C.
     """
 
     c: Polynomial
@@ -465,16 +467,17 @@ class PropCritOutcome:
 def prop_crit_check(germ, dec):
     """Does every member of the cofactor pencil cut Z(h) in codimension 2?
 
-    Decided exactly by C = pencil_constancy_locus(dec): Established when
-    C(0) != 0.  Otherwise f_hat : g_hat is constant on a component of Z(h)
-    through 0 and the hypothesis fails; :func:`bounded_gap_curve_search`
-    then runs the nomination walk once, and the outcome is GapLineFound
-    when one of its lines verifies, Inconclusive when none does.
+    Decided exactly by C = :func:`pencil_constancy_locus`, read off one
+    piece table of (f, g): Established when C(0) != 0.  Otherwise the
+    hypothesis fails; :func:`bounded_gap_curve_search` runs the nomination
+    walk once on the same table, and the outcome is GapLineFound when one
+    of its lines verifies, Inconclusive when none does.
     """
-    cert = PropCritCertificate(pencil_constancy_locus(dec))
+    nominated = _pencil_table(dec, germ.f, germ.g)
+    cert = PropCritCertificate(nominated.certificate())
     if not cert.c.constant_term().is_zero():
         return PropCritOutcome(PropCritKind.ESTABLISHED, "", cert)
-    search = bounded_gap_curve_search(germ, dec)
+    search = bounded_gap_curve_search(germ, dec, nominated)
     if search.lines:
         reason = (
             "a nominated ratio is constant along a component of Z(h) and "
@@ -637,9 +640,6 @@ def classify(germ):
             ),
             decomposition=dec,
         )
-
-    if dec.f_hat_is_unit or dec.g_hat_is_unit:
-        raise InternalConsistencyError("unit cofactor escaped the containment branch")
 
     outcome = prop_crit_check(germ, dec)
     if outcome.kind is PropCritKind.GAP_LINE_FOUND:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from germimage.algebra import gcd_many, squarefree_part
 from germimage.poly import MapGerm, Polynomial
 from germimage.rationals import GaussianRational, I
 
@@ -147,3 +148,17 @@ def gcd_pair(rng, pool, nvars):
     if rng.random() < 0.3:  # a Gaussian unit or scalar must not change the monic gcd
         p = p.scale(GaussianRational(rng.randint(1, 3), rng.randint(-2, 2)))
     return p, q
+
+
+def reference_constancy_locus(dec):
+    """C by its defining formula: gcd(h_bar, 2x2 minors of (omega, dh_bar)).
+
+    omega = g_hat*df_hat - f_hat*dg_hat and h_bar is the squarefree part
+    of h; ``classifier.pencil_constancy_locus`` must agree term for term.
+    """
+    f, g, n = dec.f_hat, dec.g_hat, dec.h.nvars
+    omega = [g * f.partial_derivative(i) - f * g.partial_derivative(i) for i in range(n)]
+    h_bar = squarefree_part(dec.h)
+    dh = [h_bar.partial_derivative(i) for i in range(n)]
+    minors = [omega[i] * dh[j] - omega[j] * dh[i] for i in range(n) for j in range(i + 1, n)]
+    return gcd_many([h_bar] + minors)

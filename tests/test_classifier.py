@@ -265,21 +265,32 @@ def test_plane_curve_candidate_validation():
         PlaneCurveCandidate(x3)
 
 
+def _table(germ, dec):
+    """The piece table of ``germ``, built also outside the pencil branch."""
+    return classifier._WeightedNominations(
+        squarefree_part(dec.h), germ.f, germ.g, dec.f_hat, dec.g_hat
+    )
+
+
+def _search(germ):
+    """The nomination walk of ``germ``, run whether or not C(0) = 0."""
+    dec = decompose(germ)
+    return bounded_gap_curve_search(germ, dec, _table(germ, dec))
+
+
 def test_bounded_search_examples():
     # ord f = 1 and ord g = 2 along y = 0, where x^2 : (x^2 + y) = 1: v - u^2 = 0 is nominated
-    search = bounded_gap_curve_search(NOGAPLINE, decompose(NOGAPLINE))
+    search = _search(NOGAPLINE)
     assert search.curves == (PlaneCurveCandidate(v - u * u),) and search
 
-    assert not bounded_gap_curve_search(HUCKLEBERRY, decompose(HUCKLEBERRY))
-    assert bounded_gap_curve_search(ROUCHE, decompose(ROUCHE)) == GapSearch()
+    assert not _search(HUCKLEBERRY)
+    assert _search(ROUCHE) == GapSearch()
 
     # a verified line ends the walk before any curve
-    search_d = bounded_gap_curve_search(DIAGONAL, decompose(DIAGONAL))
-    assert search_d == GapSearch(lines=(ProjectiveRatio(-1, 1),))
+    assert _search(DIAGONAL) == GapSearch(lines=(ProjectiveRatio(-1, 1),))
 
-    # codimension-two case short-circuits
-    ident = MapGerm(x, y)
-    assert bounded_gap_curve_search(ident, decompose(ident)) == GapSearch()
+    # codimension-two case: h = 1 splits into no piece
+    assert _search(MapGerm(x, y)) == GapSearch()
 
 
 def test_weighted_nomination_decides_a_gap_curve_family():
@@ -392,14 +403,14 @@ def test_no_coordinate_axis_is_a_gap_line_in_the_pencil_branch():
 
 
 def test_classify_nominates_once_on_the_unsheared_pair(monkeypatch):
-    nominations = classifier._weighted_nominations
     pairs = []
 
-    def spy(h_bar, f, g):
-        pairs.append((f, g))
-        return nominations(h_bar, f, g)
+    class Spy(classifier._WeightedNominations):
+        def __init__(self, h_bar, f, g, f_hat, g_hat):
+            pairs.append((f, g))
+            super().__init__(h_bar, f, g, f_hat, g_hat)
 
-    monkeypatch.setattr(classifier, "_weighted_nominations", spy)
+    monkeypatch.setattr(classifier, "_WeightedNominations", Spy)
     for germ in [NOGAPLINE, DIAGONAL, ROUCHE]:
         pairs.clear()
         classify(germ)
@@ -442,24 +453,57 @@ def test_a_verified_gap_line_builds_no_other_piece(monkeypatch):
     the other pieces only, in the order of (p, q).
     """
     germ = MapGerm(x3 * x3 * y3 * z3, x3 * y3 * (x3 * z3 + y3))
-    build = classifier._piece_nominations
+    build = classifier._WeightedNominations._build
     built = []
 
-    def spy(f, g, p, q, layer_f, layer_g):
+    def spy(table, p, q):
         built.append((p, q))
-        return build(f, g, p, q, layer_f, layer_g)
+        return build(table, p, q)
 
-    monkeypatch.setattr(classifier, "_piece_nominations", spy)
+    monkeypatch.setattr(classifier._WeightedNominations, "_build", spy)
     verdict = classify(germ)
     assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapLine")
     assert verify_witness(germ, verdict) is True
     assert built == [(1, 1)]
 
     built.clear()
-    nominated = classifier._weighted_nominations(x3 * y3, germ.f, germ.g)
+    nominated = _table(germ, decompose(germ))
     (line,) = nominated.lines()
     assert built == [(1, 1)]
     assert list(nominated)[0] == line and built == [(1, 1), (2, 1)]
+
+
+def test_one_table_takes_h_bar_once_and_no_locus_twice(monkeypatch):
+    """The certificate and the walk of one ``classify`` share one piece table.
+
+    squarefree_part(h) is taken once, and no constancy locus is computed
+    twice for the same base and form: each (p, p) locus serves both.  The
+    germs are GapLine (one (1, 1) piece; (1, 1) and (2, 1); (1, 1) and
+    (2, 2)), GapCurve and Undetermined.
+    """
+    squarefree, loci = [], []
+    constancy_locus = classifier._constancy_locus
+
+    def squarefree_spy(p):
+        squarefree.append(p)
+        return squarefree_part(p)
+
+    def locus_spy(base, omega):
+        loci.append((base, tuple(omega)))
+        return constancy_locus(base, omega)
+
+    monkeypatch.setattr(classifier, "squarefree_part", squarefree_spy)
+    monkeypatch.setattr(classifier, "_constancy_locus", locus_spy)
+    two_diagonal = MapGerm(x * y * y * (x + y), x * y * y * (x - y))
+    germs = [DIAGONAL, MapGerm(x3 * x3 * y3 * z3, x3 * y3 * (x3 * z3 + y3)), two_diagonal,
+             NOGAPLINE, ROUCHE]
+    for germ in germs:
+        squarefree.clear()
+        loci.clear()
+        verdict = classify(germ)
+        assert verdict.prop_crit is not None
+        assert squarefree == [verdict.decomposition.h]
+        assert loci and len(set(loci)) == len(loci)
 
 
 def test_germ_inclusion_strips_instead_of_taking_squarefree_parts(monkeypatch):
@@ -541,7 +585,7 @@ def test_mutual_exclusion_on_open_verdicts():
         assert classify(germ).status is Status.LOCALLY_OPEN
         dec = decompose(germ)
         assert prop_crit_check(germ, dec).search == GapSearch()
-        assert not bounded_gap_curve_search(germ, dec)
+        assert not _search(germ)
 
 
 def test_status_invariant_under_source_change():

@@ -2,18 +2,30 @@
 
 ``perfbench/data/classify_pool.json`` lists 309 seeded random germs in
 x, y, z with the status and witness kind ``classify`` gave when the pool
-was made.  The file is read, never written.
+was made.  The file is read, never written.  The same germs pin the
+default reports and the certificate C against its defining gcd formula.
 """
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 from germimage.algebra import _decomposition, _strip, gcd, zero_set_germ_included
-from germimage.classifier import Status, classify, verify_witness, witness_kind
+from germimage.classifier import (
+    Status,
+    _pencil_applies,
+    classify,
+    pencil_constancy_locus,
+    verify_witness,
+    witness_kind,
+)
 from germimage.corpus import load_corpus
 from germimage.parsing import parse_map_germ
-from germimage.report import dumps_report, verdict_json
+from germimage.poly import MapGerm
+from germimage.report import build_classify_report, dumps_report, verdict_json
+
+from _helpers import four_variable_pool, reference_constancy_locus
 
 POOL_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "classify_pool.json"
 
@@ -21,6 +33,12 @@ POOL_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "classi
 # entry's, as ``dumps_report`` writes them, recorded when each verdict
 # took three gcds of (f, g); it pins the one-gcd classify to that output.
 VERDICTS_SHA256 = "14d327f96cada420fc7bb6112901d5acae418fa307f8008c4f10d086511dcc9e"
+
+# sha256 of the default classify report (no probe) of every pool germ, then
+# of every shipped corpus entry, as ``dumps_report`` writes them.  Unlike
+# ``verdict_json`` it holds the decomposition, the certificate C and the
+# refuted ratios of every germ that reaches the pencil criterion.
+REPORTS_SHA256 = "ad97b9e20de882b0fe83655ae4227188072e1a4d2da4bc14c873ea0e4656989d"
 
 
 def _pool():
@@ -60,3 +78,55 @@ def test_verdict_json_matches_the_recorded_run():
     for germ, varnames in cases:
         digest.update(dumps_report(verdict_json(classify(germ), varnames)).encode())
     assert digest.hexdigest() == VERDICTS_SHA256
+
+
+def test_default_reports_match_the_recorded_run():
+    pool = json.loads(POOL_PATH.read_text(encoding="utf-8"))
+    varnames = tuple(pool["vars"])
+    cases = [(f"pool-{k}", varnames, e["f"], e["g"]) for k, e in enumerate(pool["germs"])]
+    cases += [(e.name, e.varnames, e.f_text, e.g_text) for e in load_corpus()]
+    digest = hashlib.sha256()
+    for name, names, f_text, g_text in cases:
+        germ = parse_map_germ(names, f_text, g_text)
+        _, report = build_classify_report(name, names, f_text, g_text, germ, classify(germ))
+        digest.update(dumps_report(report).encode())
+    assert digest.hexdigest() == REPORTS_SHA256
+
+
+def _four_variable_germs(count):
+    """(h*p, h*q) from the four-variable factors; p sometimes shares a factor with h."""
+    rng = random.Random(17)
+    pool = four_variable_pool()
+    through = [fac for fac in pool if fac.constant_term().is_zero()]
+    germs = []
+    for _ in range(count):
+        h = rng.choice(through) ** rng.randint(1, 2)
+        p, q = rng.choice(pool) * rng.choice(through), rng.choice(through)
+        if rng.random() < 0.4:
+            p = p * h
+        germs.append(MapGerm(h * p, h * q))
+    return germs
+
+
+def test_certificate_is_the_gcd_formula():
+    """C read off the piece table is gcd(h_bar, minors of (omega, dh_bar)) term for term.
+
+    On every germ of the pool and the corpus that reaches the pencil
+    criterion, and on four-variable germs where the pencil applies.
+    """
+    pencil = 0
+    for germ in [germ for germ, _ in _pool()] + [entry.germ() for entry in load_corpus()]:
+        verdict = classify(germ)
+        if verdict.prop_crit is not None:
+            dec = verdict.decomposition
+            c = verdict.prop_crit.certificate.c
+            assert c == pencil_constancy_locus(dec) == reference_constancy_locus(dec)
+            pencil += 1
+    assert pencil == 135
+    four = 0
+    for germ in _four_variable_germs(24):
+        dec = _decomposition(germ, gcd(germ.f, germ.g))
+        if _pencil_applies(dec):
+            assert pencil_constancy_locus(dec) == reference_constancy_locus(dec)
+            four += 1
+    assert four >= 12

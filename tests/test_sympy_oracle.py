@@ -124,7 +124,7 @@ def test_constancy_locus_matches_factor_list():
     """C is the product of the factors of h_bar that divide every minor."""
     rng = random.Random(7)
     pool = factor_pool()
-    seen_open = seen_closed = seen_away = 0
+    seen_open = seen_closed = seen_away = seen_unequal = 0
     checked = 0
     while checked < 20:
         case = _pencil_case(rng, pool)
@@ -132,6 +132,8 @@ def test_constancy_locus_matches_factor_list():
             continue
         h, p, q = (_prod(facs) for facs in case)
         checked += 1
+        # a factor of h in a cofactor has ord f != ord g: a piece with p != q
+        seen_unequal += bool(set(case[0]) & set(case[1] + case[2]))
         sh, sp, sq = to_sympy(h), to_sympy(p), to_sympy(q)
         h_bar = product(dict.fromkeys(factors(sh), 1))
         omega = [sq * sympy.diff(sp, v) - sp * sympy.diff(sq, v) for v in GENS]
@@ -153,8 +155,9 @@ def test_constancy_locus_matches_factor_list():
         else:
             seen_open += 1
             seen_away += not c.is_constant()
-    # both outcomes occur, and C(0) != 0 also with a component away from 0
-    assert seen_open and seen_closed and seen_away
+    # both outcomes occur, C(0) != 0 also with a component away from 0, and
+    # some h_bar has a piece with p != q
+    assert seen_open and seen_closed and seen_away and seen_unequal
 
 
 def test_order_layers_match_factor_list():
