@@ -570,24 +570,27 @@ def witness_kind(witness):
 class Verdict:
     """A decision, its witness, and what ``classify`` computed on the way.
 
-    ``decomposition`` is the gcd decomposition; it is None on the nested
-    branches, which do not keep it (a verdict that carried it would hold
-    f_hat and g_hat alive for every nested germ a caller keeps).
-    ``prop_crit`` is the outcome of the pencil criterion, None where the
-    criterion did not run.
+    ``h`` is gcd(f, g); ``classify`` sets it on every branch, and only a
+    verdict built by hand leaves it None.  A verdict keeps h and not the
+    :class:`GcdDecomposition`: the cofactors f_hat = f/h and g_hat = g/h
+    are two exact divisions away (``algebra._decomposition``), while a
+    verdict that held them would keep both alive for every germ a caller
+    keeps.  ``prop_crit`` is the outcome of the pencil criterion, None
+    where the criterion did not run.
     """
 
     status: Status
     witness: object
     subflat_label: SubflatLabel
     rationale: str
-    decomposition: object = None
+    h: object = None
     prop_crit: object = None
 
 
 def classify(germ):
     """Full classification with a machine-checkable witness; no seed enters it."""
     f, g = germ.f, germ.g
+    h = gcd(f, g)  # when f or g is 0, the other component made monic
 
     if f.is_zero():
         g_in_f, f_in_g = True, False
@@ -597,9 +600,9 @@ def classify(germ):
         # one gcd for both inclusions and the decomposition: gcd(g, f) is
         # gcd(f, g), and g_hat = g / h is where the strip from g stands
         # after its first division (see algebra._strip)
-        dec = _decomposition(germ, gcd(f, g))
-        g_in_f = _strip(dec.g_hat, dec.h)
-        f_in_g = _strip(dec.f_hat, dec.h)
+        dec = _decomposition(germ, h)
+        g_in_f = _strip(dec.g_hat, h)
+        f_in_g = _strip(dec.f_hat, h)
 
     if g_in_f or f_in_g:
         nonzero_minor = first_nonzero_minor(germ)
@@ -615,6 +618,7 @@ def classify(germ):
                     "the image is the origin branch of the returned curve "
                     "(branch selection is not decided)"
                 ),
+                h=h,
             )
         (i, j), minor = nonzero_minor
         direction = "g_in_f" if g_in_f else "f_in_g"
@@ -627,6 +631,7 @@ def classify(germ):
                 "of a small ball depends on the radius, so the local image is "
                 "not a well-defined set germ"
             ),
+            h=h,
         )
 
     if intersection_dimension_case(germ, dec) is IntersectionCase.CODIM_TWO:
@@ -638,7 +643,7 @@ def classify(germ):
                 "f and g share no factor through 0: the central fibre has "
                 "codimension 2 and the image fills a target neighborhood"
             ),
-            decomposition=dec,
+            h=h,
         )
 
     outcome = prop_crit_check(germ, dec)
@@ -653,7 +658,7 @@ def classify(germ):
                 "curve image is impossible without nested zero sets, so the "
                 "image is not a well-defined set germ"
             ),
-            decomposition=dec,
+            h=h,
             prop_crit=outcome,
         )
     if outcome.kind is PropCritKind.ESTABLISHED:
@@ -666,7 +671,7 @@ def classify(germ):
                 "0 (C(0) != 0): every pencil member meets Z(h) in codimension 2, "
                 "so the image fills a target neighborhood"
             ),
-            decomposition=dec,
+            h=h,
             prop_crit=outcome,
         )
 
@@ -680,7 +685,7 @@ def classify(germ):
                 "central fibre, so the curve meets the image only at 0; the "
                 "image is neither locally open nor a curve"
             ),
-            decomposition=dec,
+            h=h,
             prop_crit=outcome,
         )
 
@@ -692,7 +697,7 @@ def classify(germ):
             "no openness certificate and no gap witness within the search "
             f"bounds ({outcome.reason})"
         ),
-        decomposition=dec,
+        h=h,
         prop_crit=outcome,
     )
 

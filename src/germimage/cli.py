@@ -4,19 +4,27 @@ Subcommands: classify, gap-lines, gap-curve, image-curve, probe, corpus.
 ``gap-lines`` prints what ``classify`` found in the pencil branch: the
 constancy locus C, the gap lines verified and refuted, and the verified gap
 curves; a germ outside that branch is an input error.
+
+``probe`` runs the occupancy probe, the stability probe (``--stability
+eps1,eps2``) or the residual probe (``--residual-phi``); ``--csv`` writes
+the occupancy grid, so these three flags exclude each other.  ``probe`` and
+``classify --probe`` run the corpus runner's dispatcher, ``probe_section``.
+
 Exit codes: 0 success, 1 classification mismatch (corpus), 2 input error.
+Exit 2 comes before any sampling for flags that exclude each other, a
+``--stability`` value that is not two numbers, input that does not parse,
+and probe knobs or radii that ``SamplerConfig`` or the probe refuses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 from .algebra import decompose
 from .classifier import PlaneCurveCandidate, classify, is_gap_curve, witness_kind
-from .corpus import load_corpus, run_corpus, summary_table
+from .corpus import load_corpus, probe_section, run_corpus, sampler_config, summary_table
 from .errors import GermImageError, ImageContainsCurveError, PreconditionError
 from .groebner import image_curve_equation
 from .parsing import (
@@ -26,20 +34,12 @@ from .parsing import (
     parse_map_germ,
     parse_polynomial,
 )
-from .probe import (
-    SamplerConfig,
-    ball_image_occupancy,
-    curve_residual_probe,
-    germ_stability_probe,
-)
 from .report import (
     build_classify_report,
     dumps_report,
     emit_occupancy_grid,
-    occupancy_json,
-    residual_json,
+    input_json,
     serialize_ratio,
-    stability_json,
 )
 
 
@@ -51,39 +51,45 @@ def _add_input_args(sub):
     sub.add_argument("--corpus-file", help="corpus file (default: shipped corpus)")
 
 
+def _add_sampler_args(sub):
+    """The sampler knobs; a flag left out keeps the ``SamplerConfig`` default."""
+    sub.add_argument("--epsilon", type=float, default=None)
+    sub.add_argument("--target-radius", type=float, default=None)
+    sub.add_argument("--samples", type=int, default=None)
+    sub.add_argument("--bins", type=int, default=None)
+
+
+def _eps_pair(text):
+    try:
+        eps1, eps2 = (float(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers eps1,eps2, got {text!r}") from None
+    return eps1, eps2
+
+
 def _resolve_input(args):
+    """``(name, varnames, f_text, g_text, germ)`` of a corpus entry or of --vars/--f/--g."""
     if args.entry:
         entries = load_corpus(args.corpus_file)
         for entry in entries:
             if entry.name == args.entry:
-                return entry.name, entry.varnames, entry.f_text, entry.g_text
+                return entry.name, entry.varnames, entry.f_text, entry.g_text, entry.germ()
         raise GermImageError(f"no corpus entry named {args.entry!r}")
     if not (args.vars and args.f_text and args.g_text):
         raise GermImageError("provide --vars, --f and --g (or --entry NAME)")
     varnames = tuple(args.vars.replace(",", " ").split())
-    return "ad-hoc", varnames, args.f_text, args.g_text
-
-
-def _sampler(args):
-    return SamplerConfig(
-        epsilon=args.epsilon,
-        target_radius=args.target_radius,
-        samples=args.samples,
-        grid_bins_per_axis=args.bins,
-        seed=args.seed,
-    )
+    germ = parse_map_germ(varnames, args.f_text, args.g_text)
+    return "ad-hoc", varnames, args.f_text, args.g_text, germ
 
 
 def cmd_classify(args):
-    name, varnames, f_text, g_text = _resolve_input(args)
-    germ = parse_map_germ(varnames, f_text, g_text)
+    name, varnames, f_text, g_text, germ = _resolve_input(args)
     t0 = time.monotonic()
     verdict = classify(germ)
 
     probe = None
     if args.probe:
-        rep = ball_image_occupancy(germ, _sampler(args))
-        probe = (occupancy_json(rep), rep)
+        probe = probe_section("occupancy", germ, sampler_config(vars(args), args.seed))
     elapsed = time.monotonic() - t0
 
     verdict, report = build_classify_report(
@@ -109,8 +115,7 @@ def cmd_classify(args):
 
 
 def cmd_gap_lines(args):
-    name, varnames, f_text, g_text = _resolve_input(args)
-    germ = parse_map_germ(varnames, f_text, g_text)
+    name, varnames, f_text, g_text, germ = _resolve_input(args)
     outcome = classify(germ).prop_crit
     if outcome is None:
         raise PreconditionError(
@@ -121,7 +126,7 @@ def cmd_gap_lines(args):
     c = format_polynomial(outcome.certificate.c, varnames)
     curves = [format_target_polynomial(curve.phi) for curve in search.curves]
     payload = {
-        "input": {"name": name, "vars": list(varnames), "f": f_text, "g": g_text},
+        "input": input_json(name, varnames, f_text, g_text),
         "c": c,
         "verified": [serialize_ratio(r) for r in search.lines],
         "refuted": [serialize_ratio(r) for r in search.refuted],
@@ -142,8 +147,7 @@ def cmd_gap_lines(args):
 
 
 def cmd_gap_curve(args):
-    name, varnames, f_text, g_text = _resolve_input(args)
-    germ = parse_map_germ(varnames, f_text, g_text)
+    name, varnames, f_text, g_text, germ = _resolve_input(args)
     dec = decompose(germ)
     phi = parse_polynomial(TARGET_VARS, args.phi)
     try:
@@ -169,8 +173,7 @@ def cmd_gap_curve(args):
 
 
 def cmd_image_curve(args):
-    name, varnames, f_text, g_text = _resolve_input(args)
-    germ = parse_map_germ(varnames, f_text, g_text)
+    name, varnames, f_text, g_text, germ = _resolve_input(args)
     phi = image_curve_equation(germ)
     if args.json:
         sys.stdout.write(dumps_report({"phi": format_target_polynomial(phi)}))
@@ -180,42 +183,28 @@ def cmd_image_curve(args):
 
 
 def cmd_probe(args):
-    name, varnames, f_text, g_text = _resolve_input(args)
-    germ = parse_map_germ(varnames, f_text, g_text)
-    cfg = _sampler(args)
-    sections = []
-    occupancy = None
+    name, varnames, f_text, g_text, germ = _resolve_input(args)
+    cfg = sampler_config(vars(args), args.seed)
+    kind, phi = "occupancy", None
     if args.stability:
-        eps1, eps2 = (float(t) for t in args.stability.split(","))
-        sections.append(stability_json(germ_stability_probe(germ, eps1, eps2, cfg)))
+        kind = "stability"
     elif args.residual_phi:
-        phi = parse_polynomial(TARGET_VARS, args.residual_phi)
-        sections.append(residual_json(curve_residual_probe(germ, phi, cfg)))
-    else:
-        occupancy = ball_image_occupancy(germ, cfg)
-        sections.append(occupancy_json(occupancy))
+        kind, phi = "residual", parse_polynomial(TARGET_VARS, args.residual_phi)
+    section, rep = probe_section(kind, germ, cfg, args.stability, phi)
     if args.csv:
-        if occupancy is None:
-            raise GermImageError("--csv requires the occupancy probe")
-        emit_occupancy_grid(occupancy, args.csv)
-    payload = {
-        "input": {"name": name, "vars": list(varnames), "f": f_text, "g": g_text},
-        "probes": sections,
-    }
+        emit_occupancy_grid(rep, args.csv)
+    payload = {"input": input_json(name, varnames, f_text, g_text), "probes": [section]}
     if args.json:
         sys.stdout.write(dumps_report(payload))
+    elif kind == "occupancy":
+        print(f"occupancy: {section['occupied_fraction']:.4f} "
+              f"({section['occupied_bins']}/{section['total_bins']} bins)")
+    elif kind == "stability":
+        print(f"divergence: {section['divergence']:.4f} "
+              f"({section['occupied_eps1']} vs {section['occupied_eps2']} bins)")
     else:
-        for section in sections:
-            kind = section["kind"]
-            if kind == "occupancy":
-                print(f"occupancy: {section['occupied_fraction']:.4f} "
-                      f"({section['occupied_bins']}/{section['total_bins']} bins)")
-            elif kind == "stability":
-                print(f"divergence: {section['divergence']:.4f} "
-                      f"({section['occupied_eps1']} vs {section['occupied_eps2']} bins)")
-            else:
-                print(f"max residual: {section['max_residual']:.3e} "
-                      f"mean: {section['mean_residual']:.3e}")
+        print(f"max residual: {section['max_residual']:.3e} "
+              f"mean: {section['mean_residual']:.3e}")
     return 0
 
 
@@ -257,10 +246,7 @@ def build_parser():
     _add_input_args(p)
     p.add_argument("--probe", action="store_true", help="attach an occupancy probe")
     p.add_argument("--timing", action="store_true", help="include timing in JSON")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--target-radius", type=float, default=None)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--bins", type=int, default=8)
+    _add_sampler_args(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gap-lines", help="the pencil criterion's gap lines and curves")
@@ -278,13 +264,12 @@ def build_parser():
 
     p = sub.add_parser("probe", help="Monte Carlo image probes")
     _add_input_args(p)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--target-radius", type=float, default=None)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--stability", default=None, help="eps1,eps2 stability probe")
-    p.add_argument("--residual-phi", default=None, help="curve for residual probe")
-    p.add_argument("--csv", default=None, help="write the occupancy grid CSV here")
+    _add_sampler_args(p)
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--stability", type=_eps_pair, default=None,
+                      help="eps1,eps2 stability probe")
+    only.add_argument("--residual-phi", default=None, help="curve for residual probe")
+    only.add_argument("--csv", default=None, help="write the occupancy grid CSV here")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("corpus", help="run the classification corpus")

@@ -8,6 +8,7 @@ an optional probe protocol with frozen thresholds.
 from __future__ import annotations
 
 import importlib.resources
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -41,7 +42,17 @@ _FLOAT_KEYS = {
     "max_residual",
 }
 _TEXT_KEYS = {"vars", "f", "g", "expected_status", "expected_witness", "provenance", "probe"}
-_PROBE_KINDS = ("occupancy", "stability", "residual")
+# The SamplerConfig field of each sampler knob's corpus key and CLI flag.
+_SAMPLER_KEYS = {"epsilon": "epsilon", "target_radius": "target_radius", "samples": "samples",
+                 "bins": "grid_bins_per_axis"}
+# Per probe kind, its threshold: the entry key, the key it is recorded
+# under in the section, the report field it bounds and the comparison
+# that passes.
+_THRESHOLDS = {
+    "occupancy": ("min_occupancy", "min_occupancy", "occupied_fraction", operator.ge),
+    "stability": ("min_divergence", "min_divergence", "divergence", operator.ge),
+    "residual": ("max_residual", "max_residual_bound", "max_residual", operator.le),
+}
 
 
 @dataclass(frozen=True)
@@ -148,9 +159,9 @@ def _check_probe(entry):
     if kind is None:
         return
     where = f"corpus entry [{entry.name}]"
-    if kind not in _PROBE_KINDS:
+    if kind not in _THRESHOLDS:
         raise GermImageError(
-            f"{where}: unknown probe kind {kind!r} (expected one of {', '.join(_PROBE_KINDS)})"
+            f"{where}: unknown probe kind {kind!r} (expected one of {', '.join(_THRESHOLDS)})"
         )
     p = entry.probe_params
     if kind == "stability" and not ("eps1" in p and "eps2" in p and p["eps1"] > p["eps2"] > 0):
@@ -159,63 +170,63 @@ def _check_probe(entry):
             f"eps1 = {p.get('eps1')}, eps2 = {p.get('eps2')}"
         )
     try:
-        _probe_cfg(entry, seed=0)
+        sampler_config(p, seed=0)
     except PreconditionError as exc:
         raise GermImageError(f"{where}: {exc}") from None
 
 
-def _probe_cfg(entry, seed):
-    p = entry.probe_params
-    return SamplerConfig(
-        epsilon=p.get("epsilon", 0.1),
-        target_radius=p.get("target_radius"),
-        samples=p.get("samples", 200_000),
-        grid_bins_per_axis=p.get("bins", 8),
-        seed=seed,
-    )
+def sampler_config(knobs, seed):
+    """The :class:`SamplerConfig` of a corpus entry's keys or the CLI's flags.
+
+    A knob that is absent or None keeps the default of ``SamplerConfig``,
+    the one place the probe defaults are written.
+    """
+    fields = {f: knobs[k] for k, f in _SAMPLER_KEYS.items() if knobs.get(k) is not None}
+    return SamplerConfig(seed=seed, **fields)
+
+
+def probe_section(kind, germ, cfg, eps=None, phi=None, draw=None):
+    """Run one probe; returns ``(JSON section, probe report)``.
+
+    ``eps`` is the pair (eps1, eps2) of a stability probe and ``phi`` the
+    curve of a residual probe.  ``draw`` is handed to the probe; ``None``
+    draws a fresh sample.
+    """
+    if kind == "occupancy":
+        rep = ball_image_occupancy(germ, cfg, draw=draw)
+        return occupancy_json(rep), rep
+    if kind == "stability":
+        rep = germ_stability_probe(germ, *eps, cfg, draw=draw)
+        return stability_json(rep), rep
+    if kind == "residual":
+        rep = curve_residual_probe(germ, phi, cfg, draw=draw)
+        return residual_json(rep), rep
+    raise GermImageError(f"unknown probe kind {kind!r}")
 
 
 def run_probe(entry, germ, verdict, seed, draw=None):
     """Run the entry's probe protocol; returns (json section, ok, report).
 
-    ``draw`` is handed to the probe; ``None`` draws a fresh sample.
+    The section records the entry's threshold, if it has one, and whether
+    the probe passed it.  ``draw`` is handed to the probe.
     """
     kind = entry.probe_kind
     if not kind:
         return None, True, None
-    cfg = _probe_cfg(entry, seed)
     p = entry.probe_params
-    if kind == "occupancy":
-        rep = ball_image_occupancy(germ, cfg, draw=draw)
-        section = occupancy_json(rep)
-        ok = True
-        if "min_occupancy" in p:
-            section["min_occupancy"] = p["min_occupancy"]
-            ok = rep.occupied_fraction >= p["min_occupancy"]
-        section["passed"] = ok
-        return section, ok, rep
-    if kind == "stability":
-        rep = germ_stability_probe(germ, p["eps1"], p["eps2"], cfg, draw=draw)
-        section = stability_json(rep)
-        ok = True
-        if "min_divergence" in p:
-            section["min_divergence"] = p["min_divergence"]
-            ok = rep.divergence >= p["min_divergence"]
-        section["passed"] = ok
-        return section, ok, rep
-    if kind == "residual":
-        phi = getattr(verdict.witness, "phi", None)
-        if phi is None:
-            return {"kind": "residual", "error": "no curve equation"}, False, None
-        rep = curve_residual_probe(germ, phi, cfg, draw=draw)
-        section = residual_json(rep)
-        ok = True
-        if "max_residual" in p:
-            section["max_residual_bound"] = p["max_residual"]
-            ok = rep.max_residual <= p["max_residual"]
-        section["passed"] = ok
-        return section, ok, rep
-    raise GermImageError(f"unknown probe kind {kind!r} in entry [{entry.name}]")
+    phi = getattr(verdict.witness, "phi", None)
+    if kind == "residual" and phi is None:
+        return {"kind": "residual", "error": "no curve equation"}, False, None
+    section, rep = probe_section(
+        kind, germ, sampler_config(p, seed), (p.get("eps1"), p.get("eps2")), phi, draw
+    )
+    entry_key, section_key, measured, passes = _THRESHOLDS[kind]
+    ok = True
+    if entry_key in p:
+        section[section_key] = p[entry_key]
+        ok = passes(getattr(rep, measured), p[entry_key])
+    section["passed"] = ok
+    return section, ok, rep
 
 
 @dataclass(frozen=True)

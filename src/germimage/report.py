@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from .algebra import decompose
+from .algebra import _decomposition
 from .classifier import (
     CodimTwoWitness,
     ContainmentWitness,
@@ -66,6 +66,10 @@ def witness_json(witness, varnames):
         body["probe"] = occupancy_json(witness.report) if witness.report else None
         return body
     raise TypeError(f"unknown witness type {type(witness).__name__}")
+
+
+def input_json(name, varnames, f_text, g_text):
+    return {"name": name, "vars": list(varnames), "f": f_text, "g": g_text}
 
 
 def verdict_json(verdict, varnames):
@@ -143,9 +147,9 @@ def build_classify_report(
 
     ``probe`` is a pair (JSON section, probe report) or None.  An occupancy
     probe becomes the witness of an Undetermined verdict that has none; it
-    never changes the decision.  The decomposition and the criterion
-    outcome are read from the verdict; only a nested verdict, which does
-    not carry its decomposition, has it computed here.
+    never changes the decision.  The criterion outcome is read from the
+    verdict, and the decomposition is rebuilt from the verdict's h by two
+    exact divisions: no gcd is taken here.
 
     Returns ``(verdict, report)``.
     """
@@ -156,18 +160,10 @@ def build_classify_report(
         and isinstance(probe_report, OccupancyReport)
     ):
         verdict = dataclasses.replace(verdict, witness=ProbeOnlyWitness(probe_report))
-    dec = verdict.decomposition
-    if dec is None:
-        dec = decompose(germ)
     report = {
-        "input": {
-            "name": name,
-            "vars": list(varnames),
-            "f": f_text,
-            "g": g_text,
-        },
+        "input": input_json(name, varnames, f_text, g_text),
         "verdict": verdict_json(verdict, varnames),
-        "decomposition": decomposition_json(dec, varnames),
+        "decomposition": decomposition_json(_decomposition(germ, verdict.h), varnames),
     }
     if verdict.prop_crit is not None:
         report["prop_crit"] = prop_crit_json(verdict.prop_crit, varnames)

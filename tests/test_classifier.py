@@ -502,7 +502,7 @@ def test_one_table_takes_h_bar_once_and_no_locus_twice(monkeypatch):
         loci.clear()
         verdict = classify(germ)
         assert verdict.prop_crit is not None
-        assert squarefree == [verdict.decomposition.h]
+        assert squarefree == [verdict.h]
         assert loci and len(set(loci)) == len(loci)
 
 

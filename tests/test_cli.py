@@ -7,11 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from germimage import algebra, classifier
+from germimage import algebra, classifier, probe
+from germimage.classifier import classify, witness_kind
 from germimage.cli import main
-from germimage.corpus import load_corpus, run_entry
+from germimage.corpus import CorpusEntry, load_corpus, run_entry, run_probe
+from germimage.parsing import format_polynomial
 from germimage.probe import OccupancyReport
-from germimage.report import emit_occupancy_grid
+from germimage.report import build_classify_report, emit_occupancy_grid
 
 
 def run_cli(capsys, *argv):
@@ -61,21 +63,13 @@ def test_classify_json_nested_germ_has_no_criterion(capsys):
     assert set(json.loads(out)) == {"input", "verdict", "decomposition"}
 
 
-@pytest.fixture
-def call_counts(monkeypatch):
-    """Count calls of ``decompose``, its builder and ``prop_crit_check`` under every name.
+def _count_calls(monkeypatch, targets):
+    """Count calls of the ``targets`` functions under every name.
 
     Each ``germimage`` module attribute bound to one of them is replaced by
     a counting wrapper, so calls count whichever module makes them.
-    ``decompose`` builds through ``_decomposition``, so each of its calls
-    counts under both names.
     """
     counts = {}
-    targets = {
-        algebra.decompose: "decompose",
-        algebra._decomposition: "decomposition",
-        classifier.prop_crit_check: "prop_crit_check",
-    }
     for mod_name, mod in list(sys.modules.items()):
         if mod is None or not mod_name.startswith("germimage"):
             continue
@@ -91,23 +85,69 @@ def call_counts(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of ``decompose``, its builder and ``prop_crit_check``.
+
+    ``decompose`` builds through ``_decomposition``, so each of its calls
+    counts under both names.
+    """
+    targets = {
+        algebra.decompose: "decompose",
+        algebra._decomposition: "decomposition",
+        classifier.prop_crit_check: "prop_crit_check",
+    }
+    return _count_calls(monkeypatch, targets)
+
+
 def test_one_classification_pass_in_corpus_and_cli(call_counts, capsys):
-    """A report reuses what ``classify`` computed: each step runs once."""
+    """A report reuses what ``classify`` computed: no step that takes gcd(f, g) runs twice.
+
+    ``classify`` builds the decomposition from its one gcd; the report
+    rebuilds the cofactors from the verdict's h by two exact divisions.
+    """
     (entry,) = [e for e in load_corpus() if e.name == "huckleberry"]
     run_entry(entry)
-    assert call_counts == {"decomposition": 1, "prop_crit_check": 1}
+    assert call_counts == {"decomposition": 2, "prop_crit_check": 1}
 
     call_counts.clear()
     code, _, _ = run_cli(capsys, "--json", "classify", "--entry", "huckleberry")
     assert code == 0
-    assert call_counts == {"decomposition": 1, "prop_crit_check": 1}
+    assert call_counts == {"decomposition": 2, "prop_crit_check": 1}
 
-    # a nested verdict does not keep the decomposition its inclusion tests
-    # started from; the report decomposes once more
+    # a nested verdict keeps h too, so its report takes no decompose either
     call_counts.clear()
     code, _, _ = run_cli(capsys, "--json", "classify", "--vars", "x,y", "--f", "x", "--g", "x*y")
     assert code == 0
-    assert call_counts == {"decompose": 1, "decomposition": 2}
+    assert call_counts == {"decomposition": 2}
+
+
+def test_the_report_takes_no_gcd(monkeypatch):
+    """``build_classify_report`` reads h off the verdict, on every branch.
+
+    The corpus entries cover both nested branches, CodimTwo and the pencil
+    branch (a PropCritCertificate, a GapLine and no decision); the ad-hoc
+    germ has f = 0, where h is g made monic.
+    """
+    names = ("angle", "cusp", "identity", "openball", "diagonal", "rouche")
+    entries = [e for e in load_corpus() if e.name in names]
+    entries.append(CorpusEntry("zero", ("x", "y"), "0", "x^2*y", "CurveImage", "", ""))
+    kinds = []
+    for e in entries:
+        germ = e.germ()
+        verdict = classify(germ)
+        kinds.append(witness_kind(verdict.witness))
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, {algebra.gcd: "gcd"})
+            _, report = build_classify_report(
+                e.name, e.varnames, e.f_text, e.g_text, germ, verdict
+            )
+        assert counts == {}, e.name
+        assert report["decomposition"]["h"] == format_polynomial(verdict.h, e.varnames)
+    assert sorted(kinds) == sorted(["ContainmentNonvanishingJacobian", "CurveEquation",
+                                    "CodimTwo", "PropCritCertificate", "GapLine", "None",
+                                    "CurveEquation"])
+    assert report["decomposition"]["h"] == "x^2*y"
 
 
 def test_classify_timing_flag(capsys):
@@ -250,6 +290,80 @@ def test_probe_stability_and_residual(capsys):
         "--residual-phi", "u^3-v^2",
     )
     assert code2 == 0 and "max residual" in out2
+
+
+def _refused(capsys, *argv):
+    """Exit code and stderr of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_probe_kinds_exclude_each_other(capsys):
+    germ = ("--vars", "x,y", "--f", "x", "--g", "x*y")
+    code, err = _refused(
+        capsys, "probe", *germ, "--stability", "0.2,0.05", "--residual-phi", "u"
+    )
+    assert code == 2 and "--residual-phi" in err and "--stability" in err
+
+
+def test_stability_needs_two_numbers(capsys):
+    germ = ("--vars", "x,y", "--f", "x", "--g", "x*y")
+    for value in ("0.2", "0.2,x", "0.2,0.1,0.05"):
+        code, err = _refused(capsys, "probe", *germ, "--stability", value)
+        assert code == 2 and "argument --stability" in err and value in err
+
+
+def test_csv_with_another_probe_is_refused_before_sampling(monkeypatch, tmp_path, capsys):
+    counts = _count_calls(monkeypatch, {
+        probe.ball_image_occupancy: "occupancy",
+        probe.germ_stability_probe: "stability",
+        probe.curve_residual_probe: "residual",
+    })
+    germ = ("--vars", "x,y", "--f", "x", "--g", "x*y", "--samples", "2000")
+    grid = tmp_path / "grid.csv"
+    for flags in (("--stability", "0.2,0.05"), ("--residual-phi", "u")):
+        code, err = _refused(capsys, "probe", *germ, *flags, "--csv", str(grid))
+        assert code == 2 and "--csv" in err
+    assert counts == {} and not grid.exists()
+    # the spy sees a probe that does run
+    code, _, _ = run_cli(capsys, "probe", *germ, "--csv", str(grid))
+    assert code == 0 and counts == {"occupancy": 1} and grid.exists()
+
+
+def test_cli_and_corpus_share_one_probe_dispatcher(capsys):
+    """The CLI's probe sections are ``run_probe``'s, less its threshold and ``passed``.
+
+    For each probe kind, ``germimage --json probe`` with the entry's knobs
+    as flags; for the occupancy probe also ``classify --probe``, with the
+    knobs given and with none (the ``SamplerConfig`` defaults on both sides).
+    """
+    knobs = {"samples": 20000, "target_radius": 0.01, "bins": 16}
+    flags = ("--samples", "20000", "--target-radius", "0.01", "--bins", "16")
+    angle = ("x", "x*y", "NotAGerm")
+    cases = [
+        (angle, "occupancy", {**knobs, "min_occupancy": 0.5}, flags),
+        (angle, "occupancy", {}, ()),
+        (angle, "stability", {**knobs, "eps1": 0.2, "eps2": 0.05, "min_divergence": 0.1},
+         flags + ("--stability", "0.2,0.05")),
+        (("(x+y)^2", "(x+y)^3", "CurveImage"), "residual", {**knobs, "max_residual": 1e-10},
+         flags + ("--residual-phi", "u^3-v^2")),
+    ]
+    threshold_keys = {"min_occupancy", "min_divergence", "max_residual_bound", "passed"}
+    for (f_text, g_text, status), kind, params, cli_flags in cases:
+        entry = CorpusEntry("e", ("x", "y"), f_text, g_text, status, "", "", kind, params)
+        germ = entry.germ()
+        section, _, _ = run_probe(entry, germ, classify(germ), seed=5)
+        assert "passed" in section
+        expected = {k: v for k, v in section.items() if k not in threshold_keys}
+        source = ("--vars", "x,y", "--f", f_text, "--g", g_text)
+        code, out, _ = run_cli(capsys, "--seed", "5", "--json", "probe", *source, *cli_flags)
+        assert code == 0 and json.loads(out)["probes"] == [expected], kind
+        if kind == "occupancy":
+            code, out, _ = run_cli(
+                capsys, "--seed", "5", "--json", "classify", *source, "--probe", *cli_flags
+            )
+            assert code == 0 and json.loads(out)["probe"] == expected
 
 
 def test_entry_lookup(capsys):

@@ -118,7 +118,7 @@ def test_certificate_is_the_gcd_formula():
     for germ in [germ for germ, _ in _pool()] + [entry.germ() for entry in load_corpus()]:
         verdict = classify(germ)
         if verdict.prop_crit is not None:
-            dec = verdict.decomposition
+            dec = _decomposition(germ, verdict.h)
             c = verdict.prop_crit.certificate.c
             assert c == pencil_constancy_locus(dec) == reference_constancy_locus(dec)
             pencil += 1
