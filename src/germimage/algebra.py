@@ -1,10 +1,10 @@
 """Exact predicates on zero sets at the origin.
 
-Multivariate gcd (recursive content / primitive-part reduction with a
-subresultant polynomial remainder sequence in a chosen main variable,
-behind a modular screen that settles coprime pairs and divisors from one
-image per variable in F_P[x_v]), squarefree parts, the germ-inclusion test for zero sets at 0, the gcd
-decomposition f = h*fhat, g = h*ghat, and the Jacobian rank test.
+Multivariate gcd (a certified modular candidate, with recursive content /
+primitive-part reduction and a subresultant polynomial remainder sequence
+as the fallback), squarefree parts, the germ-inclusion test for zero sets
+at 0, the gcd decomposition f = h*fhat, g = h*ghat, and the Jacobian rank
+test.
 
 No irreducible factorization anywhere: germ inclusion of zero sets is
 decided by the gcd-stripping/constant-term trick.  Dividing ``p`` by its
@@ -18,24 +18,29 @@ dimension n-2 exactly when their equations share no factor vanishing at 0
 codimension exactly 2 at 0 unless a common component passes through 0).
 That reduces the dimension dichotomy to the constant term of gcd(f, g).
 
-The modular screen (Brown, "On Euclid's algorithm and the computation of
-polynomial greatest common divisors", JACM 1971; Geddes, Czapor & Labahn,
-*Algorithms for Computer Algebra*, 1992, ch. 7) only ever returns a gcd it
-has proved: 1 from a coprimality certificate, or a divisor confirmed by
-exact division.  Otherwise the PRS path runs, so every gcd, and every
-verdict built on one, is the same with or without it.  The proof is in
-the docstring of ``gcd``.
+The gcd only ever returns a gcd it has proved.  Univariate images in
+F_P bound its degree in each variable; a candidate, found as 1, as an
+argument, or by Brown's dense evaluation / interpolation scheme in F_P
+(Brown, "On Euclid's algorithm and the computation of polynomial greatest
+common divisors", JACM 1971; Geddes, Czapor & Labahn, *Algorithms for
+Computer Algebra*, 1992, ch. 7) lifted to Q(i) by rational reconstruction
+(Wang, Guy & Davenport, "p-adic reconstruction of rational numbers",
+SIGSAM Bulletin 1982), is accepted only when it meets those bounds and
+divides both arguments exactly.  Otherwise the content / PRS path runs,
+so every gcd, and every verdict built on one, is the same either way.
+The proof is in the docstring of ``gcd``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DivisibilityError, GcdUndefinedError, PreconditionError
-from .poly import MapGerm, Polynomial
-from .rationals import ONE, ZERO, GaussianRational
+from .poly import MapGerm, Polynomial, _descending_key
+from .rationals import ONE, ZERO, GaussianRational, _canonical
 
 # ---------------------------------------------------------------------------
 # univariate views: coefficient lists in a chosen main variable
@@ -154,27 +159,45 @@ def gcd_many(polys):
     return g
 
 
-# The modular screen works in F_P with P = 119 * 2^23 + 1 = 1 mod 4, so that
+# The modular path works in F_P with P = 119 * 2^23 + 1 = 1 mod 4, so that
 # -1 has the square root IOTA (3 generates the units of F_P); i maps to IOTA.
 _PRIME = 998_244_353
 _IOTA = pow(3, (_PRIME - 1) // 4, _PRIME)
-# The point at which every variable but one is put: x_k goes to _POINT[k],
-# taken cyclically (digits of pi, e and the square roots of 2, 3, 5, 7).
+# The point at which every variable but one is put for a degree bound: x_k
+# goes to _POINT[k], taken cyclically (digits of pi, e and the square roots
+# of 2, 3, 5, 7).
 _POINT = (314159265, 271828182, 141421356, 173205080, 223606797, 264575131)
 
+# How often ``gcd`` ran the content / PRS path, by reason: "prime" (P
+# divides a denominator, or an argument is 0 mod P), "no bound" (a shared
+# variable whose images both lose degree), "no candidate" (the
+# interpolation gave up, or no small rational fits a residue) and
+# "certificate" (the candidate failed its degrees or its divisions).
+_fallbacks = Counter()
+# Images above the degree bounds that one interpolation skips before it
+# gives up: past it the problem itself, an image of an unlucky point one
+# level up, is taken to be unlucky.
+_UNLUCKY_POINTS = 4
 
-def _residues(p):
-    """The terms of ``p`` with coefficients mapped to F_P, or None if P divides a denominator."""
-    out = []
+
+def _residues(p, iota):
+    """{monomial: residue} of ``p`` in F_P under i -> iota, zeros dropped.
+
+    None if P divides a denominator, or every residue is 0.
+    """
+    prime = _PRIME
+    out = {}
     for m, c in p.terms:
         a, b, d = c.triple()
-        r = a + b * _IOTA
+        r = a + b * iota
         if d != 1:
-            if d % _PRIME == 0:
+            if d % prime == 0:
                 return None
-            r *= pow(d, -1, _PRIME)
-        out.append((m, r % _PRIME))
-    return out
+            r *= pow(d, -1, prime)
+        r %= prime
+        if r:
+            out[m] = r
+    return out or None
 
 
 def _image(residues, var, degree):
@@ -183,68 +206,298 @@ def _image(residues, var, degree):
     Every variable but ``var`` is put at ``_POINT``.
     """
     coeffs = [0] * (degree + 1)
-    for m, r in residues:
+    for m, r in residues.items():
         for w, e in enumerate(m):
             if e and w != var:
                 r = r * pow(_POINT[w % len(_POINT)], e, _PRIME) % _PRIME
         coeffs[m[var]] += r
-    coeffs = [c % _PRIME for c in coeffs]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+    return _u_trim([c % _PRIME for c in coeffs])
 
 
-def _gcd_degree(a, b):
-    """Degree of gcd(a, b) in F_P[x] for coefficient lists with nonzero tops (-1 if both are 0)."""
+# -- dense univariate arithmetic in F_P: lists by power, no trailing zeros --
+
+
+def _u_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _u_eval(a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % _PRIME
+    return acc
+
+
+def _u_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return [c % _PRIME for c in out]
+
+
+def _u_gcd(a, b):
+    """The monic gcd of two lists, [] when both are zero."""
+    prime = _PRIME
     while b:
-        inv, db = pow(b[-1], -1, _PRIME), len(b) - 1
+        if len(b) == 1:
+            return [1]
+        inv, db = pow(b[-1], -1, prime), len(b) - 1
         a = list(a)
         while len(a) > db:
-            t, k = a[-1] * inv % _PRIME, len(a) - 1 - db
-            for i in range(db):
-                a[k + i] = (a[k + i] - t * b[i]) % _PRIME
+            t, k = a[-1] * inv % prime, len(a) - 1 - db
+            a[k : k + db] = [(c - t * d) % prime for c, d in zip(a[k : k + db], b)]
             a.pop()
-            while a and not a[-1]:
-                a.pop()
+            _u_trim(a)
         a, b = b, a
-    return len(a) - 1
+    if a and a[-1] != 1:
+        inv = pow(a[-1], -1, prime)
+        a = [c * inv % prime for c in a]
+    return a
 
 
-def _modular_screen(p, q):
-    """gcd(p, q) of nonconstant ``p``, ``q`` when one image per variable settles it, else None.
+def _u_gcd_many(lists):
+    g = []
+    for a in lists:
+        g = _u_gcd(g, a)
+        if len(g) == 1:
+            break
+    return g
 
-    For each variable v shared by p and q the screen maps both to F_P[x_v]
-    (i to IOTA, the other variables to ``_POINT``).  If each pair of images
-    is coprime and one of them keeps its x_v-degree, the gcd is 1.  If s,
-    the argument with fewer terms, uses only variables of the other, b,
-    keeps every x_v-degree and each image gcd has the x_v-degree of s, then
-    s is nominated and returned exactly when it divides b.  Proof in the
-    docstring of ``gcd``.
+
+def _u_quotient(a, b):
+    """a / b for a list b that divides a."""
+    prime = _PRIME
+    if len(b) == 1:
+        inv = pow(b[0], -1, prime)
+        return [c * inv % prime for c in a]
+    inv, db = pow(b[-1], -1, prime), len(b) - 1
+    a, quot = list(a), [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        t = quot[k] = a[k + db] * inv % prime
+        if t:
+            a[k : k + db] = [(c - t * d) % prime for c, d in zip(a[k : k + db], b)]
+    return quot
+
+
+# -- the candidate: Brown's dense evaluation / interpolation gcd in F_P -----
+
+
+def _brown(a, b, bounds):
+    """A gcd in F_P[x_0, ..., x_k] of nonzero residue dicts, up to a unit; None if it gives up.
+
+    Monomials are (k+1)-tuples.  Brown's scheme (JACM 1971) in the last
+    variable: split off the contents in F_P[x_k], take gamma = gcd of the
+    leading coefficients in lex order on x_0, ..., x_(k-1), and for
+    x_k = 1, 2, 3, ... with gamma(x_k) != 0 take the gcd of the images in
+    k variables, scaled to leading coefficient gamma(x_k), and interpolate
+    it in x_k (Newton).  ``bounds[j]`` bounds deg_j of the wanted gcd, so
+    deg gamma + bounds[k] + 1 points fix the interpolant, whose primitive
+    part times the content gcd is returned.
+
+    An image of a lucky point is the image of the wanted gcd.  An unlucky
+    one is a proper multiple of it: it lies above ``bounds`` in some
+    variable, and is skipped, or has a larger leading monomial, and is
+    skipped, unless it came first and a smaller one restarts the
+    interpolation.  After ``_UNLUCKY_POINTS`` images above the bounds the
+    problem itself is taken to be the image of an unlucky point one level
+    up, and None is returned.  The answer is not proved here: ``gcd``
+    certifies it over Q(i).
     """
-    shared = [v for v in p.variables_used() if q.max_degree_in(v)]
-    s_is_p = len(p.terms) <= len(q.terms)
-    s, b = (p, q) if s_is_p else (q, p)
-    nominate = len(shared) == len(s.variables_used())
-    rp, rq = _residues(p), _residues(q)
-    if rp is None or rq is None:
+    prime, k = _PRIME, len(bounds) - 1
+    if k == 0:
+        lists = []
+        for r in (a, b):
+            dense = [0] * (max(m[0] for m in r) + 1)
+            for m, c in r.items():
+                dense[m[0]] = c
+            lists.append(dense)
+        return {(e,): c for e, c in enumerate(_u_gcd(*lists)) if c}
+    split = []
+    for r in (a, b):
+        by_rest = {}
+        for m, c in r.items():
+            dense = by_rest.setdefault(m[:k], [])
+            if len(dense) <= m[k]:
+                dense.extend([0] * (m[k] + 1 - len(dense)))
+            dense[m[k]] = c
+        content = _u_gcd_many(by_rest.values())
+        if len(content) > 1:
+            by_rest = {m: _u_quotient(dense, content) for m, dense in by_rest.items()}
+        split.append((by_rest, content))
+    (sa, ca), (sb, cb) = split
+    content = _u_gcd(ca, cb)
+    gamma = _u_gcd(sa[max(sa)], sb[max(sb)])
+    need = len(gamma) + bounds[k]
+    interp, lead, modulus, points, x, skipped = None, None, [1], 0, 0, 0
+    while points < need:
+        x += 1
+        scale = _u_eval(gamma, x)
+        if not scale:
+            continue
+        images = [{m: v for m, dense in s.items() if (v := _u_eval(dense, x))} for s in (sa, sb)]
+        image = _brown(*images, bounds[:k])
+        if image is None or any(max(m[j] for m in image) > bounds[j] for j in range(k)):
+            skipped += 1
+            if skipped > _UNLUCKY_POINTS:
+                return None
+            continue
+        top = max(image)
+        if not any(top):  # the primitive parts are coprime
+            return {(0,) * k + (e,): c for e, c in enumerate(content) if c}
+        if interp is not None and top > lead:
+            continue
+        scale = scale * pow(image[top], -1, prime) % prime
+        if interp is None or top < lead:
+            interp = {m: [v * scale % prime] for m, v in image.items()}
+            lead, modulus, points = top, [prime - x, 1], 1
+            continue
+        at_x = pow(_u_eval(modulus, x), -1, prime)
+        for m in interp.keys() | image.keys():
+            old = interp.get(m, [])
+            step = (image.get(m, 0) * scale - _u_eval(old, x)) * at_x % prime
+            if step:
+                old = old + [0] * (len(modulus) - len(old))
+                interp[m] = [(c + step * d) % prime for c, d in zip(old, modulus)]
+        modulus = _u_mul(modulus, [prime - x, 1])
+        points += 1
+    primitive = _u_gcd_many(interp.values())
+    out = {}
+    for m, dense in interp.items():
+        for e, c in enumerate(_u_mul(_u_quotient(dense, primitive), content)):
+            if c:
+                out[m + (e,)] = c
+    return out
+
+
+def _rational(r):
+    """(n, d) in lowest terms, n/d = r mod P, |n| and d <= sqrt(P/2), or None.
+
+    Half of the extended Euclidean algorithm on (P, r) (Wang, Guy &
+    Davenport 1982); such an n/d is unique when it exists.
+    """
+    bound = math.isqrt(_PRIME // 2)
+    r0, r1, t0, t1 = _PRIME, r, 0, 1
+    while r1 > bound:
+        quot = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - quot * r1, t1, t0 - quot * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
         return None
-    coprime = True
-    for v in shared:
-        dp, dq = p.max_degree_in(v), q.max_degree_in(v)
-        ip, iq = _image(rp, v, dp), _image(rq, v, dq)
-        common = _gcd_degree(ip, iq)
-        coprime = coprime and common == 0 and (len(ip) - 1 == dp or len(iq) - 1 == dq)
-        ds, image_s = (dp, ip) if s_is_p else (dq, iq)
-        nominate = nominate and common == ds == len(image_s) - 1
-        if not (coprime or nominate):
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _modular_candidate(p, q, residues, degrees, bounds):
+    """The grevlex-monic gcd of p, q in F_P, lifted to Q(i), or None.
+
+    ``residues`` holds the residue dicts of p and q under i -> IOTA, and
+    ``degrees`` their degrees in each variable.  When a coefficient is not
+    real, the images under i -> -IOTA are taken too: a + b*i maps to
+    a + b*IOTA and a - b*IOTA, which give a and b.  Variables are ordered
+    by falling bound, so the univariate gcds run in the variable of
+    highest degree and the fewest points are interpolated.  None when an
+    argument is 0 mod P under i -> -IOTA, when the interpolation gives up,
+    or when a residue has no small rational.
+    """
+    prime, n = _PRIME, p.nvars
+    used = [v for v, ds in enumerate(zip(*degrees)) if any(ds)]
+    order = sorted(used, key=lambda v: (-bounds[v], v))
+    images = [residues]
+    if not all(c.is_real() for r in (p, q) for _, c in r.terms):
+        images.append((_residues(p, prime - _IOTA), _residues(q, prime - _IOTA)))
+    lifted = []
+    for rp, rq in images:
+        if rp is None or rq is None:
             return None
-    if coprime:
-        return Polynomial.one(p.nvars)
+        g = _brown(
+            {tuple(m[v] for v in order): c for m, c in rp.items()},
+            {tuple(m[v] for v in order): c for m, c in rq.items()},
+            tuple(bounds[v] for v in order),
+        )
+        if g is None:
+            return None
+        full = {}
+        for m, c in g.items():
+            exps = [0] * n
+            for v, e in zip(order, m):
+                exps[v] = e
+            full[tuple(exps)] = c
+        inv = pow(full[min(full, key=_descending_key)], -1, prime)
+        lifted.append({m: c * inv % prime for m, c in full.items()})
+    plus = lifted[0]
+    minus = lifted[-1]
+    half, half_iota = pow(2, -1, prime), pow(2 * _IOTA, -1, prime)
+    acc = {}
+    for m in plus.keys() | minus.keys():
+        cp, cm = plus.get(m, 0), minus.get(m, 0)
+        re, im = _rational((cp + cm) * half % prime), _rational((cp - cm) * half_iota % prime)
+        if re is None or im is None:
+            return None
+        # over the lcm of the lowest-terms denominators the triple is canonical
+        d = math.lcm(re[1], im[1])
+        acc[m] = _canonical(re[0] * (d // re[1]), im[0] * (d // im[1]), d)
+    return Polynomial._trusted(n, acc)
+
+
+def _degrees(p):
+    """[deg_v p for every variable v] of a nonzero ``p``."""
+    return [max(exps) for exps in zip(*(m for m, _ in p.terms))]
+
+
+def _quotient(a, b):
+    """a / b, or None when b does not divide a."""
     try:
-        b.exact_divide(s)
+        return a.exact_divide(b)
     except DivisibilityError:
         return None
-    return s.monic()
+
+
+def _certified(p, q):
+    """``(h, p/h, q/h)`` with h = gcd(p, q) proved, for nonconstant p, q; else None.
+
+    None counts its reason in ``_fallbacks``; the proof is in ``gcd``.
+    """
+    rp, rq = _residues(p, _IOTA), _residues(q, _IOTA)
+    if rp is None or rq is None:
+        _fallbacks["prime"] += 1
+        return None
+    degrees = _degrees(p), _degrees(q)
+    bounds = []
+    for v, (dp, dq) in enumerate(zip(*degrees)):
+        if not (dp and dq):
+            bounds.append(0)
+            continue
+        ip, iq = _image(rp, v, dp), _image(rq, v, dq)
+        if len(ip) - 1 != dp and len(iq) - 1 != dq:
+            _fallbacks["no bound"] += 1
+            return None
+        bounds.append(len(_u_gcd(ip, iq)) - 1)
+    if not any(bounds):
+        return Polynomial.one(p.nvars), p, q
+    nominated = [pair for pair, ds in zip(((p, q), (q, p)), degrees) if ds == bounds]
+    if nominated:
+        # a gcd divides s and has the degrees of s only when it is s
+        s, b = min(nominated, key=lambda pair: len(pair[0].terms))
+        quotient = _quotient(b, s)
+        if quotient is not None:
+            lc = s.leading_coefficient()
+            cofactors = Polynomial.constant(p.nvars, lc), quotient.scale(lc)
+            return (s.monic(), *(cofactors if s is p else cofactors[::-1]))
+    else:
+        h = _modular_candidate(p, q, (rp, rq), degrees, bounds)
+        if h is None:
+            _fallbacks["no candidate"] += 1
+            return None
+        if (
+            _degrees(h) == bounds
+            and (p_hat := _quotient(p, h)) is not None
+            and (q_hat := _quotient(q, h)) is not None
+        ):
+            return h, p_hat, q_hat
+    _fallbacks["certificate"] += 1
+    return None
 
 
 def _content_and_pp(p, var):
@@ -265,52 +518,8 @@ def _pick_main_var(p, q):
     )
 
 
-def gcd(p, q):
-    """The greatest common divisor of leading coefficient 1.
-
-    ``gcd(p, 0)`` is the normalization of ``p``; both arguments zero is an
-    error.  Over the field Q(i) a gcd is unique up to a nonzero constant,
-    so the normalization makes it unique: gcd(q, p) is gcd(p, q) term for
-    term, whichever path below computes either.
-
-    Every call, the recursive content gcds included, first goes through
-    ``_modular_screen``.  For a variable v let phi_v: Z[i][x] -> F_P[x_v]
-    send i to IOTA (IOTA^2 = -1 in F_P, as P = 1 mod 4) and every other
-    variable to its coordinate of ``_POINT``; it is a ring map.  A
-    coefficient (a + bi)/d maps to (a + b*IOTA)/d, which needs P not to
-    divide d; scaling p by its denominators changes its images by a unit
-    only.  Coprime certificate: let d = gcd(p, q), which by Gauss's lemma
-    over the UFD Z[i] may be taken primitive in Z[i][x], with p = d*a and
-    q = d*b in Z[i][x].  Suppose d is not constant; it then has positive
-    degree in a variable v that p and q share.  Then phi_v(d) divides
-    phi_v(p) and phi_v(q), which are coprime, so phi_v(d) is a constant;
-    and if phi_v(p) keeps the degree of p in x_v, then
-    deg_v p = deg phi_v(d) + deg phi_v(a) <= deg phi_v(d) + deg_v a, so
-    deg_v d <= deg phi_v(d) = 0, a contradiction (likewise for q).  So if
-    the images in every shared variable are coprime and one of each pair
-    keeps its degree, the gcd is 1.  Divisor nomination: when s, the
-    argument with fewer terms, looks like a divisor of the other, b, the
-    screen returns s made monic exactly when ``b.exact_divide(s)``
-    succeeds, for then gcd(s, b) = s.  In every other case, and whenever P
-    divides a denominator, the screen steps aside and the content / PRS
-    path below runs unchanged.  Either way the result is the same monic
-    gcd.
-    """
-    if not isinstance(q, Polynomial) or not isinstance(p, Polynomial):
-        raise TypeError("gcd expects Polynomial arguments")
-    if p.is_zero() and q.is_zero():
-        raise GcdUndefinedError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    p._check_same_ring(q)
-    if p.is_constant() or q.is_constant():
-        return Polynomial.one(p.nvars)
-    screened = _modular_screen(p, q)
-    if screened is not None:
-        return screened
-
+def _prs_gcd(p, q):
+    """gcd(p, q) of nonconstant p, q by recursive contents and a subresultant PRS."""
     var = _pick_main_var(p, q)
     ca, pa = _content_and_pp(p, var)
     cb, pb = _content_and_pp(q, var)
@@ -329,6 +538,82 @@ def gcd(p, q):
     r = _from_coeffs(res, var, p.nvars)
     _, rp = _content_and_pp(r, var)
     return (rp * c).monic()
+
+
+def _gcd_cofactors(p, q):
+    """``(h, p/h, q/h)`` with h = gcd(p, q); see :func:`gcd`.
+
+    The certified path divides both arguments by h as its proof, so the
+    cofactors come with h; after a fallback they take two divisions.
+    """
+    if not isinstance(q, Polynomial) or not isinstance(p, Polynomial):
+        raise TypeError("gcd expects Polynomial arguments")
+    p._check_same_ring(q)
+    if p.is_zero() and q.is_zero():
+        raise GcdUndefinedError("gcd(0, 0) is undefined")
+    if p.is_zero() or q.is_zero():
+        h = (p or q).monic()
+    elif p.is_constant() or q.is_constant():
+        return Polynomial.one(p.nvars), p, q
+    else:
+        certified = _certified(p, q)
+        if certified is not None:
+            return certified
+        h = _prs_gcd(p, q)
+    return h, p.exact_divide(h), q.exact_divide(h)
+
+
+def gcd(p, q):
+    """The greatest common divisor of leading coefficient 1.
+
+    ``gcd(p, 0)`` is the normalization of ``p``; both arguments zero is an
+    error.  Over the field Q(i) a gcd is unique up to a nonzero constant,
+    so the normalization makes it unique: gcd(q, p) is gcd(p, q) term for
+    term, whichever path below computes either.
+
+    Certified path.  For a variable v let phi_v: Z[i][x] -> F_P[x_v] send
+    i to IOTA (IOTA^2 = -1 in F_P, as P = 1 mod 4) and every other
+    variable to its coordinate of ``_POINT``; it is a ring map.  A
+    coefficient (a + bi)/d maps to (a + b*IOTA)/d, which needs P not to
+    divide d.  Let G = gcd(p, q).
+
+    1. Degree bounds.  Scale p by the lcm of its denominators, a unit
+       mod P, and G to a primitive polynomial of Z[i][x]; by Gauss's lemma
+       over the UFD Z[i], p = G*A with A in Z[i][x].  If phi_v(p) keeps
+       the degree of p in x_v, then deg_v G + deg_v A = deg_v p =
+       deg phi_v(G) + deg phi_v(A) <= deg phi_v(G) + deg_v A, so
+       deg_v G <= deg phi_v(G) <= e_v = deg gcd(phi_v(p), phi_v(q)), as
+       phi_v(G) divides both images; likewise when phi_v(q) keeps its
+       degree.  A variable that only one argument uses has e_v = 0, since
+       G divides the other.
+    2. Candidate H.  1 when every e_v is 0; else an argument whose
+       degrees are the e_v, made monic (the one with fewer terms if both
+       are; G divides it, so if it fails no H can pass); else Brown's dense
+       evaluation / interpolation gcd in F_P[x] at the points 1, 2, 3, ...
+       (Brown, JACM 1971), made grevlex-monic and lifted to Q(i) by
+       rational reconstruction (Wang, Guy & Davenport 1982), from the
+       images under i -> IOTA and, when a coefficient is not real,
+       i -> -IOTA.
+    3. Certificate.  H is returned only when deg_v H = e_v for every v and
+       H divides p and q exactly over Q(i).
+
+    Lemma: then H = G.  H is a common divisor, so H divides G, and
+    deg_v G <= e_v = deg_v H for every v; so G/H is a constant, and both
+    have leading coefficient 1.  How H was found plays no part in the
+    proof, so the fixed points and the single prime cost at most a
+    fallback, never a wrong gcd.
+
+    Fallback.  When P divides a denominator or an argument, a shared
+    variable has no bound (both images lose degree), no candidate is
+    found (the interpolation gives up or reconstruction fails) or the
+    certificate fails, the content / PRS path runs (recursive contents
+    and a subresultant PRS in a main variable, whose content gcds call
+    ``gcd``), and ``_fallbacks`` counts the reason.  Whether the fixed
+    points always avoid the bad sets is not argued; the fallback is
+    explicit instead, and its count is 0 on the benchmark pool, the
+    corpus and the stress germs of the tests.
+    """
+    return _gcd_cofactors(p, q)[0]
 
 
 def squarefree_part(p):
@@ -523,8 +808,12 @@ class GcdDecomposition:
 
 
 def decompose(germ):
-    """The :class:`GcdDecomposition` of ``germ``, with h = gcd(f, g) computed afresh."""
-    return _decomposition(germ, gcd(germ.f, germ.g))
+    """The :class:`GcdDecomposition` of ``germ``, with h = gcd(f, g) computed afresh.
+
+    The cofactors are those of :func:`_gcd_cofactors`: the certified gcd
+    has divided f and g by h already, so they are not divided again.
+    """
+    return _from_cofactors(*_gcd_cofactors(germ.f, germ.g))
 
 
 def _decomposition(germ, h):
@@ -534,8 +823,10 @@ def _decomposition(germ, h):
     computed elsewhere, in either argument order, is the h of
     :func:`decompose` term for term.
     """
-    f_hat = germ.f.exact_divide(h)
-    g_hat = germ.g.exact_divide(h)
+    return _from_cofactors(h, germ.f.exact_divide(h), germ.g.exact_divide(h))
+
+
+def _from_cofactors(h, f_hat, g_hat):
     return GcdDecomposition(
         h=h,
         f_hat=f_hat,

@@ -51,7 +51,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     IntersectionCase,
-    _decomposition,
     _strip,
     decompose,
     first_nonzero_minor,
@@ -590,7 +589,8 @@ class Verdict:
 def classify(germ):
     """Full classification with a machine-checkable witness; no seed enters it."""
     f, g = germ.f, germ.g
-    h = gcd(f, g)  # when f or g is 0, the other component made monic
+    dec = decompose(germ)
+    h = dec.h  # when f or g is 0, the other component made monic
 
     if f.is_zero():
         g_in_f, f_in_g = True, False
@@ -600,7 +600,6 @@ def classify(germ):
         # one gcd for both inclusions and the decomposition: gcd(g, f) is
         # gcd(f, g), and g_hat = g / h is where the strip from g stands
         # after its first division (see algebra._strip)
-        dec = _decomposition(germ, h)
         g_in_f = _strip(dec.g_hat, h)
         f_in_g = _strip(dec.f_hat, h)
 

@@ -7,8 +7,11 @@ curves; a germ outside that branch is an input error.
 
 ``probe`` runs the occupancy probe, the stability probe (``--stability
 eps1,eps2``) or the residual probe (``--residual-phi``); ``--csv`` writes
-the occupancy grid, so these three flags exclude each other.  ``probe`` and
-``classify --probe`` run the corpus runner's dispatcher, ``probe_section``.
+the occupancy grid, so these three flags exclude each other.  With
+``--entry`` it starts from the entry's probe protocol (kind, knobs, eps1,
+eps2 and threshold, as the corpus runner runs it) and the flags given
+override it.  ``probe`` and ``classify --probe`` run the corpus runner's
+dispatcher, ``probe_section``.
 
 Exit codes: 0 success, 1 classification mismatch (corpus), 2 input error.
 Exit 2 comes before any sampling for flags that exclude each other, a
@@ -24,7 +27,15 @@ import time
 
 from .algebra import decompose
 from .classifier import PlaneCurveCandidate, classify, is_gap_curve, witness_kind
-from .corpus import load_corpus, probe_section, run_corpus, sampler_config, summary_table
+from .corpus import (
+    _SAMPLER_KEYS,
+    _run_protocol,
+    load_corpus,
+    probe_section,
+    run_corpus,
+    sampler_config,
+    summary_table,
+)
 from .errors import GermImageError, ImageContainsCurveError, PreconditionError
 from .groebner import image_curve_equation
 from .parsing import (
@@ -52,7 +63,7 @@ def _add_input_args(sub):
 
 
 def _add_sampler_args(sub):
-    """The sampler knobs; a flag left out keeps the ``SamplerConfig`` default."""
+    """The sampler knobs; a flag left out keeps the entry's value or the ``SamplerConfig`` default."""
     sub.add_argument("--epsilon", type=float, default=None)
     sub.add_argument("--target-radius", type=float, default=None)
     sub.add_argument("--samples", type=int, default=None)
@@ -67,14 +78,18 @@ def _eps_pair(text):
     return eps1, eps2
 
 
+def _entry(args):
+    for entry in load_corpus(args.corpus_file):
+        if entry.name == args.entry:
+            return entry
+    raise GermImageError(f"no corpus entry named {args.entry!r}")
+
+
 def _resolve_input(args):
     """``(name, varnames, f_text, g_text, germ)`` of a corpus entry or of --vars/--f/--g."""
     if args.entry:
-        entries = load_corpus(args.corpus_file)
-        for entry in entries:
-            if entry.name == args.entry:
-                return entry.name, entry.varnames, entry.f_text, entry.g_text, entry.germ()
-        raise GermImageError(f"no corpus entry named {args.entry!r}")
+        entry = _entry(args)
+        return entry.name, entry.varnames, entry.f_text, entry.g_text, entry.germ()
     if not (args.vars and args.f_text and args.g_text):
         raise GermImageError("provide --vars, --f and --g (or --entry NAME)")
     varnames = tuple(args.vars.replace(",", " ").split())
@@ -184,13 +199,27 @@ def cmd_image_curve(args):
 
 def cmd_probe(args):
     name, varnames, f_text, g_text, germ = _resolve_input(args)
-    cfg = sampler_config(vars(args), args.seed)
-    kind, phi = "occupancy", None
+    # an entry's probe protocol, with the flags given over it
+    entry = _entry(args) if args.entry else None
+    kind = entry.probe_kind if entry and entry.probe_kind else "occupancy"
+    params = dict(entry.probe_params) if entry else {}
+    params.update({k: v for k in _SAMPLER_KEYS if (v := getattr(args, k)) is not None})
+    phi = None
     if args.stability:
-        kind = "stability"
+        kind, (params["eps1"], params["eps2"]) = "stability", args.stability
     elif args.residual_phi:
         kind, phi = "residual", parse_polynomial(TARGET_VARS, args.residual_phi)
-    section, rep = probe_section(kind, germ, cfg, args.stability, phi)
+    elif args.csv:
+        kind = "occupancy"
+    if kind == "residual" and phi is None:
+        phi = getattr(classify(germ).witness, "phi", None)
+        if phi is None:
+            raise GermImageError("the residual probe needs --residual-phi or a curve image")
+    if entry:
+        section, _, rep = _run_protocol(kind, params, germ, args.seed, phi)
+    else:
+        cfg = sampler_config(params, args.seed)
+        section, rep = probe_section(kind, germ, cfg, args.stability, phi)
     if args.csv:
         emit_occupancy_grid(rep, args.csv)
     payload = {"input": input_json(name, varnames, f_text, g_text), "probes": [section]}

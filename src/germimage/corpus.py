@@ -213,18 +213,25 @@ def run_probe(entry, germ, verdict, seed, draw=None):
     kind = entry.probe_kind
     if not kind:
         return None, True, None
-    p = entry.probe_params
     phi = getattr(verdict.witness, "phi", None)
     if kind == "residual" and phi is None:
         return {"kind": "residual", "error": "no curve equation"}, False, None
+    return _run_protocol(kind, entry.probe_params, germ, seed, phi, draw)
+
+
+def _run_protocol(kind, params, germ, seed, phi=None, draw=None):
+    """One probe under a protocol's ``params``: knobs, eps1 and eps2, and maybe a threshold.
+
+    Returns (json section, ok, report), as :func:`run_probe` does.
+    """
     section, rep = probe_section(
-        kind, germ, sampler_config(p, seed), (p.get("eps1"), p.get("eps2")), phi, draw
+        kind, germ, sampler_config(params, seed), (params.get("eps1"), params.get("eps2")), phi, draw
     )
     entry_key, section_key, measured, passes = _THRESHOLDS[kind]
     ok = True
-    if entry_key in p:
-        section[section_key] = p[entry_key]
-        ok = passes(getattr(rep, measured), p[entry_key])
+    if entry_key in params:
+        section[section_key] = params[entry_key]
+        ok = passes(getattr(rep, measured), params[entry_key])
     section["passed"] = ok
     return section, ok, rep
 

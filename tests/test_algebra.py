@@ -11,7 +11,7 @@ from germimage.algebra import (
     IntersectionCase,
     _coeffs_in,
     _from_coeffs,
-    _modular_screen,
+    _gcd_cofactors,
     decompose,
     first_nonzero_minor,
     gcd,
@@ -244,7 +244,22 @@ def test_univariate_views_are_canonical(p):
         assert _from_coeffs(views, var, n).terms == p.terms
 
 
-# -- the modular screen in front of the PRS -----------------------------------
+# -- the certified modular gcd and its content / PRS fallback ---------------
+# The test_screen_* tests feed the certified path the inputs built to defeat
+# the modular screen it replaced, and keep their names.
+
+
+def _candidates(monkeypatch):
+    """Record every candidate Brown's interpolation lifts to Q(i)."""
+    made = []
+    real = algebra._modular_candidate
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(algebra, "_modular_candidate", spy)
+    return made
 
 
 def test_screen_prime_and_square_root_of_minus_one():
@@ -254,54 +269,97 @@ def test_screen_prime_and_square_root_of_minus_one():
     assert algebra._IOTA**2 % p == p - 1
 
 
-def test_screened_gcd_agrees_with_the_prs_path(monkeypatch):
+def test_screened_gcd_agrees_with_the_prs_path(monkeypatch, fallbacks):
+    """The certified gcd and its cofactors against the content / PRS path alone."""
     rng = random.Random(15)
     pools = {3: [fac for fac, _ in factor_pool()], 4: four_variable_pool()}
     pairs = [gcd_pair(rng, pools[n], n) for n in (3, 4) for _ in range(30)]
-    screened = [gcd(p, q) for p, q in pairs]
-    settled = sum(_modular_screen(p, q) is not None for p, q in pairs)
-    monkeypatch.setattr(algebra, "_modular_screen", lambda p, q: None)
-    assert screened == [gcd(p, q) for p, q in pairs]
-    # the pairs reach both answers of the screen and the PRS path
-    assert 0 < settled < len(pairs)
-    assert any(g.is_constant() for g in screened) and not all(g.is_constant() for g in screened)
+    made = _candidates(monkeypatch)
+    certified = [_gcd_cofactors(p, q) for p, q in pairs]
+    assert not fallbacks
+    for (p, q), (h, p_hat, q_hat) in zip(pairs, certified):
+        assert h * p_hat == p and h * q_hat == q
+    # the pairs reach all three candidates: 1, an argument made monic, Brown's
+    hs = [h for h, _, _ in certified]
+    assert any(h.is_constant() for h in hs)
+    assert any(h in (p.monic(), q.monic()) and not h.is_constant() for h, (p, q) in zip(hs, pairs))
+    assert made and all(h is not None for h in made)
+    monkeypatch.setattr(algebra, "_certified", lambda p, q: None)
+    assert hs == [gcd(p, q) for p, q in pairs]
 
 
 def _step_aside_cases():
-    """(p, q, exact gcd) for the point (2, 3): each pair defeats one part of the screen."""
+    """(p, q, exact gcd, fallback) for the point (2, 3): each pair defeats one step."""
     c = one.scale
     w = x - y + c(5)
-    cases = [
-        # both leading coefficients in x vanish at y = 3
-        ((y - c(3)) * x + c(1), (y - c(3)) * x + c(2)),
-        # at y = 3 both images are x + 3; the pair is coprime
-        (x + y, x + y.scale(2) - c(3)),
+    # both leading coefficients in x vanish at y = 3: no bound in x
+    lost = ((y - c(3)) * x + c(1), (y - c(3)) * x + c(2))
+    # at y = 3 both images are x + 3: the bound in x is 1, the gcd has degree 0
+    above = (x + y, x + y.scale(2) - c(3))
+    return [
+        (*lost, one, "no bound"),
+        (*above, one, "certificate"),
+        (lost[0] * w, lost[1] * w, w, "no bound"),
+        (above[0] * w, above[1] * w, w, "certificate"),
     ]
-    return [(p, q, one) for p, q in cases] + [(p * w, q * w, w) for p, q in cases]
 
 
-def test_screen_steps_aside_on_an_unlucky_point(monkeypatch):
+def test_screen_steps_aside_on_an_unlucky_point(monkeypatch, fallbacks):
     monkeypatch.setattr(algebra, "_POINT", (2, 3))
-    for p, q, expected in _step_aside_cases():
-        assert _modular_screen(p, q) is None
+    for p, q, expected, reason in _step_aside_cases():
+        fallbacks.clear()
+        assert algebra._certified(p, q) is None
+        assert fallbacks == {reason: 1}
         assert gcd(p, q) == expected
         assert gcd(q, p) == expected
 
 
-def test_screen_steps_aside_on_a_denominator_multiple_of_the_prime(monkeypatch):
+def test_a_divisor_below_the_degree_bounds_is_refused(monkeypatch, fallbacks):
+    """Brown's candidate w divides both arguments, yet deg_x w = 1 < e_x = 2.
+
+    w is then the gcd, but the certificate cannot tell it from a proper
+    divisor of the gcd, so it refuses w and the PRS path decides.
+    """
+    monkeypatch.setattr(algebra, "_POINT", (2, 3))
+    p, q, w, _ = _step_aside_cases()[3]
+    made = _candidates(monkeypatch)
+    assert algebra._certified(p, q) is None
+    assert made == [w]
+    assert p.exact_divide(w) * w == p and q.exact_divide(w) * w == q
+    assert fallbacks == {"certificate": 1}
+    assert gcd(p, q) == w
+
+
+def test_screen_steps_aside_on_a_denominator_multiple_of_the_prime(monkeypatch, fallbacks):
     monkeypatch.setattr(algebra, "_PRIME", 13)
     monkeypatch.setattr(algebra, "_IOTA", 5)  # 5^2 = 25 = -1 mod 13
     a = x + y.scale(GaussianRational(Fraction(1, 26)))
     p, q = a * (x - y), a * (x + one.scale(2))
-    assert _modular_screen(p, q) is None
+    assert algebra._certified(p, q) is None
+    assert fallbacks == {"prime": 1}
     assert gcd(p, q) == a
-    # x + 13*y and x map to the same image mod 13, yet are coprime
+    # every coefficient of 13*x*(x + y) is 0 mod 13
+    fallbacks.clear()
+    assert algebra._certified((x * (x + y)).scale(13), x * (x - y)) is None
+    assert fallbacks == {"prime": 1}
+    assert gcd((x * (x + y)).scale(13), x * (x - y)) == x
+    # x + 13*y and x map to the same image mod 13, yet are coprime: the
+    # candidate x has the bounded degrees and fails its division
     b = x + y.scale(13)
-    assert _modular_screen(b, x * (x + y)) is None
+    made = _candidates(monkeypatch)
+    fallbacks.clear()
+    assert algebra._certified(b, x * (x + y)) is None
+    assert made == [x] and fallbacks == {"certificate": 1}
     assert gcd(b, x * (x + y)) == one
+    # no n/d with |n|, d <= 2 is 3 mod 13: the gcd x + 3*y has no lift
+    w = x + y.scale(3)
+    fallbacks.clear()
+    assert algebra._certified(w * (x - y), w * (x + one.scale(2))) is None
+    assert fallbacks == {"no candidate": 1}
+    assert gcd(w * (x - y), w * (x + one.scale(2))) == w
 
 
-def test_screen_steps_aside_when_the_nominated_divisor_fails(monkeypatch):
+def test_screen_steps_aside_when_the_nominated_divisor_fails(monkeypatch, fallbacks):
     monkeypatch.setattr(algebra, "_POINT", (2, 3))
     s = x + y
     # b(x, 3) = (x + 3)(x + 1) and b(2, y) = 3(y + 2), but x + y does not divide b
@@ -317,14 +375,21 @@ def test_screen_steps_aside_when_the_nominated_divisor_fails(monkeypatch):
             raise
 
     monkeypatch.setattr(Polynomial, "exact_divide", spy)
-    assert _modular_screen(s, b) is None
+    assert algebra._certified(s, b) is None
     assert failed == [(b, s)]
+    assert fallbacks == {"certificate": 1}
     assert gcd(s, b) == one
     assert gcd(s * (x - y), b * (x - y)) == x - y
 
 
-def test_screen_settles_coprime_pairs_and_divisors():
+def test_screen_settles_coprime_pairs_and_divisors(fallbacks):
     p, q = x * y + one, x - y
-    assert _modular_screen(p, q) == one
-    assert _modular_screen(q.scale(I), p * q) == q.monic()
-    assert _modular_screen(x, y) == one  # no shared variable
+    assert algebra._certified(p, q) == (one, p, q)
+    # a divisor: the cofactors come with it, the divisor's own a constant
+    h, s_hat, b_hat = algebra._certified(q.scale(I), p * q)
+    assert h == q.monic() and s_hat == one.scale(I) and b_hat == p
+    assert algebra._certified(x, y) == (one, x, y)  # no shared variable
+    # neither 1 nor an argument: Brown's candidate
+    h, p_hat, q_hat = algebra._certified((x + y) ** 2 * (x - y), (x + y) * (x + one))
+    assert (h, p_hat, q_hat) == (x + y, (x + y) * (x - y), x + one)
+    assert not fallbacks

@@ -320,12 +320,12 @@ def test_weighted_nomination_decides_a_gap_curve_family():
     assert verify_witness(sheared, verdict) is True
 
 
-def test_gcds_of_large_germs_stay_within_a_prs_bound(monkeypatch):
+def test_gcds_of_large_germs_stay_within_a_prs_bound(monkeypatch, fallbacks):
     """Germs whose gcds once ran 1169 and 272 subresultant PRSs (about 20 s and 1.3 s).
 
-    Most of those gcds have the answer 1 or a divisor of the other argument,
-    and the modular screen settles them without a PRS.  The bounds count
-    work, not wall time.
+    The certified gcd settles every one of those gcds without a PRS; the
+    PRSs left are the resultants of the gap-curve nominations.  The bounds
+    count work, not wall time.
     """
     x4, y4, z4, w4 = variables(4)
     h = x4 + w4 * w4 * x4 + w4 * w4 * y4 + z4.scale(2)
@@ -350,6 +350,7 @@ def test_gcds_of_large_germs_stay_within_a_prs_bound(monkeypatch):
     assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
     assert verify_witness(sheared, verdict) is True
     assert len(calls) <= 60
+    assert not fallbacks
 
 
 def test_weighted_nomination_decides_a_gap_line_family():
@@ -420,8 +421,9 @@ def test_classify_nominates_once_on_the_unsheared_pair(monkeypatch):
 def test_classify_takes_the_gcd_of_f_and_g_once(monkeypatch):
     """One gcd(f, g) feeds both germ inclusions and the decomposition.
 
-    Calls go through both names of ``gcd``, so an inclusion test or a
-    decomposition that took its own gcd of (f, g) would be counted.
+    Every gcd, through ``gcd`` or ``decompose``, is taken by
+    ``algebra._gcd_cofactors``, so an inclusion test or a decomposition
+    that took its own gcd of (f, g) would be counted.
     """
     pool = json.loads(POOL_PATH.read_text(encoding="utf-8"))
     varnames = tuple(pool["vars"])
@@ -430,15 +432,14 @@ def test_classify_takes_the_gcd_of_f_and_g_once(monkeypatch):
         first_of_kind.setdefault(entry["witness"], entry)
     kinds = ("CodimTwo", "PropCritCertificate", "GapLine", "None")  # every non-nested kind
     germs = [parse_map_germ(varnames, first_of_kind[k]["f"], first_of_kind[k]["g"]) for k in kinds]
-    inner = algebra.gcd
+    inner = algebra._gcd_cofactors
     pairs = []
 
     def spy(p, q):
         pairs.append((p, q))
         return inner(p, q)
 
-    monkeypatch.setattr(algebra, "gcd", spy)
-    monkeypatch.setattr(classifier, "gcd", spy)
+    monkeypatch.setattr(algebra, "_gcd_cofactors", spy)
     for germ in germs:
         pairs.clear()
         classify(germ)

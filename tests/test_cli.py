@@ -87,10 +87,10 @@ def _count_calls(monkeypatch, targets):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Count calls of ``decompose``, its builder and ``prop_crit_check``.
+    """Count calls of ``decompose``, ``_decomposition`` and ``prop_crit_check``.
 
-    ``decompose`` builds through ``_decomposition``, so each of its calls
-    counts under both names.
+    ``decompose`` takes gcd(f, g) and keeps the cofactors the gcd's
+    certificate divided out; ``_decomposition`` divides by a known h.
     """
     targets = {
         algebra.decompose: "decompose",
@@ -103,23 +103,23 @@ def call_counts(monkeypatch):
 def test_one_classification_pass_in_corpus_and_cli(call_counts, capsys):
     """A report reuses what ``classify`` computed: no step that takes gcd(f, g) runs twice.
 
-    ``classify`` builds the decomposition from its one gcd; the report
-    rebuilds the cofactors from the verdict's h by two exact divisions.
+    ``classify`` takes its one gcd in ``decompose``; the report rebuilds
+    the cofactors from the verdict's h by two exact divisions.
     """
     (entry,) = [e for e in load_corpus() if e.name == "huckleberry"]
     run_entry(entry)
-    assert call_counts == {"decomposition": 2, "prop_crit_check": 1}
+    assert call_counts == {"decompose": 1, "decomposition": 1, "prop_crit_check": 1}
 
     call_counts.clear()
     code, _, _ = run_cli(capsys, "--json", "classify", "--entry", "huckleberry")
     assert code == 0
-    assert call_counts == {"decomposition": 2, "prop_crit_check": 1}
+    assert call_counts == {"decompose": 1, "decomposition": 1, "prop_crit_check": 1}
 
     # a nested verdict keeps h too, so its report takes no decompose either
     call_counts.clear()
     code, _, _ = run_cli(capsys, "--json", "classify", "--vars", "x,y", "--f", "x", "--g", "x*y")
     assert code == 0
-    assert call_counts == {"decomposition": 2}
+    assert call_counts == {"decompose": 1, "decomposition": 1}
 
 
 def test_the_report_takes_no_gcd(monkeypatch):
@@ -364,6 +364,23 @@ def test_cli_and_corpus_share_one_probe_dispatcher(capsys):
                 capsys, "--seed", "5", "--json", "classify", *source, "--probe", *cli_flags
             )
             assert code == 0 and json.loads(out)["probe"] == expected
+
+
+def test_probe_entry_runs_the_entry_protocol(capsys):
+    """``probe --entry`` runs the entry's probe as the corpus runner does; flags override it."""
+    (entry,) = [e for e in load_corpus() if e.name == "angle"]
+    germ = entry.germ()
+    section, _, _ = run_probe(entry, germ, classify(germ), seed=3)
+    assert section["kind"] == "stability" and section["samples"] == 400000
+    code, out, _ = run_cli(capsys, "--seed", "3", "--json", "probe", "--entry", "angle")
+    assert code == 0 and json.loads(out)["probes"] == [section]
+
+    smaller = CorpusEntry(**{**vars(entry), "probe_params": {**entry.probe_params, "samples": 20000}})
+    section, _, _ = run_probe(smaller, germ, classify(germ), seed=3)
+    code, out, _ = run_cli(
+        capsys, "--seed", "3", "--json", "probe", "--entry", "angle", "--samples", "20000"
+    )
+    assert code == 0 and json.loads(out)["probes"] == [section]
 
 
 def test_entry_lookup(capsys):

@@ -9,6 +9,7 @@ default reports and the certificate C against its defining gcd formula.
 import hashlib
 import json
 import random
+import re
 from pathlib import Path
 
 from germimage.algebra import _decomposition, _strip, gcd, zero_set_germ_included
@@ -21,7 +22,7 @@ from germimage.classifier import (
     witness_kind,
 )
 from germimage.corpus import load_corpus
-from germimage.parsing import parse_map_germ
+from germimage.parsing import parse_map_germ, parse_polynomial
 from germimage.poly import MapGerm
 from germimage.report import build_classify_report, dumps_report, verdict_json
 
@@ -41,13 +42,23 @@ VERDICTS_SHA256 = "14d327f96cada420fc7bb6112901d5acae418fa307f8008c4f10d086511dc
 REPORTS_SHA256 = "ad97b9e20de882b0fe83655ae4227188072e1a4d2da4bc14c873ea0e4656989d"
 
 
+# h = gcd(f, g) of pool germs 171 and 288 after the coordinate change of
+# ``_transformed``, up to a constant (the parser reads no fractions).  Both
+# were checked once against sympy's gcd over QQ<I>, which takes minutes on
+# each germ, too long for this suite.
+TRANSFORMED_H = {
+    171: "4*x^2*y^2+8*x^2*y*z+4*x^2*z^2-4*x^2*y-4*x^2*z+4*x*y*z+4*x*z^2+x^2-2*x*z+z^2",
+    288: "y^2+2*y*z+z^2+2*x",
+}
+
+
 def _pool():
     pool = json.loads(POOL_PATH.read_text(encoding="utf-8"))
     varnames = tuple(pool["vars"])
     return [(parse_map_germ(varnames, e["f"], e["g"]), varnames) for e in pool["germs"]]
 
 
-def test_pool_verdicts_hold_and_witnesses_verify():
+def test_pool_verdicts_hold_and_witnesses_verify(fallbacks):
     pool = json.loads(POOL_PATH.read_text(encoding="utf-8"))
     varnames = tuple(pool["vars"])
     assert len(pool["germs"]) == 309
@@ -62,6 +73,50 @@ def test_pool_verdicts_hold_and_witnesses_verify():
         elif not verify_witness(germ, verdict):
             wrong.append((entry["f"], entry["g"], "witness fails"))
     assert wrong == []
+    assert not fallbacks
+
+
+def test_a_high_power_classifies_without_a_fallback(fallbacks):
+    germ = parse_map_germ(("x", "y"), "x^100000*y", "x*y")
+    verdict = classify(germ)
+    assert (verdict.status, witness_kind(verdict.witness)) == (
+        Status.NOT_A_GERM,
+        "ContainmentNonvanishingJacobian",
+    )
+    assert not fallbacks
+
+
+def _transformed(k):
+    """Pool germ k after (x, y, z) -> (y+z, 2x, z-x) on the source, (u, v) -> (u+v, 3v+u^3) on the target.
+
+    Returned as the texts of f and g, with the maps written out in
+    parentheses, as a user would type them.
+    """
+    entry = json.loads(POOL_PATH.read_text(encoding="utf-8"))["germs"][k]
+    source = {"x": "(y+z)", "y": "(2*x)", "z": "(z-x)"}
+    f, g = (re.sub("[xyz]", lambda m: source[m.group()], text) for text in (entry["f"], entry["g"]))
+    return f"({f})+({g})", f"3*({g})+({f})^3"
+
+
+def test_pool_germs_after_a_degree_raising_coordinate_change(fallbacks):
+    """Germs 171 and 288 took 4.5-5 s and more than 30 s in the content / PRS gcd.
+
+    After the change f and g have 46 and 526 terms (germ 171) and 63 and
+    908 terms (germ 288), of degrees 7 and 18; the certified gcd decides
+    every gcd of both without a fallback.
+    """
+    varnames = ("x", "y", "z")
+    expected = {
+        171: (Status.LOCALLY_OPEN, "PropCritCertificate"),
+        288: (Status.UNDETERMINED, "None"),
+    }
+    for k, (status, witness) in expected.items():
+        germ = parse_map_germ(varnames, *_transformed(k))
+        verdict = classify(germ)
+        assert (verdict.status, witness_kind(verdict.witness)) == (status, witness)
+        assert verify_witness(germ, verdict) is True
+        assert verdict.h == parse_polynomial(varnames, TRANSFORMED_H[k]).monic()
+    assert not fallbacks
 
 
 def test_strips_from_the_cofactors_match_the_inclusion_tests():
@@ -72,12 +127,13 @@ def test_strips_from_the_cofactors_match_the_inclusion_tests():
         assert _strip(dec.f_hat, dec.h) is zero_set_germ_included(germ.f, germ.g)
 
 
-def test_verdict_json_matches_the_recorded_run():
+def test_verdict_json_matches_the_recorded_run(fallbacks):
     digest = hashlib.sha256()
     cases = _pool() + [(entry.germ(), entry.varnames) for entry in load_corpus()]
     for germ, varnames in cases:
         digest.update(dumps_report(verdict_json(classify(germ), varnames)).encode())
     assert digest.hexdigest() == VERDICTS_SHA256
+    assert not fallbacks
 
 
 def test_default_reports_match_the_recorded_run():

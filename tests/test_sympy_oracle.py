@@ -73,8 +73,8 @@ def test_gcd_and_squarefree_part_match_factor_list():
         assert monic(to_sympy(squarefree_part(p))) == monic(product(dict.fromkeys(fp, 1)))
 
 
-def test_screened_gcd_matches_sympy_gcd(monkeypatch):
-    """gcd over Q(i) in 3 and 4 variables, with and without the modular screen."""
+def test_screened_gcd_matches_sympy_gcd(monkeypatch, fallbacks):
+    """gcd over Q(i) in 3 and 4 variables: the certified path, then the PRS path alone."""
     rng = random.Random(21)
     gens = sympy.symbols("x y z w")
     pools = {3: [fac for fac, _ in factor_pool()], 4: four_variable_pool()}
@@ -88,7 +88,8 @@ def test_screened_gcd_matches_sympy_gcd(monkeypatch):
         return [sympy.Poly(to_sympy(gcd(p, q), gens), *gens, domain="QQ_I").monic() for p, q in pairs]
 
     assert ours() == expected
-    monkeypatch.setattr(algebra, "_modular_screen", lambda p, q: None)
+    assert not fallbacks
+    monkeypatch.setattr(algebra, "_certified", lambda p, q: None)
     assert ours() == expected
 
 
