@@ -8,6 +8,7 @@ an optional probe protocol with frozen thresholds.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import operator
 import os
 import time
@@ -169,6 +170,8 @@ def _check_probe(entry):
             f"{where}: the stability probe needs eps1 > eps2 > 0, got "
             f"eps1 = {p.get('eps1')}, eps2 = {p.get('eps2')}"
         )
+    if kind == "stability" and not math.isfinite(p["eps1"]):
+        raise GermImageError(f"{where}: the stability radii must be finite, got eps1 = {p['eps1']}")
     try:
         sampler_config(p, seed=0)
     except PreconditionError as exc:

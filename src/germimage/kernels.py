@@ -4,38 +4,47 @@ One numpy backend.  Both kernels walk the points in fixed blocks of
 ``_ROWS`` rows and work in place in buffers allocated once per call, so
 their scratch memory does not grow with the number of points and a
 block's working set stays in cache.  :func:`bin_hits` is fused: per
-block it copies the coordinates once, evaluates both components of the
-map into block buffers and bins them, so a probe never holds the images
-u = f(points) and v = g(points) at full length.  :func:`evaluate_batch`
-writes one polynomial's values at every point, for the residual probe.
-Both evaluate through one block routine, ``_evaluate_block``.
+block it copies the coordinates once, evaluates the map into block
+buffers and bins the images, so a probe never holds u = f(points) and
+v = g(points) at full length.  A point counts only if |u| < r and
+|v| < r, so the component with fewer complex multiplies per point
+(f on a tie) is evaluated first, at every row, and the other one only
+where the first lies in the disk: a block with no such row is done, and
+when few rows are left their coordinates are packed into a block buffer
+first.  Dropping a row whose first image is outside the disk drops
+nothing that could count, and a kept row's values take the same
+operations wherever it sits, so the counts are those of evaluating both
+components everywhere.  :func:`evaluate_batch` writes one polynomial's
+values at every point, for the residual probe.  Both evaluate through
+one block routine, ``_evaluate_block``.
 
 Two threads share the rows.  Each kernel cuts the row range at the
 block edge nearest its middle; the calling thread walks the first half
 and one helper thread, started and joined inside the call, walks the
 second.  The calling thread allocates each half's buffers before the
-helper starts: a coordinate and scratch set of ``_ROWS`` rows, the value
-buffers of both components and an integer count array for binning; only
-binning's per-block temporaries are made on the helper.  A thread writes
-only its own rows of the output (evaluation) or its own count array
-(binning), and the two count arrays are added once both halves are done.
-The helper runs private code and numpy only, never a public function of
-this package.  Its error is re-raised by the call, after the helper has
-stopped, so no call returns rows left unwritten and no thread outlives
-a call.  With fewer than two blocks' worth of rows the calling thread
-runs alone.
+helper starts: a coordinate and scratch set of ``_ROWS`` rows, and for
+binning the packed coordinates, the values of both components, the cell
+indices, the disk masks and an integer count array; only the row
+indices of a gather and a block's bincount are made per block.  A
+thread writes only its own rows of the output (evaluation) or its own
+count array (binning), and the two count arrays are added once both
+halves are done.  The helper runs private code and numpy only, never a
+public function of this package.  Its error is re-raised by the call,
+after the helper has stopped, so no call returns rows left unwritten and
+no thread outlives a call.  With fewer than two blocks' worth of rows
+the calling thread runs alone.
 
 Evaluation performs, for each output element, the same sequence of IEEE
 multiply/add operations as :meth:`Polynomial.evaluate`: powers by
 repeated multiplication, terms accumulated in the polynomial's canonical
 order, and each complex multiply expanded into the real multiplies and
 adds that scalar code performs (numpy's complex128 vector path differs
-from it at the last ulp).  Blocking, the split and the fusion change
-only which elements share a numpy call, which thread makes it and where
-the sums accumulate, never the operations applied to one element, so the
-values agree bit for bit; the determinism tests rely on that.  Binning
-adds up integer bincounts over the blocks and the halves, which equals
-the one-shot count exactly.
+from it at the last ulp).  Blocking, the split, the fusion and the
+packing change only which elements share a numpy call, which thread
+makes it and where the sums accumulate, never the operations applied to
+one element, so the values agree bit for bit; the determinism tests
+rely on that.  Binning adds up integer bincounts over the blocks and the
+halves, which equals the one-shot count exactly.
 """
 
 from __future__ import annotations
@@ -49,11 +58,14 @@ import numpy as np
 # the block's coordinates (≈ 1 MB at n = 2) in a core's cache; evaluating
 # a degree-5 map at 2·10^6 points on one core of a 2-core x86-64 machine
 # took 32 ms with 2^14 rows, 35 ms with 2^13 and 39 ms with 2^15.  Split
-# over two threads, evaluating both components of the corpus map
-# ``rouche`` (degrees 5 and 9) at 2·10^6 points in slices of 2^18 took
+# over two threads, evaluating f and g of the corpus map ``rouche``
+# (degrees 5 and 9) at all of 2·10^6 points in slices of 2^18 took
 # 40.6 ms with 2^14 rows, 56.6 ms with 2^13 (contention for the
 # interpreter lock) and 47.0 ms with 2^15, against 52.2 ms on one thread
-# (same machine, medians of seven).
+# (same machine, medians of seven).  Binning those points, where g is
+# evaluated only at the few rows whose f lies in the disk, took 126 ms
+# with 2^14 rows, 200 ms with 2^13 and 103 ms with 2^15 (medians of seven,
+# the same machine under other load).
 _ROWS = 1 << 14
 
 
@@ -190,32 +202,93 @@ def evaluate_batch(poly, points):
 # ---------------------------------------------------------------------------
 
 
-def _bin_rows(fterms, gterms, points, radius, bins, lo, hi, coords, scratch, uv, counts):
+def _multiplies(terms):
+    """Complex multiplies per point of :func:`_evaluate_block` over ``terms``."""
+    return sum(e for factors, _, _ in terms for _, e in factors)
+
+
+def _below(re, im, r2, tmp, out):
+    """``out`` = (re*re + im*im < r2), with ``tmp`` (2, len(re)) for the squares."""
+    a, b = tmp
+    np.multiply(re, re, out=a)
+    np.multiply(im, im, out=b)
+    np.add(a, b, out=a)
+    np.less(a, r2, out=out)
+
+
+def _gather(rows, sources, targets):
+    """Copy ``source[rows]`` into each target, for ascending in-range ``rows``."""
+    for source, target in zip(sources, targets):
+        # mode="clip" writes straight into ``out``; "raise" would buffer it
+        np.take(source, rows, out=target, mode="clip")
+
+
+def _bin_rows(
+    first, second, f_first, points, radius, bins, lo, hi, coords, packed, scratch, uv, cells,
+    masks, counts,
+):
     """``counts`` plus the hits of F at rows [lo, hi) of ``points``, block by block.
 
-    Each block's coordinates go into ``coords`` once; f and g are
-    evaluated into the rows of ``uv`` (4, _ROWS): Re u, Im u, Re v, Im v.
+    ``first`` and ``second`` are the terms of the components in the order
+    they are evaluated, and ``f_first`` says whether ``first`` is f.  Per
+    block the coordinates go into ``coords``, the first component into
+    rows 0 and 1 of ``uv`` (4, _ROWS) and its disk test into ``masks[0]``.
+    The second goes into rows 2 and 3 at every row or, when that saves
+    more than it copies, into rows 0 and 1 at the surviving rows, packed
+    into ``packed`` (the first's values move to rows 2 and 3).
+    ``masks[1]`` takes the hits and ``cells`` their cell indices.
     """
     r2 = radius * radius
     width = (2.0 * radius) / bins
+    cost = _multiplies(second)
+    nvars = coords.shape[1]
     for start in range(lo, hi, _ROWS):
         stop = min(start + _ROWS, hi)
         k = stop - start
         _load_block(points, start, stop, coords)
-        ure, uim, vre, vim = uv[:, :k]
-        _evaluate_block(fterms, coords, k, scratch, ure, uim)
-        _evaluate_block(gterms, coords, k, scratch, vre, vim)
-        inside = (ure * ure + uim * uim < r2) & (vre * vre + vim * vim < r2)
-        if not inside.any():
+        _evaluate_block(first, coords, k, scratch, uv[0, :k], uv[1, :k])
+        near = masks[0, :k]
+        _below(uv[0, :k], uv[1, :k], r2, scratch[:2, :k], near)
+        m = int(np.count_nonzero(near))
+        if m == 0:
             continue
-        idx = None
-        for part in (ure, uim, vre, vim):
-            cell = np.minimum(((part[inside] + radius) / width).astype(np.int64), bins - 1)
-            if idx is None:
-                idx = cell
-            else:
-                idx *= bins
-                idx += cell
+        # packing costs a pass to find the m rows and a gather of each of
+        # the 2 nvars + 2 arrays; it saves the six array passes of each
+        # complex multiply at the k - m other rows
+        if 6 * cost * (k - m) > k + (2 * nvars + 2) * m:
+            _gather(
+                np.flatnonzero(near),
+                (*coords[0, :, :k], *coords[1, :, :k], *uv[:2, :k]),
+                (*packed[0, :, :m], *packed[1, :, :m], *uv[2:, :m]),
+            )
+            at, n, a, b = packed, m, uv[2:, :m], uv[:2, :m]
+        else:
+            at, n, a, b = coords, k, uv[:2, :k], uv[2:, :k]
+        _evaluate_block(second, at, n, scratch, *b)
+        hit = masks[1, :n]
+        _below(*b, r2, scratch[:2, :n], hit)
+        if at is coords:
+            np.logical_and(hit, near, out=hit)
+        h = int(np.count_nonzero(hit))
+        if h == 0:
+            continue
+        # each hit's cell, by the operations of
+        # min(((part + radius) / width).astype(int64), bins - 1)
+        parts = (*a, *b) if f_first else (*b, *a)
+        tmp = scratch[:, :h]
+        if h < n:
+            _gather(np.flatnonzero(hit), parts, tmp)
+            parts = tmp
+        for part, out in zip(parts, tmp):
+            np.add(part, radius, out=out)
+        np.divide(tmp, width, out=tmp)
+        cell = cells[:, :h]
+        np.copyto(cell, tmp, casting="unsafe")
+        np.minimum(cell, bins - 1, out=cell)
+        idx = cell[0]
+        for i in (1, 2, 3):
+            idx *= bins
+            idx += cell[i]
         hits = np.bincount(idx)
         counts[: hits.size] += hits
     return counts
@@ -237,19 +310,25 @@ def bin_hits(points, f, g, radius, bins):
     npts = points.shape[0]
     radius = float(radius)
     bins = int(bins)
+    fterms, gterms = _terms(f), _terms(g)
+    f_first = _multiplies(fterms) <= _multiplies(gterms)
+    first, second = (fterms, gterms) if f_first else (gterms, fterms)
     rows = min(_ROWS, npts)
     jobs = [
         (
             lo,
             hi,
             np.empty((2, f.nvars, rows)),
+            np.empty((2, f.nvars, rows)),
             np.empty((4, rows)),
             np.empty((4, rows)),
+            np.empty((4, rows), dtype=np.int64),
+            np.empty((2, rows), dtype=bool),
             np.zeros(bins**4, dtype=np.int64),
         )
         for lo, hi in _halves(npts)
     ]
-    task = partial(_bin_rows, _terms(f), _terms(g), points, radius, bins)
+    task = partial(_bin_rows, first, second, f_first, points, radius, bins)
     counts, *other = _on_two_threads(task, jobs)
     for more in other:
         counts += more

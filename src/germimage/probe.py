@@ -27,12 +27,14 @@ the one generator is still consumed chunk by chunk in order, with
 ``out=`` fills that draw the numbers fresh arrays would hold.  The
 kernels cut their rows at a block edge, and each thread writes only its
 own rows or its own count array (see :mod:`germimage.kernels`); a probe
-slice starts one kernel helper, which evaluates and bins both
-components.  So the (seed, k) contract and the bitwise parity hold as on
-one thread.  Helper threads run private helpers and numpy only, never a
-public function of this package, so whoever wraps the public functions
-sees the calls a single thread makes; each helper is joined, and its
-error re-raised, before the call that started it returns.
+slice starts one kernel helper, which evaluates the cheaper component at
+its rows, the other one only where the first lies in the target disk,
+and bins the images.  So the (seed, k) contract and the bitwise parity
+hold as on one thread.  Helper threads run private helpers and numpy
+only, never a public function of this package, so whoever wraps the
+public functions sees the calls a single thread makes; each helper is
+joined, and its error re-raised, before the call that started it
+returns.
 
 Shared draws: every probe takes an optional ``draw``, a
 :class:`SharedBallSamples` made for one run, in place of a fresh
@@ -62,6 +64,7 @@ per axis) is rejected before anything is allocated.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -101,8 +104,12 @@ class SamplerConfig:
                 f"{self.grid_bins_per_axis} bins per axis make {cells} grid cells, "
                 f"more than the {_MAX_CELLS} a probe allows"
             )
-        if not self.epsilon > 0 or not (self.target_radius is None or self.target_radius > 0):
-            raise PreconditionError("epsilon and the target radius must be positive")
+        # the radius epsilon**2 / 4 can overflow or underflow a finite epsilon
+        if not all(r > 0 and math.isfinite(r) for r in (self.epsilon, self.radius)):
+            raise PreconditionError(
+                "epsilon and the target radius must be positive and finite, got "
+                f"epsilon = {self.epsilon}, target radius = {self.radius}"
+            )
 
     @property
     def radius(self):
@@ -472,8 +479,8 @@ def germ_stability_probe(germ, eps1, eps2, cfg, draw=None):
     is zero for a map whose image germ is radius-independent up to
     sampling noise.
     """
-    if not eps1 > eps2 > 0:
-        raise ValueError("need eps1 > eps2 > 0")
+    if not (eps1 > eps2 > 0 and math.isfinite(eps1)):
+        raise ValueError(f"need finite eps1 > eps2 > 0, got eps1 = {eps1}, eps2 = {eps2}")
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts1 = counts2 = None

@@ -426,6 +426,24 @@ def test_input_errors_exit_2(tmp_path, capsys):
         assert "Traceback" not in err6
 
 
+def test_non_finite_probe_parameters_exit_2(monkeypatch, capsys):
+    """An infinite radius is refused with a message before any sample is drawn."""
+    counts = _count_calls(monkeypatch, {probe.unit_ball_samples: "sampled"})
+    entry = ("--entry", "identity")
+    for flags, message in (
+        ((*entry, "--target-radius", "inf"), "positive and finite"),
+        ((*entry, "--epsilon", "inf"), "positive and finite"),
+        ((*entry, "--epsilon", "nan"), "positive and finite"),
+        ((*entry, "--stability", "inf,0.05"), "finite eps1 > eps2 > 0"),
+        # no entry radius: the default epsilon**2 / 4 overflows
+        (("--vars", "x,y", "--f", "x", "--g", "y", "--epsilon", "1e200"), "target radius = inf"),
+    ):
+        code, out, err = run_cli(capsys, "--seed", "0", "probe", *flags)
+        assert code == 2 and out == "", flags
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert counts == {}
+
+
 def test_corpus_exit_codes(tmp_path, capsys):
     wrong = tmp_path / "wrong.txt"
     wrong.write_text(

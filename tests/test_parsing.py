@@ -64,6 +64,11 @@ def test_parse_corpus_accepts_plain_names():
         ("probe = residual\nbins = 200\n", "grid cells"),
         ("probe = stability\neps1 = 0.2\neps2 = 0.05\nepsilon = -1\n", "positive"),
         ("probe = occupancy\ntarget_radius = 0\n", "positive"),
+        ("probe = occupancy\ntarget_radius = inf\n", "positive and finite"),
+        ("probe = occupancy\nepsilon = inf\n", "positive and finite"),
+        ("probe = residual\nepsilon = nan\n", "positive and finite"),
+        ("probe = stability\neps1 = inf\neps2 = 0.05\n", "radii must be finite, got eps1 = inf"),
+        ("probe = stability\neps1 = nan\neps2 = 0.05\n", r"needs eps1 > eps2 > 0"),
     ],
 )
 def test_parse_corpus_rejects_probes_that_cannot_run(probe, message):

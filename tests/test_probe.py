@@ -54,6 +54,21 @@ def test_config_rejects_grids_past_the_cell_bound():
         SamplerConfig(grid_bins_per_axis=200)
 
 
+def test_config_and_stability_probe_reject_non_finite_radii():
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            SamplerConfig(epsilon=bad)
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            SamplerConfig(target_radius=bad)
+        with pytest.raises(ValueError, match="finite eps1 > eps2 > 0"):
+            germ_stability_probe(ANGLE, bad, 0.05, SamplerConfig(samples=10))
+    # a finite epsilon whose default radius epsilon**2 / 4 is not
+    for eps in (1e200, 1e-200):
+        with pytest.raises(PreconditionError, match="target radius = (inf|0.0)"):
+            SamplerConfig(epsilon=eps)
+    assert SamplerConfig(epsilon=1e200, target_radius=0.5).radius == 0.5
+
+
 def test_unit_ball_samples_deterministic_and_inside():
     a = unit_ball_samples(2, 5000, seed=9)
     b = unit_ball_samples(2, 5000, seed=9)
@@ -470,6 +485,96 @@ def test_fused_bin_hits_match_scalar_evaluate(nvars):
     assert 0 < reference.sum() < counts[-1]
 
 
+def _filter_case(case):
+    """(f, g, points, radius) of one case of the first-component filter, at 3 * ROWS + 5 points.
+
+    The radius sets how many rows of a block survive the first component's
+    disk test: none in three blocks of four (the map of the corpus entry
+    ``rouche`` at a smaller radius), a sparse few (at its radius), most or
+    all of them.  A constant first component keeps every row or none.
+    """
+    count = 3 * ROWS + 5
+    if case == "rouche-empty" or case == "rouche-sparse":
+        x, y = variables(2)
+        radius = 2e-4 if case == "rouche-empty" else 0.0009
+        return x * (x**4 + y), y * (x**4 + y) ** 2, 0.5 * unit_ball_samples(2, count, 11), radius
+    if case == "most":  # cheap components: evaluating the second everywhere is cheaper
+        x, y = variables(2)
+        pts = 0.6 * unit_ball_samples(2, count, 12)
+        return x, y, pts, float(np.quantile(abs(pts[:, 0]), 0.7))
+    if case == "all":
+        f, g = _random_poly(3, 4, 3, seed=13), _random_poly(3, 3, 2, seed=14)
+        return f, g, 0.3 * unit_ball_samples(3, count, 13), 1e3
+    if case == "g-cheaper":
+        x1, x2, x3, x4 = variables(4)
+        f = _random_poly(4, 5, 3, seed=15)
+        return f, x1 * x2 - x3 * x4, 0.8 * unit_ball_samples(4, count, 15), 0.05
+    if case == "zero-f":
+        (x,) = variables(1)
+        return Polynomial(1, []), x**3 - x, 0.9 * unit_ball_samples(1, count, 16), 0.2
+    if case == "constant-inside":
+        x, y, z = variables(3)
+        f = Polynomial.constant(3, GaussianRational(Fraction(1, 10), Fraction(1, 5)))
+        return f, x * y - z**2 + z, 0.7 * unit_ball_samples(3, count, 17), 0.5
+    if case == "constant-outside":
+        (x,) = variables(1)
+        g = Polynomial.constant(1, GaussianRational(Fraction(2)))
+        return x**2, g, 0.9 * unit_ball_samples(1, count, 18), 0.5
+    raise AssertionError(case)
+
+
+_FILTER_CASES = {
+    # case: (the component evaluated first, where the second is evaluated)
+    "rouche-empty": ("f", "skips blocks"),
+    "rouche-sparse": ("f", "packs"),
+    "most": ("f", "everywhere"),
+    "all": ("g", "everywhere"),
+    "g-cheaper": ("g", "packs"),
+    "zero-f": ("f", "everywhere"),
+    "constant-inside": ("f", "everywhere"),
+    "constant-outside": ("g", "skips blocks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FILTER_CASES))
+def test_filtered_bin_hits_match_scalar_evaluate(monkeypatch, case):
+    """The second component only where the first lies in the disk: the one-shot counts still.
+
+    f and g are evaluated by ``Polynomial.evaluate`` at every point and
+    binned at once; ``bin_hits`` evaluates first the component with fewer
+    complex multiplies and the other one only where that can hit.  The
+    counts run across the block edges and the cut between the two threads.
+    """
+    f, g, pts, radius = _filter_case(case)
+    bins = 5
+    u, v = _scalar_images(f, g, pts)
+    calls = []
+    evaluate = kernels._evaluate_block
+
+    def spy(terms, coords, k, *rest):
+        calls.append((terms, k))
+        return evaluate(terms, coords, k, *rest)
+
+    monkeypatch.setattr(kernels, "_evaluate_block", spy)
+    for n in (0, 1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 5):
+        calls.clear()
+        got = kernels.bin_hits(pts[:n], f, g, radius, bins)
+        assert got.dtype == np.int64 and got.shape == (bins**4,)
+        assert np.array_equal(got, _one_shot_bin_hits(u[:n], v[:n], radius, bins))
+    first, path = _FILTER_CASES[case]
+    terms = {"f": kernels._terms(f), "g": kernels._terms(g)}
+    first_rows = [k for t, k in calls if t == terms[first]]
+    second_rows = [k for t, k in calls if t == terms["g" if first == "f" else "f"]]
+    assert sorted(first_rows) == [5, ROWS, ROWS, ROWS]
+    if path == "skips blocks":
+        assert len(second_rows) < len(first_rows)
+    elif path == "packs":
+        assert len(second_rows) >= 3 and all(k < ROWS // 2 for k in second_rows)
+    else:
+        assert sorted(second_rows) == sorted(first_rows)
+    assert (got.sum() > 0) == (case != "constant-outside")
+
+
 def _reference_ball_samples(nvars, count, seed, spoil):
     """The sampler on one thread: fresh arrays per chunk, each drawn when needed.
 
@@ -668,6 +773,32 @@ def test_evaluate_batch_memory_is_bounded_by_blocks():
         tracemalloc.stop()
     block_buffers = (6 + 2 * nvars) * ROWS * 8
     assert peak < out.nbytes + 2 * block_buffers
+
+
+def test_bin_hits_memory_is_bounded_by_blocks():
+    """Scratch memory is a fixed number of block buffers, whatever N is.
+
+    Each thread holds a block's coordinates and their packed copy (2 nvars
+    rows each), the evaluation scratch and both components (4 rows each),
+    the cell indices (4 int64 rows), the two disk masks, the row indices of
+    one gather and a count array; and the last block's bincount.  Holding
+    the images u and v at full length would take 32 bytes per point.
+    """
+    nvars, bins = 3, 6
+    x, y, z = variables(3)
+    f, g = x * y, (x + z) ** 4 * y + z**3
+    per_thread = ((4 * nvars + 12) * 8 + 2 + 8) * ROWS + 8 * bins**4
+    for count in (4 * ROWS, 40 * ROWS):
+        pts = 0.9 * unit_ball_samples(nvars, count, seed=count)
+        for radius in (0.05, 10.0):  # a tenth of the rows packed; every row kept
+            tracemalloc.start()
+            try:
+                hits = kernels.bin_hits(pts, f, g, radius, bins)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert hits.sum() > 0
+            assert peak < 2 * per_thread + 8 * bins**4 + (1 << 16)
 
 
 def test_probe_memory_is_bounded_by_slices():
