@@ -1,10 +1,8 @@
 """Exact predicates on zero sets at the origin.
 
-Multivariate gcd (a certified modular candidate, with recursive content /
-primitive-part reduction and a subresultant polynomial remainder sequence
-as the fallback), squarefree parts, the germ-inclusion test for zero sets
-at 0, the gcd decomposition f = h*fhat, g = h*ghat, and the Jacobian rank
-test.
+Multivariate gcd (one certified modular path), squarefree parts, the
+germ-inclusion test for zero sets at 0, the gcd decomposition
+f = h*fhat, g = h*ghat, the resultant, and the Jacobian rank test.
 
 No irreducible factorization anywhere: germ inclusion of zero sets is
 decided by the gcd-stripping/constant-term trick.  Dividing ``p`` by its
@@ -18,24 +16,26 @@ dimension n-2 exactly when their equations share no factor vanishing at 0
 codimension exactly 2 at 0 unless a common component passes through 0).
 That reduces the dimension dichotomy to the constant term of gcd(f, g).
 
-The gcd only ever returns a gcd it has proved.  Univariate images in
-F_P bound its degree in each variable; a candidate, found as 1, as an
-argument, or by Brown's dense evaluation / interpolation scheme in F_P
-(Brown, "On Euclid's algorithm and the computation of polynomial greatest
-common divisors", JACM 1971; Geddes, Czapor & Labahn, *Algorithms for
-Computer Algebra*, 1992, ch. 7) lifted to Q(i) by rational reconstruction
-(Wang, Guy & Davenport, "p-adic reconstruction of rational numbers",
-SIGSAM Bulletin 1982), is accepted only when it meets those bounds and
-divides both arguments exactly.  Otherwise the content / PRS path runs,
-so every gcd, and every verdict built on one, is the same either way.
-The proof is in the docstring of ``gcd``.
+The gcd only ever returns a gcd it has proved, and it has one path.  It
+runs attempts, each in F_P for its own prime P = 1 mod 4 and at its own
+point.  Univariate images in F_P bound the gcd's degree in each
+variable; a candidate, found as 1, as an argument, or by Brown's dense
+evaluation / interpolation scheme in F_P (Brown, "On Euclid's algorithm
+and the computation of polynomial greatest common divisors", JACM 1971;
+Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 7),
+combined over the primes of the attempts by the Chinese remainder theorem
+and lifted to Q(i) by rational reconstruction (Wang, Guy & Davenport,
+"p-adic reconstruction of rational numbers", SIGSAM Bulletin 1982), is
+accepted only when it meets those bounds and divides both arguments
+exactly.  The docstring of ``gcd`` proves that the accepted candidate is
+the gcd and that the attempts end.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DivisibilityError, GcdUndefinedError, PreconditionError
@@ -59,14 +59,6 @@ def _coeffs_in(p, var):
     for m, c in p.terms:
         buckets[m[var]].append((m[:var] + (0,) + m[var + 1 :], c))
     return [Polynomial._ordered(p.nvars, tuple(b)) for b in buckets]
-
-
-def _from_coeffs(coeffs, var, nvars):
-    acc = {}
-    for e, poly in enumerate(coeffs):
-        for m, c in poly.terms:
-            acc[m[:var] + (e,) + m[var + 1 :]] = c
-    return Polynomial._trusted(nvars, acc)
 
 
 def _trim(coeffs):
@@ -96,15 +88,13 @@ def _prem(a, b):
     return r
 
 
-def _subresultant_prs(a, b, nvars, to_end=False):
-    """Run the subresultant PRS of lists a, b with deg a >= deg b.
+def _subresultant_prs(a, b, nvars):
+    """Run the subresultant PRS of lists a, b with deg a >= deg b to its end.
 
     Returns ``(a, b, h, sign)`` for the last pair: ``b`` is constant when
-    a, b are coprime, else the last nonzero member, whose primitive part is
-    the gcd; ``h`` is the scale of the last step and ``sign`` the product
-    of (-1)^(deg a_k * deg b_k) over the steps.  A constant last member is
-    scaled exactly only ``to_end``, as the resultant needs.  All interior
-    divisions are exact (Collins 1967; Brown & Traub 1971).
+    a, b are coprime, else the last nonzero member; ``h`` is the scale of
+    the last step and ``sign`` the product of (-1)^(deg a_k * deg b_k) over
+    the steps.  All divisions are exact (Collins 1967; Brown & Traub 1971).
     """
     g = h = Polynomial.one(nvars)
     sign = 1
@@ -115,8 +105,6 @@ def _subresultant_prs(a, b, nvars, to_end=False):
         r = _prem(a, b)
         if not r:
             break
-        if len(r) == 1 and not to_end:
-            return b, r, h, sign
         divisor = g * h**delta
         a, b = b, [c.exact_divide(divisor) for c in r]
         g = a[-1]
@@ -133,7 +121,7 @@ def resultant(p, q, var):
     a, b = _coeffs_in(p, var), _coeffs_in(q, var)
     sign = -1 if (len(a) - 1) % 2 and (len(b) - 1) % 2 and len(a) < len(b) else 1
     a, b = sorted((a, b), key=len, reverse=True)
-    a, b, h, s = _subresultant_prs(a, b, p.nvars, to_end=True)
+    a, b, h, s = _subresultant_prs(a, b, p.nvars)
     if len(b) > 1:
         return Polynomial.zero(p.nvars)
     da = len(a) - 1
@@ -159,33 +147,56 @@ def gcd_many(polys):
     return g
 
 
-# The modular path works in F_P with P = 119 * 2^23 + 1 = 1 mod 4, so that
-# -1 has the square root IOTA (3 generates the units of F_P); i maps to IOTA.
-_PRIME = 998_244_353
-_IOTA = pow(3, (_PRIME - 1) // 4, _PRIME)
-# The point at which every variable but one is put for a degree bound: x_k
-# goes to _POINT[k], taken cyclically (digits of pi, e and the square roots
-# of 2, 3, 5, 7).
+# The modular path works in F_P for primes P = 1 mod 4, where -1 has a
+# square root iota, to which i maps.  ``_PRIMES`` holds (P, iota) for the
+# primes P = 1 mod 4 from 119 * 2^23 + 1 up, whose iota is 3^((P-1)/4) (3
+# generates its units); ``_prime`` finds the others by trial division when
+# an attempt first needs them.
+_PRIMES = [(998_244_353, 911_660_635)]
+# The base point at which every variable but one is put for a degree bound:
+# x_k goes to _POINT[k], taken cyclically (digits of pi, e and the square
+# roots of 2, 3, 5, 7); later attempts add points of the grid 1 + N^n to it.
 _POINT = (314159265, 271828182, 141421356, 173205080, 223606797, 264575131)
-
-# How often ``gcd`` ran the content / PRS path, by reason: "prime" (P
-# divides a denominator, or an argument is 0 mod P), "no bound" (a shared
-# variable whose images both lose degree), "no candidate" (the
-# interpolation gave up, or no small rational fits a residue) and
-# "certificate" (the candidate failed its degrees or its divisions).
-_fallbacks = Counter()
-# Images above the degree bounds that one interpolation skips before it
-# gives up: past it the problem itself, an image of an unlucky point one
-# level up, is taken to be unlucky.
+# Images that one interpolation skips before it gives up, in the first
+# attempt; each later attempt allows one more (see ``gcd``).
 _UNLUCKY_POINTS = 4
 
 
-def _residues(p, iota):
+def _prime(attempt):
+    """``(P, iota)`` of an attempt: its prime P = 1 mod 4 and iota^2 = -1 in F_P."""
+    while len(_PRIMES) <= attempt:
+        prime = _PRIMES[-1][0] + 4
+        while any(prime % d == 0 for d in range(3, math.isqrt(prime) + 1, 2)):
+            prime += 4
+        # a non-residue c has c^((P-1)/2) = -1, so iota = c^((P-1)/4)
+        c = next(c for c in range(2, prime) if pow(c, prime // 2, prime) == prime - 1)
+        _PRIMES.append((prime, pow(c, prime // 4, prime)))
+    return _PRIMES[attempt]
+
+
+def _point(attempt, nvars):
+    """The point of an attempt: ``_POINT`` plus the j-th point of the grid 0, 1 + N^nvars.
+
+    j runs 0; 0, 1; 0, 1, 2; ... over the attempts, so every grid point
+    recurs, each time with a new prime.  Point j > 0 is 1 plus the
+    (j-1)-th point of N^nvars, whose bits are dealt round the coordinates:
+    j = 1, 2, 3, ... meets every point of 1 + N^nvars once, and the first
+    of them already moves every coordinate.
+    """
+    k = (math.isqrt(8 * attempt + 1) - 1) // 2 if attempt else 0
+    j = attempt - k * (k + 1) // 2
+    point = [_POINT[w % len(_POINT)] + (j > 0) for w in range(nvars)]
+    j = max(j - 1, 0)
+    for bit in range(j.bit_length()):
+        point[bit % nvars] += (j >> bit & 1) << bit // nvars
+    return point
+
+
+def _residues(p, iota, prime):
     """{monomial: residue} of ``p`` in F_P under i -> iota, zeros dropped.
 
     None if P divides a denominator, or every residue is 0.
     """
-    prime = _PRIME
     out = {}
     for m, c in p.terms:
         a, b, d = c.triple()
@@ -200,18 +211,18 @@ def _residues(p, iota):
     return out or None
 
 
-def _image(residues, var, degree):
+def _image(residues, var, degree, point, prime):
     """Coefficients by power of the image in F_P[x_var], trailing zeros dropped.
 
-    Every variable but ``var`` is put at ``_POINT``.
+    Every variable but ``var`` is put at its coordinate of ``point``.
     """
     coeffs = [0] * (degree + 1)
     for m, r in residues.items():
         for w, e in enumerate(m):
             if e and w != var:
-                r = r * pow(_POINT[w % len(_POINT)], e, _PRIME) % _PRIME
+                r = r * pow(point[w], e, prime) % prime
         coeffs[m[var]] += r
-    return _u_trim([c % _PRIME for c in coeffs])
+    return _u_trim([c % prime for c in coeffs])
 
 
 # -- dense univariate arithmetic in F_P: lists by power, no trailing zeros --
@@ -223,25 +234,24 @@ def _u_trim(a):
     return a
 
 
-def _u_eval(a, x):
+def _u_eval(a, x, prime):
     acc = 0
     for c in reversed(a):
-        acc = (acc * x + c) % _PRIME
+        acc = (acc * x + c) % prime
     return acc
 
 
-def _u_mul(a, b):
+def _u_mul(a, b, prime):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, c in enumerate(a):
         if c:
             for j, d in enumerate(b):
                 out[i + j] += c * d
-    return [c % _PRIME for c in out]
+    return [c % prime for c in out]
 
 
-def _u_gcd(a, b):
+def _u_gcd(a, b, prime):
     """The monic gcd of two lists, [] when both are zero."""
-    prime = _PRIME
     while b:
         if len(b) == 1:
             return [1]
@@ -259,18 +269,17 @@ def _u_gcd(a, b):
     return a
 
 
-def _u_gcd_many(lists):
+def _u_gcd_many(lists, prime):
     g = []
     for a in lists:
-        g = _u_gcd(g, a)
+        g = _u_gcd(g, a, prime)
         if len(g) == 1:
             break
     return g
 
 
-def _u_quotient(a, b):
+def _u_quotient(a, b, prime):
     """a / b for a list b that divides a."""
-    prime = _PRIME
     if len(b) == 1:
         inv = pow(b[0], -1, prime)
         return [c * inv % prime for c in a]
@@ -286,7 +295,7 @@ def _u_quotient(a, b):
 # -- the candidate: Brown's dense evaluation / interpolation gcd in F_P -----
 
 
-def _brown(a, b, bounds):
+def _brown(a, b, bounds, prime, allowance):
     """A gcd in F_P[x_0, ..., x_k] of nonzero residue dicts, up to a unit; None if it gives up.
 
     Monomials are (k+1)-tuples.  Brown's scheme (JACM 1971) in the last
@@ -300,14 +309,13 @@ def _brown(a, b, bounds):
 
     An image of a lucky point is the image of the wanted gcd.  An unlucky
     one is a proper multiple of it: it lies above ``bounds`` in some
-    variable, and is skipped, or has a larger leading monomial, and is
-    skipped, unless it came first and a smaller one restarts the
-    interpolation.  After ``_UNLUCKY_POINTS`` images above the bounds the
-    problem itself is taken to be the image of an unlucky point one level
-    up, and None is returned.  The answer is not proved here: ``gcd``
-    certifies it over Q(i).
+    variable, or has a larger leading monomial and is skipped, unless it
+    came first and a smaller one restarts the interpolation.  After
+    ``allowance`` skipped images (above the bounds, above the lead, or
+    given up one level down) it gives up, as it does when it runs out of
+    F_P.  ``gcd`` proves what the answer can be, and certifies it over Q(i).
     """
-    prime, k = _PRIME, len(bounds) - 1
+    k = len(bounds) - 1
     if k == 0:
         lists = []
         for r in (a, b):
@@ -315,7 +323,7 @@ def _brown(a, b, bounds):
             for m, c in r.items():
                 dense[m[0]] = c
             lists.append(dense)
-        return {(e,): c for e, c in enumerate(_u_gcd(*lists)) if c}
+        return {(e,): c for e, c in enumerate(_u_gcd(*lists, prime)) if c}
     split = []
     for r in (a, b):
         by_rest = {}
@@ -324,63 +332,67 @@ def _brown(a, b, bounds):
             if len(dense) <= m[k]:
                 dense.extend([0] * (m[k] + 1 - len(dense)))
             dense[m[k]] = c
-        content = _u_gcd_many(by_rest.values())
+        content = _u_gcd_many(by_rest.values(), prime)
         if len(content) > 1:
-            by_rest = {m: _u_quotient(dense, content) for m, dense in by_rest.items()}
+            by_rest = {m: _u_quotient(dense, content, prime) for m, dense in by_rest.items()}
         split.append((by_rest, content))
     (sa, ca), (sb, cb) = split
-    content = _u_gcd(ca, cb)
-    gamma = _u_gcd(sa[max(sa)], sb[max(sb)])
+    content = _u_gcd(ca, cb, prime)
+    gamma = _u_gcd(sa[max(sa)], sb[max(sb)], prime)
     need = len(gamma) + bounds[k]
     interp, lead, modulus, points, x, skipped = None, None, [1], 0, 0, 0
     while points < need:
         x += 1
-        scale = _u_eval(gamma, x)
+        if x == prime:
+            return None
+        scale = _u_eval(gamma, x, prime)
         if not scale:
             continue
-        images = [{m: v for m, dense in s.items() if (v := _u_eval(dense, x))} for s in (sa, sb)]
-        image = _brown(*images, bounds[:k])
-        if image is None or any(max(m[j] for m in image) > bounds[j] for j in range(k)):
+        images = [{m: v for m, dense in s.items() if (v := _u_eval(dense, x, prime))} for s in (sa, sb)]
+        image = _brown(*images, bounds[:k], prime, allowance)
+        top = image and max(image)
+        if (
+            image is None
+            or any(max(m[j] for m in image) > bounds[j] for j in range(k))
+            or interp is not None and top > lead
+        ):
             skipped += 1
-            if skipped > _UNLUCKY_POINTS:
+            if skipped > allowance:
                 return None
             continue
-        top = max(image)
         if not any(top):  # the primitive parts are coprime
             return {(0,) * k + (e,): c for e, c in enumerate(content) if c}
-        if interp is not None and top > lead:
-            continue
         scale = scale * pow(image[top], -1, prime) % prime
         if interp is None or top < lead:
             interp = {m: [v * scale % prime] for m, v in image.items()}
             lead, modulus, points = top, [prime - x, 1], 1
             continue
-        at_x = pow(_u_eval(modulus, x), -1, prime)
+        at_x = pow(_u_eval(modulus, x, prime), -1, prime)
         for m in interp.keys() | image.keys():
             old = interp.get(m, [])
-            step = (image.get(m, 0) * scale - _u_eval(old, x)) * at_x % prime
+            step = (image.get(m, 0) * scale - _u_eval(old, x, prime)) * at_x % prime
             if step:
                 old = old + [0] * (len(modulus) - len(old))
                 interp[m] = [(c + step * d) % prime for c, d in zip(old, modulus)]
-        modulus = _u_mul(modulus, [prime - x, 1])
+        modulus = _u_mul(modulus, [prime - x, 1], prime)
         points += 1
-    primitive = _u_gcd_many(interp.values())
+    primitive = _u_gcd_many(interp.values(), prime)
     out = {}
     for m, dense in interp.items():
-        for e, c in enumerate(_u_mul(_u_quotient(dense, primitive), content)):
+        for e, c in enumerate(_u_mul(_u_quotient(dense, primitive, prime), content, prime)):
             if c:
                 out[m + (e,)] = c
     return out
 
 
-def _rational(r):
-    """(n, d) in lowest terms, n/d = r mod P, |n| and d <= sqrt(P/2), or None.
+def _rational(r, modulus):
+    """(n, d) in lowest terms, n/d = r mod ``modulus``, |n| and d <= sqrt(modulus/2), or None.
 
-    Half of the extended Euclidean algorithm on (P, r) (Wang, Guy &
+    Half of the extended Euclidean algorithm on (modulus, r) (Wang, Guy &
     Davenport 1982); such an n/d is unique when it exists.
     """
-    bound = math.isqrt(_PRIME // 2)
-    r0, r1, t0, t1 = _PRIME, r, 0, 1
+    bound = math.isqrt(modulus // 2)
+    r0, r1, t0, t1 = modulus, r, 0, 1
     while r1 > bound:
         quot = r0 // r1
         r0, r1, t0, t1 = r1, r0 - quot * r1, t1, t0 - quot * t1
@@ -389,35 +401,40 @@ def _rational(r):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_candidate(p, q, residues, degrees, bounds):
-    """The grevlex-monic gcd of p, q in F_P, lifted to Q(i), or None.
+def _modular_image(p, q, residues, degrees, bounds, prime, iota, allowance):
+    """``(key, image)`` of the grevlex-monic gcd of p, q in F_P, or None.
 
-    ``residues`` holds the residue dicts of p and q under i -> IOTA, and
+    ``residues`` holds the residue dicts of p and q under i -> iota, and
     ``degrees`` their degrees in each variable.  When a coefficient is not
-    real, the images under i -> -IOTA are taken too: a + b*i maps to
-    a + b*IOTA and a - b*IOTA, which give a and b.  Variables are ordered
-    by falling bound, so the univariate gcds run in the variable of
-    highest degree and the fewest points are interpolated.  None when an
-    argument is 0 mod P under i -> -IOTA, when the interpolation gives up,
-    or when a residue has no small rational.
+    real, the images under i -> -iota are taken too: a + b*i maps to
+    a + b*iota and a - b*iota, so ``image`` maps each monomial to the
+    residues (a, b).  Variables are ordered by falling bound, so the
+    univariate gcds run in the variable of highest degree and the fewest
+    points are interpolated; ``key`` is the larger leading monomial of
+    the two gcds in lex order on that order.  None when p and q each lose
+    a term mod P under i -> -iota or i -> iota, or an interpolation gives up.
     """
-    prime, n = _PRIME, p.nvars
+    n = p.nvars
     used = [v for v, ds in enumerate(zip(*degrees)) if any(ds)]
     order = sorted(used, key=lambda v: (-bounds[v], v))
     images = [residues]
     if not all(c.is_real() for r in (p, q) for _, c in r.terms):
-        images.append((_residues(p, prime - _IOTA), _residues(q, prime - _IOTA)))
-    lifted = []
+        images.append((_residues(p, prime - iota, prime), _residues(q, prime - iota, prime)))
+    key, lifted = (), []
     for rp, rq in images:
-        if rp is None or rq is None:
+        # an argument that keeps every term keeps the leading coefficients of the gcd
+        if rp is None or rq is None or len(rp) < len(p.terms) and len(rq) < len(q.terms):
             return None
         g = _brown(
             {tuple(m[v] for v in order): c for m, c in rp.items()},
             {tuple(m[v] for v in order): c for m, c in rq.items()},
             tuple(bounds[v] for v in order),
+            prime,
+            allowance,
         )
         if g is None:
             return None
+        key = max(key, max(g))
         full = {}
         for m, c in g.items():
             exps = [0] * n
@@ -426,19 +443,29 @@ def _modular_candidate(p, q, residues, degrees, bounds):
             full[tuple(exps)] = c
         inv = pow(full[min(full, key=_descending_key)], -1, prime)
         lifted.append({m: c * inv % prime for m, c in full.items()})
-    plus = lifted[0]
-    minus = lifted[-1]
-    half, half_iota = pow(2, -1, prime), pow(2 * _IOTA, -1, prime)
-    acc = {}
+    plus, minus = lifted[0], lifted[-1]
+    half, half_iota = pow(2, -1, prime), pow(2 * iota, -1, prime)
+    image = {}
     for m in plus.keys() | minus.keys():
         cp, cm = plus.get(m, 0), minus.get(m, 0)
-        re, im = _rational((cp + cm) * half % prime), _rational((cp - cm) * half_iota % prime)
+        image[m] = ((cp + cm) * half % prime, (cp - cm) * half_iota % prime)
+    return key, image
+
+
+def _lift(residues, modulus, nvars):
+    """The polynomial whose coefficients a + b*i have the residues (a, b) mod ``modulus``.
+
+    Each of a, b is the small rational of its residue; None when one has none.
+    """
+    acc = {}
+    for m, (a, b) in residues.items():
+        re, im = _rational(a, modulus), _rational(b, modulus)
         if re is None or im is None:
             return None
         # over the lcm of the lowest-terms denominators the triple is canonical
         d = math.lcm(re[1], im[1])
         acc[m] = _canonical(re[0] * (d // re[1]), im[0] * (d // im[1]), d)
-    return Polynomial._trusted(n, acc)
+    return Polynomial._trusted(nvars, acc)
 
 
 def _degrees(p):
@@ -455,96 +482,70 @@ def _quotient(a, b):
 
 
 def _certified(p, q):
-    """``(h, p/h, q/h)`` with h = gcd(p, q) proved, for nonconstant p, q; else None.
-
-    None counts its reason in ``_fallbacks``; the proof is in ``gcd``.
-    """
-    rp, rq = _residues(p, _IOTA), _residues(q, _IOTA)
-    if rp is None or rq is None:
-        _fallbacks["prime"] += 1
-        return None
+    """``(h, p/h, q/h)`` with h = gcd(p, q), for nonconstant p, q; the proof is in ``gcd``."""
+    n = p.nvars
     degrees = _degrees(p), _degrees(q)
-    bounds = []
-    for v, (dp, dq) in enumerate(zip(*degrees)):
-        if not (dp and dq):
-            bounds.append(0)
+    bounds = [dp if dp < dq else dq for dp, dq in zip(*degrees)]
+    seen = group = None
+    for attempt in itertools.count():
+        prime, iota = _prime(attempt)
+        rp, rq = _residues(p, iota, prime), _residues(q, iota, prime)
+        if rp is None or rq is None:
             continue
-        ip, iq = _image(rp, v, dp), _image(rq, v, dq)
-        if len(ip) - 1 != dp and len(iq) - 1 != dq:
-            _fallbacks["no bound"] += 1
-            return None
-        bounds.append(len(_u_gcd(ip, iq)) - 1)
-    if not any(bounds):
-        return Polynomial.one(p.nvars), p, q
-    nominated = [pair for pair, ds in zip(((p, q), (q, p)), degrees) if ds == bounds]
-    if nominated:
-        # a gcd divides s and has the degrees of s only when it is s
-        s, b = min(nominated, key=lambda pair: len(pair[0].terms))
-        quotient = _quotient(b, s)
-        if quotient is not None:
-            lc = s.leading_coefficient()
-            cofactors = Polynomial.constant(p.nvars, lc), quotient.scale(lc)
-            return (s.monic(), *(cofactors if s is p else cofactors[::-1]))
-    else:
-        h = _modular_candidate(p, q, (rp, rq), degrees, bounds)
-        if h is None:
-            _fallbacks["no candidate"] += 1
-            return None
+        point = _point(attempt, n)
+        for v, (dp, dq) in enumerate(zip(*degrees)):
+            if bounds[v]:
+                ip, iq = _image(rp, v, dp, point, prime), _image(rq, v, dq, point, prime)
+                if len(ip) - 1 == dp or len(iq) - 1 == dq:
+                    e = len(_u_gcd(ip, iq, prime)) - 1
+                    if e < bounds[v]:
+                        bounds[v] = e
+        if not any(bounds):
+            return Polynomial.one(n), p, q
+        if bounds != seen:
+            # new bounds order Brown's variables anew, and may nominate an argument
+            seen, group = list(bounds), None
+            nominated = [pair for pair, ds in zip(((p, q), (q, p)), degrees) if ds == bounds]
+            if nominated:
+                # a gcd divides s and has the degrees of s only when it is s
+                s, b = min(nominated, key=lambda pair: len(pair[0].terms))
+                quotient = _quotient(b, s)
+                if quotient is not None:
+                    lc = s.leading_coefficient()
+                    cofactors = Polynomial.constant(n, lc), quotient.scale(lc)
+                    return (s.monic(), *(cofactors if s is p else cofactors[::-1]))
+        if nominated:
+            continue  # until the bounds fall below the degrees of s
+        image = _modular_image(p, q, (rp, rq), degrees, bounds, prime, iota, _UNLUCKY_POINTS + attempt)
+        if image is None:
+            continue
+        key, residues = image
+        modulus = prime
+        if group is not None and key > group[0]:
+            continue
+        if group is not None and key == group[0]:
+            _, old, acc = group
+            inv = pow(old, -1, prime)
+            for m in acc.keys() | residues.keys():
+                (a, b), (c, d) = acc.get(m, (0, 0)), residues.get(m, (0, 0))
+                acc[m] = a + old * ((c - a) * inv % prime), b + old * ((d - b) * inv % prime)
+            residues, modulus = acc, old * prime
+        group = key, modulus, residues
+        h = _lift(residues, modulus, n)
         if (
-            _degrees(h) == bounds
+            h is not None
+            and _degrees(h) == bounds
             and (p_hat := _quotient(p, h)) is not None
             and (q_hat := _quotient(q, h)) is not None
         ):
             return h, p_hat, q_hat
-    _fallbacks["certificate"] += 1
-    return None
-
-
-def _content_and_pp(p, var):
-    cont = gcd_many(_coeffs_in(p, var))
-    return cont, p.exact_divide(cont)
-
-
-def _pick_main_var(p, q):
-    shared = set(p.variables_used()) & set(q.variables_used())
-    pool = shared or (set(p.variables_used()) | set(q.variables_used()))
-    return min(
-        pool,
-        key=lambda v: (
-            min(p.max_degree_in(v), q.max_degree_in(v)),
-            p.max_degree_in(v) + q.max_degree_in(v),
-            v,
-        ),
-    )
-
-
-def _prs_gcd(p, q):
-    """gcd(p, q) of nonconstant p, q by recursive contents and a subresultant PRS."""
-    var = _pick_main_var(p, q)
-    ca, pa = _content_and_pp(p, var)
-    cb, pb = _content_and_pp(q, var)
-    c = gcd(ca, cb)
-
-    la = _coeffs_in(pa, var)
-    lb = _coeffs_in(pb, var)
-    if len(la) < len(lb):
-        la, lb = lb, la
-    if len(lb) == 1:
-        # a primitive polynomial of degree 0 in the main variable is constant
-        return c.monic()
-    _, res, _, _ = _subresultant_prs(la, lb, p.nvars)
-    if len(res) == 1:
-        return c.monic()
-    r = _from_coeffs(res, var, p.nvars)
-    _, rp = _content_and_pp(r, var)
-    return (rp * c).monic()
 
 
 def _gcd_cofactors(p, q):
     """``(h, p/h, q/h)`` with h = gcd(p, q); see :func:`gcd`.
 
-    The certified path divides both arguments by h as its proof, so the
-    cofactors come with h; after a fallback they take two divisions.
+    The certificate divides both arguments by h, so the cofactors come
+    with h.
     """
     if not isinstance(q, Polynomial) or not isinstance(p, Polynomial):
         raise TypeError("gcd expects Polynomial arguments")
@@ -553,14 +554,10 @@ def _gcd_cofactors(p, q):
         raise GcdUndefinedError("gcd(0, 0) is undefined")
     if p.is_zero() or q.is_zero():
         h = (p or q).monic()
-    elif p.is_constant() or q.is_constant():
+        return h, p.exact_divide(h), q.exact_divide(h)
+    if p.is_constant() or q.is_constant():
         return Polynomial.one(p.nvars), p, q
-    else:
-        certified = _certified(p, q)
-        if certified is not None:
-            return certified
-        h = _prs_gcd(p, q)
-    return h, p.exact_divide(h), q.exact_divide(h)
+    return _certified(p, q)
 
 
 def gcd(p, q):
@@ -569,49 +566,105 @@ def gcd(p, q):
     ``gcd(p, 0)`` is the normalization of ``p``; both arguments zero is an
     error.  Over the field Q(i) a gcd is unique up to a nonzero constant,
     so the normalization makes it unique: gcd(q, p) is gcd(p, q) term for
-    term, whichever path below computes either.
+    term.
 
-    Certified path.  For a variable v let phi_v: Z[i][x] -> F_P[x_v] send
-    i to IOTA (IOTA^2 = -1 in F_P, as P = 1 mod 4) and every other
-    variable to its coordinate of ``_POINT``; it is a ring map.  A
-    coefficient (a + bi)/d maps to (a + b*IOTA)/d, which needs P not to
-    divide d.  Let G = gcd(p, q).
+    One path, in attempts t = 0, 1, 2, ...  Attempt t works in F_P for the
+    t-th prime P = 1 mod 4 from 998244353 up (``_prime``), with i mapped
+    to a square root iota of -1 in F_P, and at the point X_t = ``_POINT``
+    plus 0 or a point of the grid 1 + N^n (``_point``).  For a variable v let
+    phi_v: Z[i][x] -> F_P[x_v] send i to iota and every other variable to
+    its coordinate of X_t; it is a ring map.  A coefficient (a + bi)/d
+    maps to (a + b*iota)/d, which needs P not to divide d; an attempt
+    whose P divides a denominator, or all of p or of q, is skipped.
+    Let G = gcd(p, q), and p', q', G' primitive polynomials of Z[i][x]
+    that are scalar multiples of p, q, G.  By Gauss's lemma over the UFD
+    Z[i], p' = G'A and q' = G'B with coprime A, B in Z[i][x].
 
-    1. Degree bounds.  Scale p by the lcm of its denominators, a unit
-       mod P, and G to a primitive polynomial of Z[i][x]; by Gauss's lemma
-       over the UFD Z[i], p = G*A with A in Z[i][x].  If phi_v(p) keeps
-       the degree of p in x_v, then deg_v G + deg_v A = deg_v p =
+    1. Degree bounds.  e_v starts at min(deg_v p, deg_v q), so e_v = 0
+       for a variable that only one argument uses.  If phi_v(p) keeps the
+       degree of p in x_v, then deg_v G + deg_v A = deg_v p =
        deg phi_v(G) + deg phi_v(A) <= deg phi_v(G) + deg_v A, so
-       deg_v G <= deg phi_v(G) <= e_v = deg gcd(phi_v(p), phi_v(q)), as
-       phi_v(G) divides both images; likewise when phi_v(q) keeps its
-       degree.  A variable that only one argument uses has e_v = 0, since
-       G divides the other.
+       deg_v G <= deg phi_v(G) <= deg gcd(phi_v(p), phi_v(q)), as phi_v(G)
+       divides both images; likewise when phi_v(q) keeps its degree.
+       Each attempt lowers e_v to that degree when it is smaller, so
+       deg_v G <= e_v at every attempt.
     2. Candidate H.  1 when every e_v is 0; else an argument whose
        degrees are the e_v, made monic (the one with fewer terms if both
-       are; G divides it, so if it fails no H can pass); else Brown's dense
-       evaluation / interpolation gcd in F_P[x] at the points 1, 2, 3, ...
-       (Brown, JACM 1971), made grevlex-monic and lifted to Q(i) by
-       rational reconstruction (Wang, Guy & Davenport 1982), from the
-       images under i -> IOTA and, when a coefficient is not real,
-       i -> -IOTA.
+       are; G divides it, so if it fails no H can pass until an e_v
+       falls); else Brown's dense evaluation / interpolation gcd in F_P
+       (``_brown``) of the images under i -> iota and, when a coefficient
+       is not real, i -> -iota, made grevlex-monic, with its key, the
+       lex-leading monomial in Brown's variable order.  Brown's rule,
+       which ``_brown`` applies to points, applies to attempts: an image
+       of a smaller key, or new bounds, restart the combination, one of a
+       larger key is skipped, and one of equal key is combined with it by
+       the Chinese remainder theorem.  H is read off the combination
+       modulo the product M of its primes by rational reconstruction
+       (Wang, Guy & Davenport 1982).
     3. Certificate.  H is returned only when deg_v H = e_v for every v and
        H divides p and q exactly over Q(i).
 
     Lemma: then H = G.  H is a common divisor, so H divides G, and
     deg_v G <= e_v = deg_v H for every v; so G/H is a constant, and both
     have leading coefficient 1.  How H was found plays no part in the
-    proof, so the fixed points and the single prime cost at most a
-    fallback, never a wrong gcd.
+    proof, so the primes and points cost attempts, never a wrong gcd.
 
-    Fallback.  When P divides a denominator or an argument, a shared
-    variable has no bound (both images lose degree), no candidate is
-    found (the interpolation gives up or reconstruction fails) or the
-    certificate fails, the content / PRS path runs (recursive contents
-    and a subresultant PRS in a main variable, whose content gcds call
-    ``gcd``), and ``_fallbacks`` counts the reason.  Whether the fixed
-    points always avoid the bad sets is not argued; the fallback is
-    explicit instead, and its count is 0 on the benchmark pool, the
-    corpus and the stress germs of the tests.
+    Brown's answer never undercuts.  Let g = gcd(a, b) in F_P[x_0..x_k]
+    and w a divisor of g with deg_j w <= bounds[j] for every j; then
+    ``_brown(a, b, bounds)`` gives up, returns w up to a unit, or returns
+    a polynomial of larger lex-leading monomial than w.  By induction on
+    k: at k = 0 it returns g.  Else let h_w be the primitive part of w in
+    x_k and T its leading monomial; at a point y with gamma(y) != 0 the
+    leading coefficient of h_w, which divides gamma, survives, and h_w(y)
+    divides the gcd of the images, so by induction each image is skipped,
+    is h_w(y) up to a unit, or has a leading monomial above T.  So the
+    lead is never below T (an image led by 1 ends the level, with T = 1).
+    Above T, the answer leads with the lead, since the coefficient there
+    interpolates gamma, of degree below the number of points.  At T, every
+    kept image is that of gamma*h_w/lc(h_w), of degree below the number
+    of points in x_k, so the interpolation gives h_w, and the answer, h_w
+    times the content of g, is w up to a unit or leads above it.  Take
+    w = G' mod P, which divides both images and has deg_j w <= deg_j G <=
+    e_j.  An attempt that is not skipped has p or q keep all its terms
+    mod P, so the lex- and grevlex-leading coefficients of G', which
+    divide theirs, survive: every image has a key at least K, that of G,
+    and an image of key K is G mod P.  No other image is ever combined
+    with one of key K, and once one arrives only new bounds restart it.
+
+    Termination: the loop ends for every pair of nonconstant p, q over
+    Q(i) (``_gcd_cofactors`` settles zero and constant arguments).  Each
+    attempt ends, since a level of Brown tries fewer than P points.  Call
+    an attempt good if it is not skipped, gcd(p' mod P, q' mod P) is
+    G' mod P, and Brown returns it.  Four kinds of bad attempt are finite:
+    (a) Bad primes.  P divides a denominator of p or q, or both p and q
+        lose a term mod P under i -> iota or i -> -iota, or P divides a
+        resultant of A and B in some variable, a nonzero element of Z[i]
+        (so the gcd mod P is larger), or P is not larger than the number
+        of points a level of Brown may try: finitely many primes, each
+        used once.
+    (b) Bad points.  e_v falls to deg_v G unless X_t is a root mod P of
+        R_v = lc_v(p') lc_v(q') Res_v(A, B) (Res_v read as 1 when A or B
+        is free of x_v), a nonzero polynomial over Z[i] in the other
+        variables.  It does not vanish on all of _POINT + 1 + N^n, so at
+        some grid point X it is a nonzero element of Z[i]; X recurs with
+        infinitely many primes, of which finitely many divide R_v(X).  So
+        after finitely many attempts e_v = deg_v G for every v, and the
+        bounds never change again.  The point varies with the attempt, so
+        a point where R_v vanishes over Q(i) costs attempts, not primes.
+    (c) Unlucky Brown points.  At a good P, a level of Brown skips an
+        image only at an unlucky point: a root of gamma is passed over,
+        and at any other point the image of a lucky one is exact by
+        induction.  Unlucky points are roots of a leading coefficient or
+        of a resultant of the level's coprime cofactors in one variable,
+        at most D of them, where D depends on the degrees of p and q and
+        not on P (Brown 1971).  So no fixed count of skips is justified:
+        attempt t allows _UNLUCKY_POINTS + t, which no good P exhausts
+        from t = D on, and a give-up before counts as a bad attempt.
+    (d) A modulus too small.  After the last bad attempt of (a)-(c) and
+        the last change of the bounds, every attempt adds G mod P to the
+        combination of key K.  Once M > 2N^2, N the largest numerator or
+        denominator of a real or imaginary part of a coefficient of G,
+        reconstruction returns G, which meets the certificate.
     """
     return _gcd_cofactors(p, q)[0]
 

@@ -59,7 +59,8 @@ is scaled.  A stream's producer writes only into buffers allocated on
 the probe's thread before it starts, and every draw scales with
 ``out=`` operations.  The residual probe also keeps one float per sample, for
 the mean.  A config asking for more than ``_MAX_CELLS`` cells (32 bins
-per axis) is rejected before anything is allocated.
+per axis) is rejected before anything is allocated, and so is a probe
+whose images could overflow floating point on its source ball.
 """
 
 from __future__ import annotations
@@ -425,6 +426,39 @@ def _sample_slices(germ, cfg, draw, eps):
             yield _slices(unit, eps, ready)
 
 
+def _check_finite_images(germ, eps, phi=None):
+    """Refuse, before any draw, a probe whose images could overflow floating point.
+
+    On the polydisk of radius ``eps`` every |f| is at most the sum of
+    |c_m| * eps^|m| over the terms of f, and likewise for g; ``phi`` is
+    bounded the same way on the polydisk of those two bounds.  The kernels
+    square such values, so each squared bound must be finite.
+    """
+
+    def bound(poly, radii):
+        total = 0.0
+        for m, c in poly.terms:
+            term = abs(complex(c))
+            for r, e in zip(radii, m):
+                try:
+                    term *= r**e
+                except OverflowError:
+                    return math.inf
+            total += term
+        return total
+
+    radii = [bound(p, [eps] * germ.n) for p in (germ.f, germ.g)]
+    named = [("f", radii[0]), ("g", radii[1])]
+    if phi is not None:
+        named.append(("phi(f, g)", bound(phi, radii)))
+    for name, b in named:
+        if not math.isfinite(b * b):
+            raise PreconditionError(
+                f"|{name}| may reach {b:.3g} on the source ball of radius {eps}, "
+                "and its square overflows floating point"
+            )
+
+
 def _add_hits(counts, germ, pts, radius, bins):
     """``counts`` plus the grid hits of F(pts); ``None`` starts the count."""
     hits = bin_hits(pts, germ.f, germ.g, radius, bins)
@@ -444,6 +478,7 @@ def ball_image_occupancy(germ, cfg, draw=None):
     A grid cell counts as covered with a single hit; the denominator is the
     number of cells whose center lies inside the open polydisk.
     """
+    _check_finite_images(germ, cfg.epsilon)
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts = None
@@ -481,6 +516,7 @@ def germ_stability_probe(germ, eps1, eps2, cfg, draw=None):
     """
     if not (eps1 > eps2 > 0 and math.isfinite(eps1)):
         raise ValueError(f"need finite eps1 > eps2 > 0, got eps1 = {eps1}, eps2 = {eps2}")
+    _check_finite_images(germ, eps1)
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts1 = counts2 = None
@@ -523,6 +559,7 @@ def curve_residual_probe(germ, phi, cfg, draw=None):
     """
     if phi.is_zero():
         raise ValueError("residual probe needs a nonzero curve equation")
+    _check_finite_images(germ, cfg.epsilon, phi)
     res = np.empty(cfg.samples)
     with _sample_slices(germ, cfg, draw, cfg.epsilon) as slices:
         for rows, pts in slices:

@@ -1,6 +1,9 @@
 """gcd, squarefree parts, germ inclusion, decomposition, Jacobian rank."""
 
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,6 @@ from germimage import algebra
 from germimage.algebra import (
     IntersectionCase,
     _coeffs_in,
-    _from_coeffs,
     _gcd_cofactors,
     decompose,
     first_nonzero_minor,
@@ -241,55 +243,78 @@ def test_univariate_views_are_canonical(p):
         for e, view in enumerate(views):
             bucket = {m[:var] + (0,) + m[var + 1 :]: c for m, c in p.terms if m[var] == e}
             assert view.terms == Polynomial(n, bucket).terms
-        assert _from_coeffs(views, var, n).terms == p.terms
+        power = Polynomial.variable(n, var)
+        rebuilt = Polynomial.zero(n)
+        for e, view in enumerate(views):
+            rebuilt = rebuilt + view * power**e
+        assert rebuilt.terms == p.terms
 
 
-# -- the certified modular gcd and its content / PRS fallback ---------------
-# The test_screen_* tests feed the certified path the inputs built to defeat
-# the modular screen it replaced, and keep their names.
+# -- the certified modular gcd and its attempts ------------------------------
+# The test_screen_* tests feed the certified gcd the inputs built to defeat
+# the modular screen it replaced, and keep their names: each defeats the
+# first attempt, and a later one settles it.
 
 
-def _candidates(monkeypatch):
-    """Record every candidate Brown's interpolation lifts to Q(i)."""
+def _attempts(monkeypatch):
+    """Record (attempt, point) of every attempt that gets past its residues."""
+    seen = []
+    real = algebra._point
+
+    def spy(attempt, nvars):
+        seen.append((attempt, real(attempt, nvars)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(algebra, "_point", spy)
+    return seen
+
+
+def _lifts(monkeypatch):
+    """Record (candidate, modulus) for every combination lifted to Q(i)."""
     made = []
-    real = algebra._modular_candidate
+    real = algebra._lift
 
-    def spy(*args):
-        made.append(real(*args))
-        return made[-1]
+    def spy(residues, modulus, nvars):
+        made.append((real(residues, modulus, nvars), modulus))
+        return made[-1][0]
 
-    monkeypatch.setattr(algebra, "_modular_candidate", spy)
+    monkeypatch.setattr(algebra, "_lift", spy)
     return made
 
 
+def _settles(p, q, h):
+    """``_certified`` returns h with the exact cofactors, in either order."""
+    assert algebra._certified(p, q) == (h, p.exact_divide(h), q.exact_divide(h))
+    assert algebra._certified(q, p) == (h, q.exact_divide(h), p.exact_divide(h))
+
+
 def test_screen_prime_and_square_root_of_minus_one():
-    p = algebra._PRIME
-    assert p % 4 == 1
-    assert all(p % d for d in range(2, int(p**0.5) + 1))
-    assert algebra._IOTA**2 % p == p - 1
+    primes = [algebra._prime(t) for t in range(4)]
+    assert primes[0][0] == 998_244_353
+    assert [p for p, _ in primes] == sorted({p for p, _ in primes})
+    for p, iota in primes:
+        assert p % 4 == 1
+        assert all(p % d for d in range(2, math.isqrt(p) + 1))
+        assert iota**2 % p == p - 1
 
 
-def test_screened_gcd_agrees_with_the_prs_path(monkeypatch, fallbacks):
-    """The certified gcd and its cofactors against the content / PRS path alone."""
-    rng = random.Random(15)
-    pools = {3: [fac for fac, _ in factor_pool()], 4: four_variable_pool()}
-    pairs = [gcd_pair(rng, pools[n], n) for n in (3, 4) for _ in range(30)]
-    made = _candidates(monkeypatch)
-    certified = [_gcd_cofactors(p, q) for p, q in pairs]
-    assert not fallbacks
-    for (p, q), (h, p_hat, q_hat) in zip(pairs, certified):
-        assert h * p_hat == p and h * q_hat == q
-    # the pairs reach all three candidates: 1, an argument made monic, Brown's
-    hs = [h for h, _, _ in certified]
-    assert any(h.is_constant() for h in hs)
-    assert any(h in (p.monic(), q.monic()) and not h.is_constant() for h, (p, q) in zip(hs, pairs))
-    assert made and all(h is not None for h in made)
-    monkeypatch.setattr(algebra, "_certified", lambda p, q: None)
-    assert hs == [gcd(p, q) for p, q in pairs]
+def test_attempt_points_cover_the_grid_and_recur():
+    base = [algebra._POINT[w % len(algebra._POINT)] for w in range(7)]
+
+    def offset(attempt, n):
+        return tuple(a - b for a, b in zip(algebra._point(attempt, n), base))
+
+    # grid point j first comes at attempt j(j+3)/2; j = 1, 2, ... meets each of 1 + N^n once
+    for n, side in ((2, 4), (3, 4), (7, 2)):
+        firsts = [offset(j * (j + 3) // 2, n) for j in range(1, side**n + 1)]
+        assert sorted(firsts) == sorted(itertools.product(range(1, side + 1), repeat=n))
+    assert offset(0, 2) == offset(1, 2) == (0, 0) and offset(2, 2) == (1, 1)
+    recurring = Counter(offset(t, 2) for t in range(45))
+    assert all(recurring[m] >= 2 for m in itertools.product(range(1, 3), repeat=2))
 
 
 def _step_aside_cases():
-    """(p, q, exact gcd, fallback) for the point (2, 3): each pair defeats one step."""
+    """(p, q, exact gcd) for the point (2, 3): each pair defeats one step there."""
     c = one.scale
     w = x - y + c(5)
     # both leading coefficients in x vanish at y = 3: no bound in x
@@ -297,69 +322,101 @@ def _step_aside_cases():
     # at y = 3 both images are x + 3: the bound in x is 1, the gcd has degree 0
     above = (x + y, x + y.scale(2) - c(3))
     return [
-        (*lost, one, "no bound"),
-        (*above, one, "certificate"),
-        (lost[0] * w, lost[1] * w, w, "no bound"),
-        (above[0] * w, above[1] * w, w, "certificate"),
+        (*lost, one),
+        (*above, one),
+        (lost[0] * w, lost[1] * w, w),
+        (above[0] * w, above[1] * w, w),
     ]
 
 
-def test_screen_steps_aside_on_an_unlucky_point(monkeypatch, fallbacks):
+def test_screen_steps_aside_on_an_unlucky_point(monkeypatch):
+    """No bound in x is exact at y = 3; an attempt at another y settles each pair."""
     monkeypatch.setattr(algebra, "_POINT", (2, 3))
-    for p, q, expected, reason in _step_aside_cases():
-        fallbacks.clear()
-        assert algebra._certified(p, q) is None
-        assert fallbacks == {reason: 1}
-        assert gcd(p, q) == expected
-        assert gcd(q, p) == expected
+    for p, q, expected in _step_aside_cases():
+        seen = _attempts(monkeypatch)
+        _settles(p, q, expected)
+        assert seen[0] == (0, [2, 3]) and seen[-1][1][1] != 3
 
 
-def test_a_divisor_below_the_degree_bounds_is_refused(monkeypatch, fallbacks):
+def test_a_divisor_below_the_degree_bounds_is_refused(monkeypatch):
     """Brown's candidate w divides both arguments, yet deg_x w = 1 < e_x = 2.
 
     w is then the gcd, but the certificate cannot tell it from a proper
-    divisor of the gcd, so it refuses w and the PRS path decides.
+    divisor of the gcd, so it refuses w until an attempt at another point
+    brings e_x down to 1.
     """
     monkeypatch.setattr(algebra, "_POINT", (2, 3))
-    p, q, w, _ = _step_aside_cases()[3]
-    made = _candidates(monkeypatch)
-    assert algebra._certified(p, q) is None
-    assert made == [w]
-    assert p.exact_divide(w) * w == p and q.exact_divide(w) * w == q
-    assert fallbacks == {"certificate": 1}
-    assert gcd(p, q) == w
+    p, q, w = _step_aside_cases()[3]
+    made = _lifts(monkeypatch)
+    assert algebra._certified(p, q) == (w, p.exact_divide(w), q.exact_divide(w))
+    assert len(made) > 1 and {h for h, _ in made} == {w}
+    assert made[0][1] == algebra._PRIMES[0][0]
 
 
-def test_screen_steps_aside_on_a_denominator_multiple_of_the_prime(monkeypatch, fallbacks):
-    monkeypatch.setattr(algebra, "_PRIME", 13)
-    monkeypatch.setattr(algebra, "_IOTA", 5)  # 5^2 = 25 = -1 mod 13
+def test_screen_steps_aside_on_a_denominator_multiple_of_the_prime(monkeypatch):
+    monkeypatch.setattr(algebra, "_PRIMES", [(13, 5)])  # 5^2 = 25 = -1 mod 13; then 17, 29, ...
     a = x + y.scale(GaussianRational(Fraction(1, 26)))
-    p, q = a * (x - y), a * (x + one.scale(2))
-    assert algebra._certified(p, q) is None
-    assert fallbacks == {"prime": 1}
-    assert gcd(p, q) == a
+    seen = _attempts(monkeypatch)
+    _settles(a * (x - y), a * (x + one.scale(2)), a)
+    assert seen[0][0] == 1  # 13 divides a denominator: the first attempt is skipped
     # every coefficient of 13*x*(x + y) is 0 mod 13
-    fallbacks.clear()
-    assert algebra._certified((x * (x + y)).scale(13), x * (x - y)) is None
-    assert fallbacks == {"prime": 1}
-    assert gcd((x * (x + y)).scale(13), x * (x - y)) == x
+    seen.clear()
+    _settles((x * (x + y)).scale(13), x * (x - y), x)
+    assert seen[0][0] == 1
     # x + 13*y and x map to the same image mod 13, yet are coprime: the
     # candidate x has the bounded degrees and fails its division
-    b = x + y.scale(13)
-    made = _candidates(monkeypatch)
-    fallbacks.clear()
-    assert algebra._certified(b, x * (x + y)) is None
-    assert made == [x] and fallbacks == {"certificate": 1}
-    assert gcd(b, x * (x + y)) == one
-    # no n/d with |n|, d <= 2 is 3 mod 13: the gcd x + 3*y has no lift
+    made = _lifts(monkeypatch)
+    assert algebra._certified(x + y.scale(13), x * (x + y)) == (one, x + y.scale(13), x * (x + y))
+    assert made == [(x, 13)]
+    # no n/d with |n|, d <= 2 is 3 mod 13: the gcd x + 3*y takes a second prime
     w = x + y.scale(3)
-    fallbacks.clear()
-    assert algebra._certified(w * (x - y), w * (x + one.scale(2))) is None
-    assert fallbacks == {"no candidate": 1}
-    assert gcd(w * (x - y), w * (x + one.scale(2))) == w
+    made.clear()
+    p, q = w * (x - y), w * (x + one.scale(2))
+    assert algebra._certified(p, q) == (w, x - y, x + one.scale(2))
+    assert made == [(None, 13), (w, 13 * 17)]
 
 
-def test_screen_steps_aside_when_the_nominated_divisor_fails(monkeypatch, fallbacks):
+def test_images_of_a_larger_key_are_skipped_and_new_bounds_restart(monkeypatch):
+    """A bad prime's image never joins the combination; a fall of the bounds restarts it.
+
+    a = b mod 17 and a(x, 3) = b(x, 3), yet gcd(a, b) = 1.  At y = 3 the
+    bound in x is 2, not 1, so Brown mod 17 meets w*b within the bounds and
+    returns an image of larger key than w's, which is skipped.  At the
+    next point, (3, 4), the bound in x falls, so the image mod 29 starts
+    the combination again, and the one mod 37 completes it.
+    """
+    monkeypatch.setattr(algebra, "_PRIMES", [(13, 5)])  # then 17, 29, 37, ...
+    monkeypatch.setattr(algebra, "_POINT", (2, 3))
+    c = one.scale
+    w, a, b = x + y.scale(5), x + y.scale(18) - c(53), x + y - c(2)
+    made = _lifts(monkeypatch)
+    assert algebra._certified(w * a, w * b) == (w, a, b)
+    assert [m for _, m in made] == [13, 29, 29 * 37]
+
+
+def test_unlucky_brown_points_past_the_first_allowance(monkeypatch):
+    """At y = 1, ..., 5 both cofactors of x + y + 1 become x: five unlucky points.
+
+    Brown interpolates y from y = 1, 2, ...; the first attempt allows 4
+    skipped images and gives up, the second allows 5 and settles the gcd.
+    These points are unlucky over Q(i), so no prime alone would escape them.
+    """
+    c = one.scale
+    h, a, b = x + y + one, x + (y - c(1)) * (y - c(2)) * (y - c(3)) * (y - c(4)) * (y - c(5)), x
+    allowed = []
+    real = algebra._modular_image
+
+    def spy(*args):
+        out = real(*args)
+        allowed.append((args[-1], out is not None))
+        return out
+
+    monkeypatch.setattr(algebra, "_modular_image", spy)
+    assert algebra._certified(h * a, h * b) == (h, a, b)
+    assert allowed == [(4, False), (5, True)]
+
+
+def test_screen_steps_aside_when_the_nominated_divisor_fails(monkeypatch):
     monkeypatch.setattr(algebra, "_POINT", (2, 3))
     s = x + y
     # b(x, 3) = (x + 3)(x + 1) and b(2, y) = 3(y + 2), but x + y does not divide b
@@ -375,14 +432,15 @@ def test_screen_steps_aside_when_the_nominated_divisor_fails(monkeypatch, fallba
             raise
 
     monkeypatch.setattr(Polynomial, "exact_divide", spy)
-    assert algebra._certified(s, b) is None
-    assert failed == [(b, s)]
-    assert fallbacks == {"certificate": 1}
-    assert gcd(s, b) == one
+    seen, made = _attempts(monkeypatch), _lifts(monkeypatch)
+    assert algebra._certified(s, b) == (one, s, b)
+    # tried once, and no Brown candidate either, until the bounds fall
+    assert failed == [(b, s)] and made == [] and len(seen) > 2
     assert gcd(s * (x - y), b * (x - y)) == x - y
 
 
-def test_screen_settles_coprime_pairs_and_divisors(fallbacks):
+def test_screen_settles_coprime_pairs_and_divisors(monkeypatch):
+    seen = _attempts(monkeypatch)
     p, q = x * y + one, x - y
     assert algebra._certified(p, q) == (one, p, q)
     # a divisor: the cofactors come with it, the divisor's own a constant
@@ -392,4 +450,34 @@ def test_screen_settles_coprime_pairs_and_divisors(fallbacks):
     # neither 1 nor an argument: Brown's candidate
     h, p_hat, q_hat = algebra._certified((x + y) ** 2 * (x - y), (x + y) * (x + one))
     assert (h, p_hat, q_hat) == (x + y, (x + y) * (x - y), x + one)
-    assert not fallbacks
+    assert [attempt for attempt, _ in seen] == [0] * 4  # each in its first attempt
+
+
+def _random_polynomial(rng, n, terms, height):
+    acc = {}
+    for _ in range(terms):
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        acc[m] = GaussianRational(rng.randint(-height, height), rng.choice([0, 0, rng.randint(-height, height)]))
+    return Polynomial(n, acc)
+
+
+def test_certified_gcd_ends_with_small_primes(monkeypatch):
+    """From P = 13 up, the attempts meet every bad case, and the gcds still come out exact.
+
+    Small primes divide coefficients, lose degrees, run out of points in
+    F_P and need several primes per coefficient; the answers equal those
+    of the default primes, cofactors included.
+    """
+    rng = random.Random(31)
+    pairs = []
+    while len(pairs) < 30:
+        n = rng.randint(2, 4)
+        w, a, b = (_random_polynomial(rng, n, 3, 20) for _ in range(3))
+        if not any(t.is_constant() for t in (w, a, b)):
+            pairs.append((w * a, w * b))
+    expected = [_gcd_cofactors(p, q) for p, q in pairs]
+    monkeypatch.setattr(algebra, "_PRIMES", [(13, 5)])
+    monkeypatch.setattr(algebra, "_POINT", (1, 2, 3))
+    seen = _attempts(monkeypatch)
+    assert [_gcd_cofactors(p, q) for p, q in pairs] == expected
+    assert max(attempt for attempt, _ in seen) > 1

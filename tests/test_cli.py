@@ -444,6 +444,22 @@ def test_non_finite_probe_parameters_exit_2(monkeypatch, capsys):
     assert counts == {}
 
 
+def test_probes_whose_images_overflow_exit_2(capsys, monkeypatch):
+    """A finite epsilon whose images overflow floating point is refused before any draw."""
+    counts = _count_calls(monkeypatch, {probe.unit_ball_samples: "sampled"})
+    for flags, message in (
+        (("--entry", "identity", "--epsilon", "1e200", "--samples", "1000"), "|f| may reach 1e+200"),
+        (("--entry", "openball", "--epsilon", "1e100"), "|f| may reach 1e+200"),
+        (("--entry", "angle", "--stability", "1e160,0.05"), "|f| may reach 1e+160"),
+        (("--entry", "cusp", "--residual-phi", "u^3-v^2", "--epsilon", "1e60"), "may reach"),
+    ):
+        code, out, err = run_cli(capsys, "--seed", "0", "probe", *flags)
+        assert code == 2 and out == "", flags
+        assert err.startswith("error: ") and message in err and "overflows floating point" in err
+        assert "Traceback" not in err and "Warning" not in err
+    assert counts == {}
+
+
 def test_corpus_exit_codes(tmp_path, capsys):
     wrong = tmp_path / "wrong.txt"
     wrong.write_text(

@@ -69,6 +69,28 @@ def test_config_and_stability_probe_reject_non_finite_radii():
     assert SamplerConfig(epsilon=1e200, target_radius=0.5).radius == 0.5
 
 
+def test_probes_refuse_images_that_overflow_before_drawing(monkeypatch):
+    """|f|, |g| and phi(f, g) are bounded on the source ball; a squared bound past float is refused."""
+    drawn = []
+    real = probe.unit_ball_samples
+    monkeypatch.setattr(probe, "unit_ball_samples", lambda *a: drawn.append(a) or real(*a))
+    cfg = SamplerConfig(samples=10, epsilon=1e200, target_radius=0.05)
+    with pytest.raises(PreconditionError, match=r"\|f\| may reach 1e\+200 .* overflows"):
+        ball_image_occupancy(IDENTITY, cfg)
+    # eps1 bounds the stability probe; 3*y^2 reaches 3e200 at eps1 = 1e100
+    with pytest.raises(PreconditionError, match=r"\|g\| may reach 3e\+200"):
+        germ_stability_probe(MapGerm(x, y * y.scale(3)), 1e100, 1e-3, SamplerConfig(samples=10))
+    # |f|, |g| <= 1e60 square to 1e120, but u^3 reaches 1e180 and squares past float
+    cfg = SamplerConfig(samples=10, epsilon=1e60, target_radius=0.05)
+    with pytest.raises(PreconditionError, match=r"\|phi\(f, g\)\| may reach 1e\+180"):
+        curve_residual_probe(IDENTITY, u**3 - v, cfg)
+    assert drawn == []
+    # bounds that square to finite numbers still run
+    assert curve_residual_probe(IDENTITY, u - v, cfg).samples == 10
+    cfg = SamplerConfig(samples=10, epsilon=1e100, target_radius=1.0)
+    assert ball_image_occupancy(IDENTITY, cfg).occupied_bins == 0
+
+
 def test_unit_ball_samples_deterministic_and_inside():
     a = unit_ball_samples(2, 5000, seed=9)
     b = unit_ball_samples(2, 5000, seed=9)

@@ -14,6 +14,7 @@ import pytest
 
 from germimage import algebra
 from germimage.algebra import (
+    _gcd_cofactors,
     decompose,
     gaussian_rational_roots,
     gcd,
@@ -73,8 +74,8 @@ def test_gcd_and_squarefree_part_match_factor_list():
         assert monic(to_sympy(squarefree_part(p))) == monic(product(dict.fromkeys(fp, 1)))
 
 
-def test_screened_gcd_matches_sympy_gcd(monkeypatch, fallbacks):
-    """gcd over Q(i) in 3 and 4 variables: the certified path, then the PRS path alone."""
+def test_screened_gcd_matches_sympy_gcd():
+    """gcd over Q(i) in 3 and 4 variables, in both argument orders."""
     rng = random.Random(21)
     gens = sympy.symbols("x y z w")
     pools = {3: [fac for fac, _ in factor_pool()], 4: four_variable_pool()}
@@ -84,13 +85,95 @@ def test_screened_gcd_matches_sympy_gcd(monkeypatch, fallbacks):
         for p, q in pairs
     ]
 
-    def ours():
-        return [sympy.Poly(to_sympy(gcd(p, q), gens), *gens, domain="QQ_I").monic() for p, q in pairs]
+    def ours(swap):
+        return [
+            sympy.Poly(to_sympy(gcd(*((q, p) if swap else (p, q))), gens), *gens, domain="QQ_I").monic()
+            for p, q in pairs
+        ]
 
-    assert ours() == expected
-    assert not fallbacks
-    monkeypatch.setattr(algebra, "_certified", lambda p, q: None)
-    assert ours() == expected
+    assert ours(False) == expected
+    assert ours(True) == expected
+
+
+def test_certified_gcd_and_cofactors_match_sympy(monkeypatch):
+    """The certified gcd and its cofactors against sympy's gcd over QQ_I."""
+    rng = random.Random(15)
+    gens = sympy.symbols("x y z w")
+    pools = {3: [fac for fac, _ in factor_pool()], 4: four_variable_pool()}
+    pairs = [gcd_pair(rng, pools[n], n) for n in (3, 4) for _ in range(30)]
+    made = []
+    real = algebra._lift
+
+    def spy(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(algebra, "_lift", spy)
+    certified = [_gcd_cofactors(p, q) for p, q in pairs]
+    for (p, q), (h, p_hat, q_hat) in zip(pairs, certified):
+        assert h * p_hat == p and h * q_hat == q
+        expected = sympy.gcd(to_sympy(p, gens), to_sympy(q, gens))
+        assert sympy.Poly(to_sympy(h, gens), *gens, domain="QQ_I").monic() == sympy.Poly(
+            expected, *gens, domain="QQ_I"
+        ).monic()
+    # the pairs reach all three candidates: 1, an argument made monic, Brown's
+    hs = [h for h, _, _ in certified]
+    assert any(h.is_constant() for h in hs)
+    assert any(h in (p.monic(), q.monic()) and not h.is_constant() for h, (p, q) in zip(hs, pairs))
+    assert made and all(h is not None for h in made)
+
+
+def _random_polynomial(rng, n, terms, height, gaussian):
+    acc = {}
+    while len(acc) < terms:
+        m = tuple(rng.randint(0, 2) for _ in range(n))
+        acc[m] = GaussianRational(rng.randint(-height, height), rng.randint(-height, height) if gaussian else 0)
+    return Polynomial(n, acc)
+
+
+def test_gcds_beyond_one_prime_match_sympy(monkeypatch):
+    """Monic gcds whose coefficients pass one prime's reconstruction bound, sqrt(P/2) ~ 22341.
+
+    h times coprime cofactors, with coefficients of h up to 2^15 ... 2^100
+    in 2 to 4 variables, real and Gaussian, and w = x + 30026*y: each gcd
+    combines the images of several primes.  It matches sympy, does not
+    depend on the argument order, and comes with the exact cofactors.
+    """
+    rng = random.Random(22)
+    gens = sympy.symbols("x y z w")
+    x, y = (Polynomial.variable(2, k) for k in range(2))
+    w = x + y.scale(30026)
+    cases = [(w, x * x + y + Polynomial.one(2), x - y.scale(3))]
+    for bits in (15, 31, 64, 100):
+        for n in (2, 3, 4):
+            for gaussian in (False, True):
+                h = _random_polynomial(rng, n, 3, 2**bits, gaussian)
+                while True:
+                    a = _random_polynomial(rng, n, 3, 3, False)
+                    b = _random_polynomial(rng, n, 2, 3, gaussian)
+                    if sympy.gcd(to_sympy(a, gens), to_sympy(b, gens)) == 1:
+                        break
+                cases.append((h, a, b))
+    moduli = []
+    real = algebra._lift
+
+    def spy(residues, modulus, nvars):
+        moduli.append(modulus)
+        return real(residues, modulus, nvars)
+
+    monkeypatch.setattr(algebra, "_lift", spy)
+    for h, a, b in cases:
+        p, q = h * a, h * b
+        moduli.clear()
+        g = gcd(p, q)
+        assert max(moduli) > algebra._PRIMES[0][0]
+        assert g.terms == gcd(q, p).terms
+        assert _gcd_cofactors(p, q) == (g, p.exact_divide(g), q.exact_divide(g))
+        expected = sympy.gcd(to_sympy(p, gens), to_sympy(q, gens))
+        assert sympy.Poly(to_sympy(g, gens), *gens, domain="QQ_I").monic() == sympy.Poly(
+            expected, *gens, domain="QQ_I"
+        ).monic()
+        assert g == h.monic()
 
 
 def _pencil_case(rng, pool):
