@@ -16,7 +16,10 @@ dispatcher, ``probe_section``.
 Exit codes: 0 success, 1 classification mismatch (corpus), 2 input error.
 Exit 2 comes before any sampling for flags that exclude each other, a
 ``--stability`` value that is not two numbers, input that does not parse,
-and probe knobs or radii that ``SamplerConfig`` or the probe refuses.
+and probe knobs or radii that ``SamplerConfig`` or the probe refuses.  A
+corpus file is checked whole at load (``parse_corpus``): an entry whose
+germ does not parse or whose probe could not run exits 2, naming the
+entry, before any entry is classified.
 """
 
 from __future__ import annotations
@@ -238,12 +241,7 @@ def cmd_probe(args):
 
 
 def cmd_corpus(args):
-    results, code = run_corpus(
-        path=args.corpus_file,
-        seed=args.seed,
-        out_dir=args.out_dir,
-        with_probe=True,
-    )
+    results, code = run_corpus(path=args.corpus_file, seed=args.seed, out_dir=args.out_dir)
     if args.json:
         payload = {
             "entries": [r.report for r in results],

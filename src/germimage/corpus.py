@@ -3,34 +3,34 @@
 The corpus is a human-editable key-value block file (see data/corpus.txt).
 Each entry names a map germ, its expected verdict, a provenance note and
 an optional probe protocol with frozen thresholds.
+
+:func:`parse_corpus` checks the whole file before any entry runs: entry
+names, required keys, the germ of each entry (it must parse and vanish
+at the origin), the probe kind and its knobs, and the probe module's own
+pre-draw check (:func:`germimage.probe.check_probe`) on the entry's germ.
+A refusal names the entry.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import math
 import operator
 import os
 import time
 from dataclasses import dataclass, field
 
 from .classifier import classify, witness_kind
-from .errors import GermImageError, PreconditionError
+from .errors import GermImageError
 from .parsing import parse_map_germ
 from .probe import (
     SamplerConfig,
     SharedBallSamples,
     ball_image_occupancy,
+    check_probe,
     curve_residual_probe,
     germ_stability_probe,
 )
-from .report import (
-    build_classify_report,
-    dumps_report,
-    occupancy_json,
-    residual_json,
-    stability_json,
-)
+from .report import build_classify_report, dumps_report, probe_json
 
 _INT_KEYS = {"samples", "bins"}
 _FLOAT_KEYS = {
@@ -77,6 +77,7 @@ def shipped_corpus_path():
 
 
 def parse_corpus(text):
+    """The entries of a corpus file's text; a bad entry refuses the whole file."""
     entries = []
     seen = set()
     block_name = None
@@ -104,7 +105,10 @@ def parse_corpus(text):
             probe_kind=block.get("probe"),
             probe_params=params,
         )
-        _check_probe(entry)
+        try:
+            _check_probe(entry, entry.germ())
+        except (GermImageError, ValueError) as exc:
+            raise GermImageError(f"corpus entry [{block_name}]: {exc}") from None
         entries.append(entry)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -154,28 +158,17 @@ def load_corpus(path=None):
     return parse_corpus(text)
 
 
-def _check_probe(entry):
-    """Refuse an entry whose probe could not run, before any entry runs."""
+def _check_probe(entry, germ):
+    """Refuse an entry whose probe could not run on ``germ``."""
     kind = entry.probe_kind
     if kind is None:
         return
-    where = f"corpus entry [{entry.name}]"
     if kind not in _THRESHOLDS:
         raise GermImageError(
-            f"{where}: unknown probe kind {kind!r} (expected one of {', '.join(_THRESHOLDS)})"
+            f"unknown probe kind {kind!r} (expected one of {', '.join(_THRESHOLDS)})"
         )
     p = entry.probe_params
-    if kind == "stability" and not ("eps1" in p and "eps2" in p and p["eps1"] > p["eps2"] > 0):
-        raise GermImageError(
-            f"{where}: the stability probe needs eps1 > eps2 > 0, got "
-            f"eps1 = {p.get('eps1')}, eps2 = {p.get('eps2')}"
-        )
-    if kind == "stability" and not math.isfinite(p["eps1"]):
-        raise GermImageError(f"{where}: the stability radii must be finite, got eps1 = {p['eps1']}")
-    try:
-        sampler_config(p, seed=0)
-    except PreconditionError as exc:
-        raise GermImageError(f"{where}: {exc}") from None
+    check_probe(kind, germ, sampler_config(p, seed=0), (p.get("eps1"), p.get("eps2")))
 
 
 def sampler_config(knobs, seed):
@@ -197,14 +190,13 @@ def probe_section(kind, germ, cfg, eps=None, phi=None, draw=None):
     """
     if kind == "occupancy":
         rep = ball_image_occupancy(germ, cfg, draw=draw)
-        return occupancy_json(rep), rep
-    if kind == "stability":
+    elif kind == "stability":
         rep = germ_stability_probe(germ, *eps, cfg, draw=draw)
-        return stability_json(rep), rep
-    if kind == "residual":
+    elif kind == "residual":
         rep = curve_residual_probe(germ, phi, cfg, draw=draw)
-        return residual_json(rep), rep
-    raise GermImageError(f"unknown probe kind {kind!r}")
+    else:
+        raise GermImageError(f"unknown probe kind {kind!r}")
+    return probe_json(rep), rep
 
 
 def run_probe(entry, germ, verdict, seed, draw=None):
@@ -254,14 +246,11 @@ class EntryResult:
         return self.status_ok and self.witness_ok and self.probe_ok
 
 
-def run_entry(entry, seed=0, with_probe=True, draw=None):
+def run_entry(entry, seed=0, draw=None):
     germ = entry.germ()
     t0 = time.monotonic()
     verdict = classify(germ)
-
-    probe_section, probe_ok, probe_rep = (None, True, None)
-    if with_probe:
-        probe_section, probe_ok, probe_rep = run_probe(entry, germ, verdict, seed, draw=draw)
+    section, probe_ok, probe_rep = run_probe(entry, germ, verdict, seed, draw=draw)
     seconds = time.monotonic() - t0
 
     verdict, report = build_classify_report(
@@ -271,7 +260,7 @@ def run_entry(entry, seed=0, with_probe=True, draw=None):
         g_text=entry.g_text,
         germ=germ,
         verdict=verdict,
-        probe=(probe_section, probe_rep),
+        probe=(section, probe_rep),
     )
     status_ok = verdict.status.value == entry.expected_status
     witness_ok = entry.expected_witness in ("", witness_kind(verdict.witness))
@@ -293,10 +282,11 @@ def run_entry(entry, seed=0, with_probe=True, draw=None):
     )
 
 
-def run_corpus(path=None, seed=0, out_dir=None, with_probe=True):
+def run_corpus(path=None, seed=0, out_dir=None):
     """Classify every corpus entry; returns (results, exit_code).
 
-    The whole file is parsed and checked before the first entry runs.
+    The whole file is parsed and checked (see :func:`parse_corpus`)
+    before the first entry runs.
     All probes of one call share one :class:`SharedBallSamples`, so each
     point of an (n, seed) unit-ball stream is drawn once: a later entry
     that asks for more points than were drawn resumes the stream and draws
@@ -311,7 +301,7 @@ def run_corpus(path=None, seed=0, out_dir=None, with_probe=True):
     last_reader = {len(e.varnames): e for e in entries if e.probe_kind}
     results = []
     for entry in entries:
-        results.append(run_entry(entry, seed=seed, with_probe=with_probe, draw=draw))
+        results.append(run_entry(entry, seed=seed, draw=draw))
         n = len(entry.varnames)
         if last_reader.get(n) is entry:
             draw.release(n, seed)

@@ -200,14 +200,6 @@ class Polynomial:
     def max_degree_in(self, var):
         return max((m[var] for m, _ in self.terms), default=0)
 
-    def variables_used(self):
-        used = [False] * self.nvars
-        for m, _ in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used[i] = True
-        return tuple(i for i, u in enumerate(used) if u)
-
     # -- ring operations --------------------------------------------------------
 
     def _check_same_ring(self, other):

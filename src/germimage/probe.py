@@ -7,6 +7,15 @@ polydisk the image hits.  They corroborate the exact classifier's verdicts
 equation; unstable image: bins occupied at a larger source radius but not
 at a smaller one) and are labeled as evidence wherever they surface.
 
+The probe contract: this module is the one place that knows a probe
+kind.  :func:`check_probe` holds what a probe of each kind refuses before
+it draws (stability radii that are not finite eps1 > eps2 > 0, a zero
+residual curve, images that could overflow floating point); every probe
+runs it first, and the corpus parser runs it on each entry at load.  A
+probe returns a frozen report whose class attribute ``kind`` names the
+probe and whose fields, the arrays aside, are its report section in
+order (see :func:`germimage.report.probe_json`).
+
 The source ball is sampled directly, not by rejection from a cube: a
 normalized Gaussian direction scaled by a radius U^(1/2n) is uniform in
 the unit ball of C^n = R^(2n) (Muller 1959; Marsaglia 1972), so the cost
@@ -60,7 +69,7 @@ the probe's thread before it starts, and every draw scales with
 ``out=`` operations.  The residual probe also keeps one float per sample, for
 the mean.  A config asking for more than ``_MAX_CELLS`` cells (32 bins
 per axis) is rejected before anything is allocated, and so is a probe
-whose images could overflow floating point on its source ball.
+that :func:`check_probe` refuses.
 """
 
 from __future__ import annotations
@@ -119,41 +128,46 @@ class SamplerConfig:
         return self.epsilon * self.epsilon / 4.0
 
 
+# The reports: a class attribute ``kind`` names the probe, and the fields
+# are in the order of the report section, arrays last and left out of it.
 @dataclass(frozen=True)
 class OccupancyReport:
-    occupied_fraction: float
-    total_bins: int
-    occupied_bins: int
-    hit_histogram: np.ndarray = field(repr=False)
+    kind = "occupancy"
     epsilon: float
     target_radius: float
     samples: int
     grid_bins_per_axis: int
     seed: int
+    total_bins: int
+    occupied_bins: int
+    occupied_fraction: float
+    hit_histogram: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    divergence: float
-    occupied_eps1: int
-    occupied_eps2: int
-    bitmap_eps1: np.ndarray = field(repr=False)
-    bitmap_eps2: np.ndarray = field(repr=False)
+    kind = "stability"
     eps1: float
     eps2: float
     target_radius: float
     samples: int
     grid_bins_per_axis: int
     seed: int
+    occupied_eps1: int
+    occupied_eps2: int
+    divergence: float
+    bitmap_eps1: np.ndarray = field(repr=False)
+    bitmap_eps2: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    max_residual: float
-    mean_residual: float
+    kind = "residual"
     epsilon: float
     samples: int
     seed: int
+    max_residual: float
+    mean_residual: float
 
 
 # Rows of the unit sample scaled, evaluated and binned at a time.  2^18
@@ -426,14 +440,31 @@ def _sample_slices(germ, cfg, draw, eps):
             yield _slices(unit, eps, ready)
 
 
-def _check_finite_images(germ, eps, phi=None):
-    """Refuse, before any draw, a probe whose images could overflow floating point.
+def check_probe(kind, germ, cfg, eps=None, phi=None):
+    """Refuse, before any draw, a probe of ``kind`` that could not run.
 
-    On the polydisk of radius ``eps`` every |f| is at most the sum of
-    |c_m| * eps^|m| over the terms of f, and likewise for g; ``phi`` is
+    Every probe calls this first, and :func:`germimage.corpus.parse_corpus`
+    calls it on each entry's germ.  A stability probe needs ``eps`` =
+    (eps1, eps2) with finite eps1 > eps2 > 0 and samples the ball of
+    radius eps1; the other probes sample the ball of radius
+    ``cfg.epsilon``.  A residual probe's curve ``phi`` must be nonzero;
+    ``phi=None`` (a corpus entry, whose curve comes from ``classify``)
+    leaves the curve unchecked.  Both refusals are ValueErrors.
+
+    The images must also stay within floating point (PreconditionError).
+    On the polydisk of that radius every |f| is at most the sum of
+    |c_m| * r^|m| over the terms of f, and likewise for g; ``phi`` is
     bounded the same way on the polydisk of those two bounds.  The kernels
     square such values, so each squared bound must be finite.
     """
+    eps1, eps2 = eps or (None, None)
+    if kind == "stability" and (
+        None in (eps1, eps2) or not (eps1 > eps2 > 0 and math.isfinite(eps1))
+    ):
+        raise ValueError(f"need finite eps1 > eps2 > 0, got eps1 = {eps1}, eps2 = {eps2}")
+    if phi is not None and phi.is_zero():
+        raise ValueError("residual probe needs a nonzero curve equation")
+    radius = eps1 if kind == "stability" else cfg.epsilon
 
     def bound(poly, radii):
         total = 0.0
@@ -447,14 +478,14 @@ def _check_finite_images(germ, eps, phi=None):
             total += term
         return total
 
-    radii = [bound(p, [eps] * germ.n) for p in (germ.f, germ.g)]
+    radii = [bound(p, [radius] * germ.n) for p in (germ.f, germ.g)]
     named = [("f", radii[0]), ("g", radii[1])]
     if phi is not None:
         named.append(("phi(f, g)", bound(phi, radii)))
     for name, b in named:
         if not math.isfinite(b * b):
             raise PreconditionError(
-                f"|{name}| may reach {b:.3g} on the source ball of radius {eps}, "
+                f"|{name}| may reach {b:.3g} on the source ball of radius {radius}, "
                 "and its square overflows floating point"
             )
 
@@ -478,7 +509,7 @@ def ball_image_occupancy(germ, cfg, draw=None):
     A grid cell counts as covered with a single hit; the denominator is the
     number of cells whose center lies inside the open polydisk.
     """
-    _check_finite_images(germ, cfg.epsilon)
+    check_probe("occupancy", germ, cfg)
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts = None
@@ -514,9 +545,7 @@ def germ_stability_probe(germ, eps1, eps2, cfg, draw=None):
     is zero for a map whose image germ is radius-independent up to
     sampling noise.
     """
-    if not (eps1 > eps2 > 0 and math.isfinite(eps1)):
-        raise ValueError(f"need finite eps1 > eps2 > 0, got eps1 = {eps1}, eps2 = {eps2}")
-    _check_finite_images(germ, eps1)
+    check_probe("stability", germ, cfg, (eps1, eps2))
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts1 = counts2 = None
@@ -557,9 +586,7 @@ def curve_residual_probe(germ, phi, cfg, draw=None):
     numpy's pairwise sum depends on the array's length, so the mean is the
     one a whole-array probe takes.
     """
-    if phi.is_zero():
-        raise ValueError("residual probe needs a nonzero curve equation")
-    _check_finite_images(germ, cfg.epsilon, phi)
+    check_probe("residual", germ, cfg, phi=phi)
     res = np.empty(cfg.samples)
     with _sample_slices(germ, cfg, draw, cfg.epsilon) as slices:
         for rows, pts in slices:

@@ -1,9 +1,12 @@
 """JSON report assembly and the plot-ready occupancy CSV.
 
 Field names and nesting are fixed; exact scalars serialize as "a/b" and
-"(a/b)+(c/d)i"; polynomials serialize as canonical text.  Reports contain
-no wall-clock data unless timing is explicitly requested, so runs with
-equal seeds are byte-identical.
+"(a/b)+(c/d)i"; polynomials serialize as canonical text.  A probe's
+section is read off its report by one generic :func:`probe_json`: the
+report's ``kind``, then its dataclass fields in order, the arrays left
+out (see :mod:`germimage.probe`).  Reports contain no wall-clock data
+unless timing is explicitly requested, so runs with equal seeds are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .classifier import (
     witness_kind,
 )
 from .parsing import format_polynomial, format_target_polynomial
-from .probe import OccupancyReport
 
 
 def serialize_fraction(q):
@@ -63,7 +65,7 @@ def witness_json(witness, varnames):
         body["stats"] = {"c": format_polynomial(witness.c, varnames), "note": witness.note}
         return body
     if isinstance(witness, ProbeOnlyWitness):
-        body["probe"] = occupancy_json(witness.report) if witness.report else None
+        body["probe"] = probe_json(witness.report) if witness.report else None
         return body
     raise TypeError(f"unknown witness type {type(witness).__name__}")
 
@@ -100,44 +102,11 @@ def prop_crit_json(outcome, varnames):
     }
 
 
-def occupancy_json(report):
-    return {
-        "kind": "occupancy",
-        "epsilon": report.epsilon,
-        "target_radius": report.target_radius,
-        "samples": report.samples,
-        "grid_bins_per_axis": report.grid_bins_per_axis,
-        "seed": report.seed,
-        "total_bins": report.total_bins,
-        "occupied_bins": report.occupied_bins,
-        "occupied_fraction": report.occupied_fraction,
-    }
-
-
-def stability_json(report):
-    return {
-        "kind": "stability",
-        "eps1": report.eps1,
-        "eps2": report.eps2,
-        "target_radius": report.target_radius,
-        "samples": report.samples,
-        "grid_bins_per_axis": report.grid_bins_per_axis,
-        "seed": report.seed,
-        "occupied_eps1": report.occupied_eps1,
-        "occupied_eps2": report.occupied_eps2,
-        "divergence": report.divergence,
-    }
-
-
-def residual_json(report):
-    return {
-        "kind": "residual",
-        "epsilon": report.epsilon,
-        "samples": report.samples,
-        "seed": report.seed,
-        "max_residual": report.max_residual,
-        "mean_residual": report.mean_residual,
-    }
+def probe_json(report):
+    """The report section of a probe: its ``kind``, then its fields in order, arrays left out."""
+    section = {"kind": report.kind}
+    section.update((f.name, getattr(report, f.name)) for f in dataclasses.fields(report) if f.repr)
+    return section
 
 
 def build_classify_report(
@@ -157,7 +126,7 @@ def build_classify_report(
     if (
         verdict.status is Status.UNDETERMINED
         and verdict.witness is None
-        and isinstance(probe_report, OccupancyReport)
+        and getattr(probe_report, "kind", None) == "occupancy"
     ):
         verdict = dataclasses.replace(verdict, witness=ProbeOnlyWitness(probe_report))
     report = {

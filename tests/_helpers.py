@@ -30,26 +30,28 @@ def poly_subs(poly, args):
     return out
 
 
-def source_change(germ, matrix):
-    """Precompose the germ with the linear map given by an integer matrix."""
-    n = germ.n
-    xs = variables(n)
-    args = []
-    for i in range(n):
-        acc = Polynomial.zero(n)
-        for j in range(n):
-            if matrix[i][j]:
-                acc = acc + xs[j].scale(matrix[i][j])
-        args.append(acc)
-    return MapGerm(poly_subs(germ.f, args), poly_subs(germ.g, args))
+def _linear_forms(matrix):
+    """The linear forms whose coefficient rows are those of an integer matrix."""
+    xs = variables(len(matrix[0]))
+    return [sum((x.scale(a) for x, a in zip(xs, row)), Polynomial.zero(len(xs))) for row in matrix]
 
 
-def target_change(germ, matrix):
-    """Postcompose the germ with an invertible linear map of the target."""
-    (a, b), (c, d) = matrix
-    f2 = germ.f.scale(a) + germ.g.scale(b)
-    g2 = germ.f.scale(c) + germ.g.scale(d)
-    return MapGerm(f2, g2)
+def source_change(germ, change):
+    """Precompose the germ with a source map.
+
+    ``change`` is an integer matrix, whose row i gives the new x_i as a
+    linear form, or one polynomial in the source variables per variable.
+    """
+    if not isinstance(change[0], Polynomial):
+        change = _linear_forms(change)
+    return MapGerm(poly_subs(germ.f, change), poly_subs(germ.g, change))
+
+
+def target_change(germ, change):
+    """Postcompose the germ with a target map: a 2x2 integer matrix or two polynomials in (u, v)."""
+    if not isinstance(change[0], Polynomial):
+        change = _linear_forms(change)
+    return MapGerm(*(poly_subs(phi, [germ.f, germ.g]) for phi in change))
 
 
 def random_unimodular(rng, n):

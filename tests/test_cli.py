@@ -392,7 +392,7 @@ def test_entry_lookup(capsys):
     assert code2 == 2 and "no corpus entry" in err
 
 
-def test_input_errors_exit_2(tmp_path, capsys):
+def test_input_errors_exit_2(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "classify", "--vars", "x,y", "--f", "x+1", "--g", "y")
     assert code == 2 and "germ" in err
     code2, _, err2 = run_cli(capsys, "classify", "--vars", "x,y", "--f", "x*", "--g", "y")
@@ -411,19 +411,24 @@ def test_input_errors_exit_2(tmp_path, capsys):
     )
     code5, _, err5 = run_cli(capsys, "corpus", "--corpus-file", str(bad))
     assert code5 == 2 and "at least 1" in err5
-    # a bad probe in a later entry stops the run before the first entry is classified
+    # a bad probe or germ in a later entry stops the run before the first entry is classified
+    classified = _count_calls(monkeypatch, {classifier.classify: "classify"})
     good = "[first]\nvars = x y\nf = x\ng = y\nexpected_status = LocallyOpen\n"
     for probe, message in (
         ("probe = stability\n", "eps1 > eps2 > 0"),
         ("probe = stability\neps1 = 0.05\neps2 = 0.2\n", "eps1 > eps2 > 0"),
         ("probe = volume\n", "unknown probe kind"),
         ("probe = occupancy\nbins = 200\n", "grid cells"),
+        ("probe = occupancy\nepsilon = 1e200\ntarget_radius = 0.05\n", "|f| may reach 1e+200"),
+        ("probe = stability\neps1 = 1e160\neps2 = 0.05\n", "|f| may reach 1e+160"),
+        ("g = (y\n", "expected ')', found 'end of input'"),
     ):
         bad.write_text(good + good.replace("first", "second") + probe)
         code6, out6, err6 = run_cli(capsys, "corpus", "--corpus-file", str(bad))
         assert code6 == 2 and out6 == ""
         assert "corpus entry [second]" in err6 and message in err6
         assert "Traceback" not in err6
+    assert classified == {}
 
 
 def test_non_finite_probe_parameters_exit_2(monkeypatch, capsys):

@@ -55,10 +55,10 @@ def test_parse_corpus_accepts_plain_names():
     "probe, message",
     [
         ("probe = volume\n", "unknown probe kind 'volume'"),
-        ("probe = stability\n", r"needs eps1 > eps2 > 0, got eps1 = None, eps2 = None"),
-        ("probe = stability\neps1 = 0.2\n", r"needs eps1 > eps2 > 0"),
-        ("probe = stability\neps1 = 0.05\neps2 = 0.2\n", r"needs eps1 > eps2 > 0"),
-        ("probe = stability\neps1 = 0.2\neps2 = 0\n", r"needs eps1 > eps2 > 0"),
+        ("probe = stability\n", r"need finite eps1 > eps2 > 0, got eps1 = None, eps2 = None"),
+        ("probe = stability\neps1 = 0.2\n", r"need finite eps1 > eps2 > 0"),
+        ("probe = stability\neps1 = 0.05\neps2 = 0.2\n", r"need finite eps1 > eps2 > 0"),
+        ("probe = stability\neps1 = 0.2\neps2 = 0\n", r"need finite eps1 > eps2 > 0"),
         ("probe = occupancy\nbins = 0\n", "at least 1"),
         ("probe = occupancy\nsamples = 0\n", "at least 1"),
         ("probe = residual\nbins = 200\n", "grid cells"),
@@ -67,8 +67,13 @@ def test_parse_corpus_accepts_plain_names():
         ("probe = occupancy\ntarget_radius = inf\n", "positive and finite"),
         ("probe = occupancy\nepsilon = inf\n", "positive and finite"),
         ("probe = residual\nepsilon = nan\n", "positive and finite"),
-        ("probe = stability\neps1 = inf\neps2 = 0.05\n", "radii must be finite, got eps1 = inf"),
-        ("probe = stability\neps1 = nan\neps2 = 0.05\n", r"needs eps1 > eps2 > 0"),
+        ("probe = stability\neps1 = inf\neps2 = 0.05\n", r"need finite eps1 > eps2 > 0, got eps1 = inf"),
+        ("probe = stability\neps1 = nan\neps2 = 0.05\n", r"need finite eps1 > eps2 > 0"),
+        # the images of the source ball would overflow floating point
+        ("probe = occupancy\nepsilon = 1e200\ntarget_radius = 0.05\n", r"may reach 1e\+200"),
+        ("probe = stability\neps1 = 1e160\neps2 = 0.05\n", r"\|f\| may reach 1e\+160"),
+        # the germ itself is parsed at load
+        ("f = (y\n", r"expected '\)', found 'end of input'"),
     ],
 )
 def test_parse_corpus_rejects_probes_that_cannot_run(probe, message):

@@ -24,9 +24,16 @@ from germimage.classifier import (
 from germimage.corpus import load_corpus
 from germimage.parsing import parse_map_germ, parse_polynomial
 from germimage.poly import MapGerm
+from germimage.rationals import I
 from germimage.report import build_classify_report, dumps_report, verdict_json
 
-from _helpers import four_variable_pool, reference_constancy_locus
+from _helpers import (
+    four_variable_pool,
+    reference_constancy_locus,
+    source_change,
+    target_change,
+    variables,
+)
 
 POOL_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "classify_pool.json"
 
@@ -199,3 +206,44 @@ def test_certificate_is_the_gcd_formula():
             assert pencil_constancy_locus(dec) == reference_constancy_locus(dec)
             four += 1
     assert four >= 12
+
+
+def _triangular(n):
+    """x -> x + y^2, and z -> z + i*x*y when n = 3: an invertible source map fixing 0."""
+    xs = variables(n)
+    out = [xs[0] + xs[1] ** 2, xs[1]]
+    if n == 3:
+        out.append(xs[2] + (xs[0] * xs[1]).scale(I))
+    return out
+
+
+def test_decided_statuses_survive_nonlinear_coordinate_changes():
+    """No decided status flips under biholomorphisms of source or target that fix 0.
+
+    ``classify`` uses fixed lines, shears and roots in Q(i), so a decided
+    verdict may turn Undetermined in new coordinates, but never into
+    another decided status, and every witness it finds must verify.  The
+    germs: two of the smallest pool germs of each recorded (status,
+    witness) stratum, chosen by a seeded draw, and the shipped corpus.
+    """
+    pool = json.loads(POOL_PATH.read_text(encoding="utf-8"))
+    varnames = tuple(pool["vars"])
+    strata = {}
+    for e in pool["germs"]:
+        strata.setdefault((e["status"], e["witness"]), []).append(e)
+    rng = random.Random(23)
+    germs = [entry.germ() for entry in load_corpus()]
+    for key in sorted(strata):
+        smallest = sorted(strata[key], key=lambda e: len(e["f"]) + len(e["g"]))[:6]
+        germs += [parse_map_germ(varnames, e["f"], e["g"]) for e in rng.sample(smallest, 2)]
+    u, v = variables(2)
+    targets = [(u + v**2, v), (u + v, v.scale(3) + u**3)]
+    undetermined = Status.UNDETERMINED
+    for germ in germs:
+        expected = classify(germ).status
+        source = source_change(germ, _triangular(germ.n))
+        for changed in [source] + [target_change(g, t) for g in (germ, source) for t in targets]:
+            verdict = classify(changed)
+            assert undetermined in (expected, verdict.status) or verdict.status is expected
+            assert verify_witness(changed, verdict) is True
+    assert len(strata) == 6
