@@ -67,9 +67,11 @@ class CorpusEntry:
     provenance: str
     probe_kind: str | None = None
     probe_params: dict = field(default_factory=dict)
+    parsed: object = field(default=None, repr=False, compare=False)
 
     def germ(self):
-        return parse_map_germ(self.varnames, self.f_text, self.g_text)
+        """The entry's map germ: the one :func:`parse_corpus` parsed, or parsed now."""
+        return self.parsed or parse_map_germ(self.varnames, self.f_text, self.g_text)
 
 
 def shipped_corpus_path():
@@ -94,18 +96,20 @@ def parse_corpus(text):
         params = {
             k: v for k, v in block.items() if k in _INT_KEYS | _FLOAT_KEYS
         }
-        entry = CorpusEntry(
-            name=block_name,
-            varnames=tuple(block["vars"].replace(",", " ").split()),
-            f_text=block["f"],
-            g_text=block["g"],
-            expected_status=block["expected_status"],
-            expected_witness=block.get("expected_witness", ""),
-            provenance=block.get("provenance", ""),
-            probe_kind=block.get("probe"),
-            probe_params=params,
-        )
+        varnames = tuple(block["vars"].replace(",", " ").split())
         try:
+            entry = CorpusEntry(
+                name=block_name,
+                varnames=varnames,
+                f_text=block["f"],
+                g_text=block["g"],
+                expected_status=block["expected_status"],
+                expected_witness=block.get("expected_witness", ""),
+                provenance=block.get("provenance", ""),
+                probe_kind=block.get("probe"),
+                probe_params=params,
+                parsed=parse_map_germ(varnames, block["f"], block["g"]),
+            )
             _check_probe(entry, entry.germ())
         except (GermImageError, ValueError) as exc:
             raise GermImageError(f"corpus entry [{block_name}]: {exc}") from None
@@ -286,25 +290,33 @@ def run_corpus(path=None, seed=0, out_dir=None):
     """Classify every corpus entry; returns (results, exit_code).
 
     The whole file is parsed and checked (see :func:`parse_corpus`)
-    before the first entry runs.
-    All probes of one call share one :class:`SharedBallSamples`, so each
-    point of an (n, seed) unit-ball stream is drawn once: a later entry
-    that asks for more points than were drawn resumes the stream and draws
-    only the new ones, while its probe bins the points already written.
-    A shared draw gives the points a fresh one would, so the reports are
-    the same.  A stream is dropped after the last entry with a probe at
-    its n, so it does not hold memory through the entries that follow,
-    and no thread outlives the call.
+    before the first entry runs, so the run's draws are known: one
+    request (n, samples, seed) per entry with a probe, in entry order.
+    They plan one :class:`SharedBallSamples`, whose producer thread draws
+    each point of an (n, seed) unit-ball stream once, ahead of need, while
+    the entries classify and probe; the reports are those of fresh draws.
+    A stream is released after the last entry with a probe at its n, which
+    frees it and lets the producer draw on (the memory rule in
+    :mod:`germimage.probe`).  A refusal raised while an entry runs names
+    the entry.  The draw is left however the run ends, so no thread
+    outlives the call.
     """
     entries = load_corpus(path)
-    draw = SharedBallSamples()
-    last_reader = {len(e.varnames): e for e in entries if e.probe_kind}
+    probed = [e for e in entries if e.probe_kind]
+    requests = [
+        (len(e.varnames), sampler_config(e.probe_params, seed).samples, seed) for e in probed
+    ]
+    last_reader = {len(e.varnames): e for e in probed}
     results = []
-    for entry in entries:
-        results.append(run_entry(entry, seed=seed, draw=draw))
-        n = len(entry.varnames)
-        if last_reader.get(n) is entry:
-            draw.release(n, seed)
+    with SharedBallSamples(requests) as draw:
+        for entry in entries:
+            try:
+                results.append(run_entry(entry, seed=seed, draw=draw))
+            except (GermImageError, ValueError) as exc:
+                raise GermImageError(f"corpus entry [{entry.name}]: {exc}") from None
+            n = len(entry.varnames)
+            if last_reader.get(n) is entry:
+                draw.release(n, seed)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for res in results:

@@ -25,26 +25,23 @@ second.  The calling thread allocates each half's buffers before the
 helper starts: a coordinate and scratch set of ``_ROWS`` rows, and for
 binning the packed coordinates, the values of both components, the cell
 indices, the disk masks and an integer count array; only the row
-indices of a gather and a block's bincount are made per block.  A
-thread writes only its own rows of the output (evaluation) or its own
-count array (binning), and the two count arrays are added once both
-halves are done.  The helper runs private code and numpy only, never a
+indices of a gather are made per block.  A thread writes only its own
+rows of the output (evaluation) or its own count array (binning), and
+the two count arrays are added once both halves are done.  The helper runs private code and numpy only, never a
 public function of this package.  Its error is re-raised by the call,
 after the helper has stopped, so no call returns rows left unwritten and
 no thread outlives a call.  With fewer than two blocks' worth of rows
 the calling thread runs alone.
 
 Evaluation performs, for each output element, the same sequence of IEEE
-multiply/add operations as :meth:`Polynomial.evaluate`: powers by
-repeated multiplication, terms accumulated in the polynomial's canonical
-order, and each complex multiply expanded into the real multiplies and
-adds that scalar code performs (numpy's complex128 vector path differs
-from it at the last ulp).  Blocking, the split, the fusion and the
-packing change only which elements share a numpy call, which thread
-makes it and where the sums accumulate, never the operations applied to
-one element, so the values agree bit for bit; the determinism tests
-rely on that.  Binning adds up integer bincounts over the blocks and the
-halves, which equals the one-shot count exactly.
+multiply/add operations as :meth:`Polynomial.evaluate` (see there, also
+for the sign of zero parts; numpy's complex128 vector path differs at
+the last ulp).  Blocking, the split, the fusion and the packing change
+only which elements share a numpy call, which thread makes it and where
+the sums accumulate, never the operations applied to one element, so the
+values agree bit for bit; the determinism tests rely on that.  Binning
+adds one to a count per hit, over the blocks and the halves, which
+equals the one-shot count.
 """
 
 from __future__ import annotations
@@ -136,32 +133,45 @@ def _evaluate_block(terms, coords, k, scratch, acc_re, acc_im):
     """Sum the terms at the first ``k`` points of ``coords`` into ``acc_re``, ``acc_im``.
 
     ``coords`` (2, nvars, _ROWS) holds a block's real and imaginary
-    coordinates and ``scratch`` (4, _ROWS) takes the term buffers; the
-    accumulators (k floats each) are zeroed first.
+    coordinates and ``scratch`` (4, _ROWS) takes the term buffers.  The
+    sum starts at the first term, whose last multiply writes straight into
+    the accumulators (k floats each).
     """
     zre, zim = coords
-    acc_re.fill(0.0)
-    acc_im.fill(0.0)
-    for factors, cre, cim in terms:
+    for j, (factors, cre, cim) in enumerate(terms or [((), 0.0, 0.0)]):  # no terms: 0
         # the term (xr, xi) starts as the scalar coefficient; each
-        # multiply by z = zr + i zi leaves it in the buffers (tr, ti):
+        # multiply by z = zr + i zi leaves it in the buffers (tr, ti), or
+        # in the accumulators at the first term's last multiply:
         #   (xr zr - xi zi) + i (xr zi + xi zr)
         tr, ti, a, b = scratch[:, :k]
         xr, xi = cre, cim
-        for v, e in factors:
-            zr = zre[v, :k]
-            zi = zim[v, :k]
-            for _ in range(e):
-                np.multiply(xr, zr, out=a)
-                np.multiply(xi, zi, out=b)
-                np.subtract(a, b, out=a)
-                np.multiply(xr, zi, out=b)
-                np.multiply(xi, zr, out=tr)
-                np.add(b, tr, out=ti)
-                tr, a = a, tr
-                xr, xi = tr, ti
-        np.add(acc_re, xr, out=acc_re)
-        np.add(acc_im, xi, out=acc_im)
+        steps = [v for v, e in factors for _ in range(e)]
+        for i, v in enumerate(steps):
+            zr, zi = zre[v, :k], zim[v, :k]
+            last = j == 0 and i == len(steps) - 1
+            if i == 0 and cim == 0.0:
+                # a real c scales z's parts, (c zr, c zi); c = 1.0 leaves them as they are
+                if cre == 1.0 and not last:
+                    xr, xi = zr, zi
+                else:
+                    xr, xi = (acc_re, acc_im) if last else (tr, ti)
+                    np.multiply(cre, zr, out=xr)
+                    np.multiply(cre, zi, out=xi)
+                continue
+            np.multiply(xr, zr, out=a)
+            np.multiply(xi, zi, out=b)
+            np.subtract(a, b, out=acc_re if last else a)
+            np.multiply(xr, zi, out=b)
+            np.multiply(xi, zr, out=tr)
+            np.add(b, tr, out=acc_im if last else ti)
+            tr, a = a, tr
+            xr, xi = tr, ti
+        if j == 0 and not steps:  # a constant first term
+            acc_re.fill(cre)
+            acc_im.fill(cim)
+        elif j:
+            np.add(acc_re, xr, out=acc_re)
+            np.add(acc_im, xi, out=acc_im)
 
 
 def _evaluate_rows(terms, points, out, lo, hi, coords, scratch):
@@ -289,8 +299,7 @@ def _bin_rows(
         for i in (1, 2, 3):
             idx *= bins
             idx += cell[i]
-        hits = np.bincount(idx)
-        counts[: hits.size] += hits
+        np.add.at(counts, idx, 1)
     return counts
 
 

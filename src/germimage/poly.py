@@ -326,23 +326,32 @@ class Polynomial:
     def evaluate(self, point):
         """Evaluate at a point of C^n in double precision.
 
-        Terms are summed in canonical order and powers are expanded by
-        repeated multiplication, so the result is reproducible bit for bit
-        (and matches the batch kernels in :mod:`germimage.kernels`).
+        Terms are summed in canonical order from the first term on, powers
+        are expanded by repeated multiplication, and a real coefficient c
+        takes its first factor z as (c Re z, c Im z), or as z if c = 1.0.
+        So the result is reproducible bit for bit, as the batch kernels of
+        :mod:`germimage.kernels` compute it, and equals the sum from 0j of
+        complex(c) * z * ... up to the sign of a zero part, which no probe
+        report reads (a binned part is shifted, a residual is an abs).
         """
         if len(point) != self.nvars:
             raise DimensionError(
                 f"point has {len(point)} coordinates, expected {self.nvars}"
             )
         zs = [complex(z) for z in point]
-        acc = 0j
+        acc = None
         for m, c in self.terms:
             t = complex(c)
+            real = t.imag == 0.0
             for z, e in zip(zs, m):
                 for _ in range(e):
-                    t = t * z
-            acc = acc + t
-        return acc
+                    if real:
+                        t = z if t.real == 1.0 else complex(t.real * z.real, t.real * z.imag)
+                        real = False
+                    else:
+                        t = t * z
+            acc = t if acc is None else acc + t
+        return 0j if acc is None else acc
 
     # -- comparison -------------------------------------------------------------
 

@@ -28,57 +28,62 @@ the samples in fixed row blocks; each value still goes through one fixed
 sequence of IEEE operations and each hit count is an integer sum, so no
 report depends on the blocking.
 
-Threads: the sampler and the kernels use the machine's second core
-inside the call.  The sampler owns two sets of chunk buffers; a helper
-thread draws the next chunk into one set while the
-calling thread scales, filters and copies the chunk in the other, and
-the one generator is still consumed chunk by chunk in order, with
-``out=`` fills that draw the numbers fresh arrays would hold.  The
-kernels cut their rows at a block edge, and each thread writes only its
-own rows or its own count array (see :mod:`germimage.kernels`); a probe
-slice starts one kernel helper, which evaluates the cheaper component at
-its rows, the other one only where the first lies in the target disk,
-and bins the images.  So the (seed, k) contract and the bitwise parity
-hold as on one thread.  Helper threads run private helpers and numpy
-only, never a public function of this package, so whoever wraps the
-public functions sees the calls a single thread makes; each helper is
-joined, and its error re-raised, before the call that started it
-returns.
+Threads: the sampler and the kernels use the machine's second core.
+The sampler owns two sets of chunk buffers; a helper thread draws the
+next chunk into one set while the calling thread scales, filters and
+copies the chunk in the other, and the one generator is still consumed
+chunk by chunk in order, with ``out=`` fills that draw the numbers
+fresh arrays would hold.  The kernels cut their rows at a block edge,
+and each thread writes only its own rows or its own count array (see
+:mod:`germimage.kernels`); a probe slice starts one kernel helper, which
+evaluates the cheaper component at its rows, the other one only where
+the first lies in the target disk, and bins the images.  So the
+(seed, k) contract and the bitwise parity hold as on one thread.  Helper threads run private helpers and
+numpy only, never a public function of this package, so whoever wraps
+the public functions sees the calls a single thread makes.  Each helper
+is joined, and its error re-raised, before the call that started it
+returns, and the producer of a :class:`SharedBallSamples` before its
+draw is left.
 
 Shared draws: every probe takes an optional ``draw``, a
-:class:`SharedBallSamples` made for one run, in place of a fresh
-:func:`unit_ball_samples` draw.  It keeps each (n, seed) stream as its
-points so far, the generator state at the start of the last chunk drawn
-and how many kept rows of that chunk are used.  A request within the
-stream reads a prefix; a longer one restores that state, redraws that
-chunk, skips its used rows and draws on, so only the new points are
-added.  A producer thread draws them, with the draw-ahead helper of a
-fresh draw, while the probe scales, evaluates and bins each slice of
-``_PIECE`` rows as soon as it is written; the probe joins both before
-it returns or raises.  Every chunk goes through the sampler of a fresh
-draw, so the k-th sample still depends only on (seed, k), and a shared
-draw returns exactly the points a fresh one would.
+:class:`SharedBallSamples` planned for one run, in place of a fresh
+:func:`unit_ball_samples` draw.  The plan is the run's requests,
+(nvars, count, seed) in the order the probes ask.  Each (nvars, seed)
+stream is one array at its final length (its longest request), filled
+front to back by one sampler, so a request gets exactly the points a
+fresh draw would.  One producer thread, with the sampler's draw-ahead
+helper, draws the streams ahead of need, segment by segment: segment i
+holds the rows request i needs beyond those drawn for earlier requests.
+A probe reads a prefix of its stream and waits, slice by slice of
+``_PIECE`` rows, only for rows not yet written.
 
 Resources are bounded: a probe holds its unit sample, walks it in slices
 of ``_PIECE`` rows (scale, evaluate, bin, slice after slice), and keeps
 one count per grid cell, so beyond the sample its scratch memory does
 not grow with ``samples``; binning never holds the images f(points) and
 g(points) at full length.  A fresh sample is freed once its last slice
-is scaled.  A stream's producer writes only into buffers allocated on
-the probe's thread before it starts, and every draw scales with
-``out=`` operations.  The residual probe also keeps one float per sample, for
-the mean.  A config asking for more than ``_MAX_CELLS`` cells (32 bins
-per axis) is rejected before anything is allocated, and so is a probe
-that :func:`check_probe` refuses.
+is scaled.  A shared draw allocates its streams and their samplers'
+buffers on the thread that plans it, with ``np.empty``, so a page of a
+stream counts only once it is written.  Its memory rule: segment i
+starts only once every other stream whose last request comes before
+request i is released.  Then the streams written at any moment are a
+subset of those a run drawing request by request holds at request i, at
+no greater length but for the rest of the chunk a segment ends in: a
+stream written and not released has a request at or before i (its
+drawn segments) and its last one at or after i (the rule), and it is
+drawn only as far as the requests up to i ask.  The residual probe also
+keeps one float per sample, for the mean.  A config asking for more
+than ``_MAX_CELLS`` cells (32 bins per axis) is rejected before anything
+is allocated, and so is a probe that :func:`check_probe` refuses.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -187,14 +192,13 @@ def _draw_chunk(rng, gauss, uniform):
     rng.random(out=uniform)
 
 
-def _place_chunk(gauss, uniform, norms, inside, out, have, skip):
+def _place_chunk(gauss, uniform, norms, inside, out, have):
     """Scale a drawn chunk to ball points and copy its kept rows into ``out[have:]``.
 
-    The first ``skip`` kept rows are passed over, and as many of the rest
-    are copied as ``out`` has room for.  Returns how many kept rows of
-    the chunk are used: ``skip`` plus those copied.  Every step writes
-    into the chunk's buffers (``norms`` and the mask ``inside`` are
-    ``_CHUNK`` long) with the operations that fresh arrays would take.
+    As many kept rows are copied as ``out`` has room for; returns how
+    many.  Every step writes into the chunk's buffers (``norms`` and the
+    mask ``inside`` are ``_CHUNK`` long) with the operations that fresh
+    arrays would take.
     """
     dim = gauss.shape[1]
     np.einsum("ij,ij->i", gauss, gauss, out=norms)
@@ -205,19 +209,9 @@ def _place_chunk(gauss, uniform, norms, inside, out, have, skip):
     np.einsum("ij,ij->i", gauss, gauss, out=norms)
     np.less(norms, 1.0, out=inside)
     rows = gauss if inside.all() else gauss[inside]  # rare: skip the copy when no row is dropped
-    take = min(out.shape[0] - have, rows.shape[0] - skip)
-    out[have : have + take] = rows[skip : skip + take]
-    return skip + take
-
-
-def _chunk_buffers(dim):
-    """One chunk's Gaussians and uniforms."""
-    return np.empty((_CHUNK, dim)), np.empty(_CHUNK)
-
-
-def _scale_buffers():
-    """The row norms and the kept-row mask of one chunk."""
-    return np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool)
+    take = min(out.shape[0] - have, rows.shape[0])
+    out[have : have + take] = rows[:take]
+    return take
 
 
 def unit_ball_samples(nvars, count, seed):
@@ -234,84 +228,51 @@ def unit_ball_samples(nvars, count, seed):
     the float rows, which are returned as a complex128 view of shape
     (count, nvars).
 
-    Two threads share the work (``_Sampler``, which also extends the
-    streams of :class:`SharedBallSamples`).  Two sets of chunk buffers
-    (Gaussians and uniforms) are allocated before any draw.  While the
-    calling thread scales, filters and copies the chunk in one set, a
-    helper thread fills the other set with the next chunk's draws, by
-    ``standard_normal(out=...)`` and ``random(out=...)`` on the one
-    generator; the calling thread waits for it before it reads that set
-    or touches the generator.  So the generator is still consumed chunk
-    by chunk in order, the fills draw the numbers that fresh arrays of the
-    same shape would hold, and every point is the same bits as from a
-    single thread.  The next chunk is drawn ahead only when the current
-    one cannot finish the request; a chunk that comes up short (rows
-    dropped) is followed by a draw on the calling thread.  The helper runs
-    only the private fill, and it is joined before this returns or raises;
-    an error it raised is raised here.
+    Two threads share the work (``_Sampler``): while the calling thread
+    places one chunk, a helper fills the other set of chunk buffers with
+    the next chunk's draws, when the current chunk cannot finish the
+    request.  A chunk that comes up short (rows dropped) is followed by a
+    draw on the calling thread.  The helper is joined before this returns
+    or raises, and an error it raised is raised here.
     """
-    rng = np.random.default_rng(seed)
     out = np.empty((count, 2 * nvars), dtype=np.float64)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        _Sampler(rng, out, 0, 0).fill_to(count, helper)
+        _Sampler(np.random.default_rng(seed), out).fill_to(count, helper)
     return out.view(np.complex128)
 
 
 class _Sampler:
-    """Draws the points of one stream into ``rows`` chunk by chunk, from row ``have`` on.
+    """Draws the points of one stream into ``rows``, chunk by chunk, front to back.
 
-    ``rng`` stands at the start of a chunk of which the first ``skip``
-    kept rows are in ``rows`` already.  The buffers are allocated here,
-    on the thread that makes the sampler: two sets of chunk buffers and
-    one set of scale buffers.  ``state`` and ``used`` follow the last
-    chunk placed: the generator state at its start, and how many of its
-    kept rows are in ``rows``.
+    Its buffers are allocated on the thread that makes it; ``have`` counts
+    the rows written.
     """
 
-    def __init__(self, rng, rows, have, skip):
+    def __init__(self, rng, rows):
         dim = rows.shape[1]
-        self.rng, self.rows, self.have, self.skip = rng, rows, have, skip
-        self.current, self.following = _chunk_buffers(dim), _chunk_buffers(dim)
-        self.scale = _scale_buffers()
-        self.ahead = None  # (state, fill) of the next chunk, when the helper draws it
-        self.state, self.used = None, 0
+        self.rng, self.rows, self.have = rng, rows, 0
+        self.current = np.empty((_CHUNK, dim)), np.empty(_CHUNK)  # Gaussians, uniforms
+        self.following = np.empty((_CHUNK, dim)), np.empty(_CHUNK)
+        self.scale = np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool)  # row norms, kept rows
+        self.ahead = None  # the helper's fill of the next chunk, while it draws it
 
     def fill_to(self, target, helper):
-        """Place chunks until the first ``target`` rows are written.
+        """Place chunks until at least the first ``target`` rows are written.
 
         ``helper`` draws the next chunk while this thread places the
-        current one, whenever the current one cannot finish all the rows.
+        current one, whenever the current one cannot fill all the rows.
         """
         rng, count = self.rng, self.rows.shape[0]
         while self.have < target:
             if self.ahead is None:
-                self.state = rng.bit_generator.state
                 _draw_chunk(rng, *self.current)
             else:
-                self.state, fill = self.ahead
-                fill.result()
+                self.ahead.result()
             self.ahead = None
-            if count - self.have > _CHUNK:  # this chunk cannot finish the rows
-                state = rng.bit_generator.state
-                self.ahead = state, helper.submit(_draw_chunk, rng, *self.following)
-            used = _place_chunk(*self.current, *self.scale, self.rows, self.have, self.skip)
-            self.have += used - self.skip
-            self.used, self.skip = used, 0
+            if count - self.have > _CHUNK:  # this chunk cannot fill the rows
+                self.ahead = helper.submit(_draw_chunk, rng, *self.following)
+            self.have += _place_chunk(*self.current, *self.scale, self.rows, self.have)
             self.current, self.following = self.following, self.current
-
-
-@dataclass(frozen=True)
-class _Stream:
-    """One (nvars, seed) stream of a :class:`SharedBallSamples`.
-
-    ``points`` holds the points drawn so far (read-only); ``state`` is the
-    generator state at the start of the last chunk drawn, and ``used`` is
-    how many kept rows of that chunk are in ``points``.
-    """
-
-    points: np.ndarray
-    state: dict | None
-    used: int
 
 
 def _drawn(rows):
@@ -319,87 +280,122 @@ def _drawn(rows):
 
 
 class SharedBallSamples:
-    """Unit-ball draws shared by the probes of one run.
+    """Unit-ball draws shared by the probes of one run, drawn ahead of need.
 
-    Each (nvars, seed) stream is drawn once, chunk by chunk, and resumed
-    where it stopped when a request asks for more (see the module
-    docstring), so a request gets exactly the first ``count`` points of a
-    fresh :func:`unit_ball_samples` draw.  The points are read-only, so a
-    probe that wrote into a shared sample would fail instead of changing
-    the points of later probes.
+    ``requests`` is the run's plan: (nvars, count, seed) per probe, in the
+    order the probes ask.  Each stream and its sampler are allocated here,
+    at the stream's final length.  Entering the draw starts the producer
+    (see the module docstring); leaving it stops and joins the producer
+    and its helper, and raises a producer error that no request raised.
+    A request gets the first ``count`` points of a fresh
+    :func:`unit_ball_samples` draw as a read-only view, so a probe that
+    wrote into it would fail instead of changing later probes' points.
+    A request past its stream's planned length or for a stream released
+    is refused, and so is a wait for rows that only a release could let
+    the producer draw (requests out of plan order).  One thread makes the
+    requests and the releases.
     """
 
-    def __init__(self):
-        self._streams = {}
+    def __init__(self, requests):
+        last = {(nvars, seed): i for i, (nvars, _, seed) in enumerate(requests)}
+        # per segment: its stream, its end and the streams released before it starts
+        self._segments, ends = [], {}
+        for i, (nvars, count, seed) in enumerate(requests):
+            key = (nvars, seed)
+            if count > ends.get(key, 0):
+                ends[key] = count
+                held = frozenset(k for k, j in last.items() if j < i and k != key)
+                self._segments.append((key, count, held))
+        # each stream's sampler, whose rows are the stream at its final length
+        self._streams = {
+            (nvars, seed): _Sampler(np.random.default_rng(seed), np.empty((count, 2 * nvars)))
+            for (nvars, seed), count in ends.items()
+        }
+        self._changed = threading.Condition()
+        self._running, self._held, self._error = False, frozenset(), None
 
-    def __call__(self, nvars, count, seed):
-        """The first ``count`` points of the (nvars, seed) stream, once all are drawn."""
-        with self.stream(nvars, count, seed) as (unit, ready):
-            ready(count)
-        return unit
+    def __enter__(self):
+        self._helper = ThreadPoolExecutor(max_workers=1)
+        self._producer = ThreadPoolExecutor(max_workers=1)
+        self._running = True
+        self._job = self._producer.submit(self._produce)
+        return self
 
-    def release(self, nvars, seed):
-        """Drop the (nvars, seed) stream; a later request draws it afresh."""
-        self._streams.pop((nvars, seed), None)
+    def __exit__(self, kind, exc, tb):
+        with self._changed:
+            self._running = False
+            self._changed.notify_all()
+        self._producer.shutdown()
+        self._helper.shutdown()
+        if kind is None:
+            self._job.result()  # a producer error that no request raised
 
-    @contextmanager
     def stream(self, nvars, count, seed):
         """``(unit, ready)``: the first ``count`` points of the stream, and a wait for them.
 
-        ``ready(rows)`` returns once the first ``rows`` points of ``unit``
-        are written, and raises the producer's error if it failed.  Rows
-        past the points kept so far are drawn by one producer thread, with
-        the sampler's draw-ahead helper; it waits for no one and writes
-        each slice of ``_PIECE`` rows in turn.  Both are joined before
-        this context exits, and the stream takes the new points only if
-        every row was drawn.
+        ``ready(rows)`` returns once ``unit[:rows]`` is written, or raises.
         """
-        key = (nvars, seed)
-        old = self._streams.get(key) or _Stream(np.empty((0, nvars), np.complex128), None, 0)
-        have = old.points.shape[0]
-        if count <= have:
-            yield old.points[:count], _drawn
-            return
-        rows = np.empty((count, 2 * nvars))
-        rng = np.random.default_rng(seed)
-        if old.state is not None:
-            rng.bit_generator.state = old.state
-        sampler = _Sampler(rng, rows, have, old.used)
-        unit = rows.view(np.complex128)
-        shared = unit[:]
-        shared.flags.writeable = False
-        drawn = have
+        sampler = self._streams.get((nvars, seed))
+        planned = 0 if sampler is None else sampler.rows.shape[0]
+        if count > planned:
+            raise PreconditionError(
+                f"{count} points asked of the n = {nvars}, seed = {seed} stream, "
+                f"which holds {planned}"
+            )
+        unit = sampler.rows[:count].view(np.complex128)
+        unit.flags.writeable = False
+        return unit, partial(self._wait, sampler)
 
-        def ready(upto):
-            nonlocal drawn
-            while drawn < upto:
-                end, job = pending.popleft()
-                job.result()
-                drawn = end
+    def release(self, nvars, seed):
+        """Drop the (nvars, seed) stream; it takes no more requests."""
+        with self._changed:
+            self._streams.pop((nvars, seed), None)
+            self._changed.notify_all()
 
-        with (
-            ThreadPoolExecutor(max_workers=1) as helper,
-            ThreadPoolExecutor(max_workers=1) as producer,
-        ):
-            # one job per slice that holds new rows, in order
-            first = have - have % _PIECE + _PIECE
-            ends = [min(end, count) for end in range(first, count + _PIECE, _PIECE)]
-            pending = deque((end, producer.submit(sampler.fill_to, end, helper)) for end in ends)
-            unit[:have] = old.points  # while the producer draws the first new chunk
-            # the copy stands for the old points from here on, which frees
-            # them, and keeps the stream whole if the extension fails
-            self._streams[key] = old = _Stream(shared[:have], old.state, old.used)
-            try:
-                yield shared, ready
-                ready(count)
-            except BaseException:
-                producer.shutdown(wait=False, cancel_futures=True)
-                raise
-        rows.flags.writeable = False
-        self._streams[key] = _Stream(shared, sampler.state, sampler.used)
+    def _wait(self, sampler, rows):
+        with self._changed:
+            while sampler.have < rows:
+                if self._error is not None:
+                    raise self._error
+                if not self._running or self._held & self._streams.keys():
+                    raise PreconditionError(
+                        "no producer can draw these rows now: the draw is not entered, "
+                        "or the requests do not follow the plan"
+                    )
+                self._changed.wait()
+
+    def _produce(self):
+        """Draw the segments in order, each once its memory rule holds."""
+        try:
+            for key, end, held in self._segments:
+                with self._changed:
+                    self._held = held  # a request that waits while these are held waits for ever
+                    self._changed.notify_all()
+                    self._changed.wait_for(
+                        lambda: not (self._running and held & self._streams.keys())
+                    )
+                    if not self._running:
+                        return
+                self._draw(key, end)
+        except BaseException as exc:
+            with self._changed:
+                self._error = exc
+                self._changed.notify_all()
+            raise
+
+    def _draw(self, key, end):
+        """Fill the ``key`` stream to ``end`` rows a slice at a time, while the draw runs."""
+        with self._changed:
+            sampler = self._streams.get(key)
+        while sampler is not None and sampler.have < end:
+            sampler.fill_to(min(sampler.have // _PIECE * _PIECE + _PIECE, end), self._helper)
+            with self._changed:
+                self._changed.notify_all()
+                if not self._running or key not in self._streams:
+                    return
 
 
-def _slices(unit, eps, ready=_drawn):
+def _slices(unit, ready, eps):
     """(rows, eps * unit[rows]) for consecutive slices of ``_PIECE`` rows.
 
     Each slice waits for ``ready`` first.  The reference to ``unit`` goes
@@ -417,27 +413,11 @@ def _slices(unit, eps, ready=_drawn):
         yield rows, pts
 
 
-@contextmanager
 def _unit_sample(germ, cfg, draw):
     """``(unit, ready)`` of the probe's sample: a fresh draw, or ``draw``'s stream."""
     if draw is None:
-        yield unit_ball_samples(germ.n, cfg.samples, cfg.seed), _drawn
-    else:
-        with draw.stream(germ.n, cfg.samples, cfg.seed) as sample:
-            yield sample
-
-
-@contextmanager
-def _sample_slices(germ, cfg, draw, eps):
-    """:func:`_slices` of the probe's sample at scale ``eps``.
-
-    A fresh sample is held by the slices alone, so it is freed early.
-    """
-    if draw is None:
-        yield _slices(unit_ball_samples(germ.n, cfg.samples, cfg.seed), eps)
-    else:
-        with draw.stream(germ.n, cfg.samples, cfg.seed) as (unit, ready):
-            yield _slices(unit, eps, ready)
+        return unit_ball_samples(germ.n, cfg.samples, cfg.seed), _drawn
+    return draw.stream(germ.n, cfg.samples, cfg.seed)
 
 
 def check_probe(kind, germ, cfg, eps=None, phi=None):
@@ -493,10 +473,7 @@ def check_probe(kind, germ, cfg, eps=None, phi=None):
 def _add_hits(counts, germ, pts, radius, bins):
     """``counts`` plus the grid hits of F(pts); ``None`` starts the count."""
     hits = bin_hits(pts, germ.f, germ.g, radius, bins)
-    if counts is None:
-        return hits
-    counts += hits
-    return counts
+    return hits if counts is None else np.add(counts, hits, out=counts)
 
 
 def _occupancy_bitmap(counts, inside_mask):
@@ -513,9 +490,8 @@ def ball_image_occupancy(germ, cfg, draw=None):
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts = None
-    with _sample_slices(germ, cfg, draw, cfg.epsilon) as slices:
-        for _, pts in slices:
-            counts = _add_hits(counts, germ, pts, r, bins)
+    for _, pts in _slices(*_unit_sample(germ, cfg, draw), cfg.epsilon):
+        counts = _add_hits(counts, germ, pts, r, bins)
     inside = centers_inside_polydisk(r, bins)
     total = int(inside.sum())
     occupied = int(_occupancy_bitmap(counts, inside).sum())
@@ -549,11 +525,11 @@ def germ_stability_probe(germ, eps1, eps2, cfg, draw=None):
     r = cfg.radius
     bins = cfg.grid_bins_per_axis
     counts1 = counts2 = None
-    with _unit_sample(germ, cfg, draw) as (unit, ready):
-        for rows, pts in _slices(unit, eps2, ready):
-            counts2 = _add_hits(counts2, germ, pts, r, bins)
-            np.multiply(eps1, unit[rows], out=pts)  # the same operation as eps1 * unit[rows]
-            counts1 = _add_hits(counts1, germ, pts, r, bins)
+    unit, ready = _unit_sample(germ, cfg, draw)
+    for rows, pts in _slices(unit, ready, eps2):
+        counts2 = _add_hits(counts2, germ, pts, r, bins)
+        np.multiply(eps1, unit[rows], out=pts)  # the same operation as eps1 * unit[rows]
+        counts1 = _add_hits(counts1, germ, pts, r, bins)
     counts1 += counts2
 
     inside = centers_inside_polydisk(r, bins)
@@ -588,10 +564,9 @@ def curve_residual_probe(germ, phi, cfg, draw=None):
     """
     check_probe("residual", germ, cfg, phi=phi)
     res = np.empty(cfg.samples)
-    with _sample_slices(germ, cfg, draw, cfg.epsilon) as slices:
-        for rows, pts in slices:
-            uv = np.column_stack([evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts)])
-            np.abs(evaluate_batch(phi, uv), out=res[rows])
+    for rows, pts in _slices(*_unit_sample(germ, cfg, draw), cfg.epsilon):
+        uv = np.column_stack([evaluate_batch(germ.f, pts), evaluate_batch(germ.g, pts)])
+        np.abs(evaluate_batch(phi, uv), out=res[rows])
     return ResidualReport(
         max_residual=float(res.max()),
         mean_residual=float(res.mean()),

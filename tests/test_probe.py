@@ -8,8 +8,8 @@ threads, in ``test_evaluate_batch_blocks_bitwise``.
 
 import sys
 import threading
+import time
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -137,30 +137,40 @@ def test_unit_ball_samples_prefix_across_chunks():
     assert np.array_equal(a[:70_000], b)
 
 
+def _whole(draw, nvars, count, seed):
+    """The first ``count`` points of a shared stream, once all are drawn."""
+    unit, ready = draw.stream(nvars, count, seed)
+    ready(count)
+    return unit
+
+
 @pytest.mark.parametrize("nvars", [2, 3])
 def test_shared_ball_samples_are_fresh_prefixes(nvars):
     """Rising and falling requests, across chunk edges, give a fresh draw's bits."""
-    draw = SharedBallSamples()
-    for count in (1000, 70_000, 5, 70_000, 140_000, 3, 69_999):
-        for seed in (4, 5):
-            shared = draw(nvars, count, seed)
+    counts = (1000, 70_000, 5, 70_000, 140_000, 3, 69_999)
+    requests = [(nvars, count, seed) for count in counts for seed in (4, 5)]
+    with SharedBallSamples(requests) as draw:
+        for _, count, seed in requests:
+            shared = _whole(draw, nvars, count, seed)
             fresh = unit_ball_samples(nvars, count, seed)
             assert shared.shape == (count, nvars)
             assert np.array_equal(shared.view(np.uint64), fresh.view(np.uint64))
 
 
 def test_shared_ball_samples_refuse_writes():
-    draw = SharedBallSamples()
-    draw(2, 100, seed=1)
-    for sample in (draw(2, 100, seed=1), draw(2, 40, seed=1), draw(2, 300, seed=1)):
-        with pytest.raises(ValueError, match="read-only"):
-            sample[0, 0] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            sample *= 2.0
+    requests = [(2, 100, 1), (2, 100, 1), (2, 40, 1), (2, 300, 1)]
+    with SharedBallSamples(requests) as draw:
+        _whole(draw, 2, 100, seed=1)
+        for count in (100, 40, 300):
+            sample = _whole(draw, 2, count, seed=1)
+            with pytest.raises(ValueError, match="read-only"):
+                sample[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                sample *= 2.0
 
 
 def _counting(monkeypatch, spoil=lambda gauss, uniform: None):
-    """Spy on the chunk routines: (chunks drawn, new points placed per call)."""
+    """Spy on the chunk routines: (threads that drew each chunk, points placed per chunk)."""
     fill, place = probe._draw_chunk, probe._place_chunk
     chunks, placed = [], []
 
@@ -169,10 +179,9 @@ def _counting(monkeypatch, spoil=lambda gauss, uniform: None):
         spoil(gauss, uniform)
         chunks.append(threading.current_thread())
 
-    def counted_place(gauss, uniform, norms, inside, out, have, skip):
-        used = place(gauss, uniform, norms, inside, out, have, skip)
-        placed.append(used - skip)
-        return used
+    def counted_place(gauss, uniform, norms, inside, out, have):
+        placed.append(place(gauss, uniform, norms, inside, out, have))
+        return placed[-1]
 
     monkeypatch.setattr(probe, "_draw_chunk", counted_fill)
     monkeypatch.setattr(probe, "_place_chunk", counted_place)
@@ -181,49 +190,125 @@ def _counting(monkeypatch, spoil=lambda gauss, uniform: None):
 
 @pytest.mark.parametrize("short", [False, True])
 @pytest.mark.parametrize("nvars", [2, 3])
-def test_shared_ball_samples_resume_where_they_stopped(monkeypatch, nvars, short):
-    """Rising requests give a fresh draw's bits and draw only their new points.
+def test_planned_stream_draws_each_chunk_once(monkeypatch, nvars, short):
+    """A stream is drawn once, in the chunks of a fresh draw of its final length.
 
-    They end mid-chunk, on a chunk edge and several chunks and slices on.
-    A resumed stream draws again the chunk its last request stopped in,
-    skips the rows of it already used, and draws on.  With ``short``
-    every chunk drops rows, so a chunk's kept rows are fewer than its rows.
+    The requests end mid-chunk, on a chunk edge and several chunks and
+    slices on, and each gets a fresh draw's bits.  With ``short`` every
+    chunk drops rows, so a chunk's kept rows are fewer than its rows.
     """
     spoil = _drop_rows if short else (lambda gauss, uniform: None)
     chunks, placed = _counting(monkeypatch, spoil)
-    draw = SharedBallSamples()
-    have, had_chunks = 0, 0
-    for count in (1000, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, PIECE + 5, 2 * PIECE + 9):
-        chunks.clear()
-        placed.clear()
-        got = draw(nvars, count, seed=6)
-        want, want_chunks = _reference_ball_samples(nvars, count, 6, spoil)
-        assert got.shape == (count, nvars)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert sum(placed) == count - have
-        assert len(chunks) == want_chunks - had_chunks + (1 if have else 0)
-        assert threading.current_thread() not in chunks  # the producer draws
-        have, had_chunks = count, want_chunks
-    chunks.clear()
-    assert draw(nvars, 500, seed=6).shape == (500, nvars)
-    assert not chunks  # a prefix draws nothing
+    counts = (1000, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7, PIECE + 5, 2 * PIECE + 9, 500)
+    with SharedBallSamples([(nvars, count, 6) for count in counts]) as draw:
+        for count in counts:
+            got = _whole(draw, nvars, count, seed=6)
+            want, _ = _reference_ball_samples(nvars, count, 6, spoil)
+            assert got.shape == (count, nvars)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    _, want_chunks = _reference_ball_samples(nvars, max(counts), 6, spoil)
+    assert len(chunks) == want_chunks
+    assert sum(placed) == max(counts)
+    assert threading.current_thread() not in chunks  # the producer and its helper draw
 
 
-def test_resumed_stream_frees_its_old_points_while_it_draws():
-    """Once copied, the old points of a stream go: a resume holds one copy of them."""
-    draw = SharedBallSamples()
-    old = weakref.ref(draw(2, 1000, seed=1).base)
-    assert old() is not None
-    with draw.stream(2, 3 * PIECE, seed=1) as (unit, ready):
-        assert old() is None
-        ready(3 * PIECE)
-    assert np.array_equal(unit[:1000], unit_ball_samples(2, 1000, seed=1))
+def test_segments_wait_for_the_release_of_streams_read_before_them(monkeypatch):
+    """No segment starts while another stream whose last request precedes it is held.
+
+    The n = 3 stream's last request is the second; the n = 2 stream grows
+    at the third, so its producer waits for the release of the n = 3
+    stream, however slowly the caller gets there.  Streams read later
+    (the n = 4 stream) do not hold a segment back.
+    """
+    requests = [(2, 1000, 1), (3, 2000, 1), (4, 100, 1), (2, 3 * CHUNK, 1), (4, 100, 1)]
+    events = []
+    draw_segment, release = SharedBallSamples._draw, SharedBallSamples.release
+
+    def segment_spy(self, key, end):
+        events.append(("segment", key, end, frozenset(self._streams)))
+        draw_segment(self, key, end)
+
+    def release_spy(self, nvars, seed):
+        events.append(("release", (nvars, seed)))
+        release(self, nvars, seed)
+
+    monkeypatch.setattr(SharedBallSamples, "_draw", segment_spy)
+    monkeypatch.setattr(SharedBallSamples, "release", release_spy)
+    last = {(n, seed): i for i, (n, _, seed) in enumerate(requests)}
+    with SharedBallSamples(requests) as draw:
+        for i, (n, count, seed) in enumerate(requests):
+            _whole(draw, n, count, seed)
+            if last[n, seed] == i:
+                time.sleep(0.05)  # the producer would be long past the n = 3 stream
+                draw.release(n, seed)
+    starts = [e[1:] for e in events if e[0] == "segment"]
+    assert [(key, end) for key, end, _ in starts] == [
+        ((2, 1), 1000), ((3, 1), 2000), ((4, 1), 100), ((2, 1), 3 * CHUNK)
+    ]
+    assert events.index(("release", (3, 1))) < events.index(("segment", *starts[3]))
+    for i, (key, _, held) in enumerate(starts):  # segment i is request i's
+        assert not any(last[k] < i for k in held - {key})
+
+
+def test_requests_beyond_the_plan_are_refused():
+    """A request past its planned length, for an unplanned or released stream, or out of order."""
+    grown = 3 * CHUNK  # past the chunk that the first n = 2 request ends in
+    with SharedBallSamples([(2, 1000, 1), (3, 2000, 1), (2, grown, 1)]) as draw:
+        assert _whole(draw, 2, 1000, 1).shape == (1000, 2)
+        for n, count, seed in ((2, grown + 1, 1), (3, 2001, 1), (4, 10, 1), (2, 10, 2)):
+            with pytest.raises(PreconditionError, match="asked of"):
+                draw.stream(n, count, seed)
+        # the n = 2 stream grows only after the n = 3 stream is released
+        with pytest.raises(PreconditionError, match="do not follow the plan"):
+            _whole(draw, 2, grown, 1)
+        _whole(draw, 3, 2000, 1)
+        draw.release(3, 1)
+        with pytest.raises(PreconditionError, match="asked of"):
+            draw.stream(3, 10, 1)
+        assert np.array_equal(_whole(draw, 2, grown, 1), unit_ball_samples(2, grown, 1))
+    unit, ready = SharedBallSamples([(2, 10, 1)]).stream(2, 10, 1)
+    with pytest.raises(PreconditionError, match="not entered"):
+        ready(10)
+
+
+def test_shared_draw_bitwise_under_a_short_switch_interval():
+    """The producer, its helper, a probe and its kernel helper at once, switching often.
+
+    A row read before the producer wrote it would change a histogram; the
+    n = 2 stream grows only after the n = 3 stream is released.
+    """
+    requests = [(2, PIECE + 5, 7), (3, 3 * CHUNK, 7), (2, 3 * PIECE + 1, 7), (2, 1000, 7)]
+    germs = {2: ANGLE, 3: OPENBALL}
+    cfgs = [SamplerConfig(epsilon=0.3, samples=count, seed=seed) for _, count, seed in requests]
+    fresh = [
+        ball_image_occupancy(germs[n], cfg).hit_histogram for (n, _, _), cfg in zip(requests, cfgs)
+    ]
+    shared = []
+
+    def run():
+        with SharedBallSamples(requests) as draw:
+            for (n, _, seed), cfg in zip(requests, cfgs):
+                shared.append(ball_image_occupancy(germs[n], cfg, draw=draw).hit_histogram)
+                if n == 3:
+                    draw.release(3, seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        caller = threading.Thread(target=run)
+        caller.start()
+        caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert len(shared) == len(fresh)
+    for got, want in zip(shared, fresh):
+        assert np.array_equal(got, want)
 
 
 def test_shared_probes_leave_no_thread_and_match_fresh_draws():
-    """Each probe kind with a shared draw joins its producer, and reports as a fresh draw."""
+    """Each probe kind with a shared draw reports as a fresh draw; leaving joins the producer."""
     before = threading.active_count()
-    draw = SharedBallSamples()
     base = dict(epsilon=0.2, target_radius=0.01, seed=3)
     runs = [
         (ball_image_occupancy, (ANGLE,), 1000, lambda rep: rep.hit_histogram),
@@ -231,17 +316,19 @@ def test_shared_probes_leave_no_thread_and_match_fresh_draws():
         (curve_residual_probe, (CUSP, u**3 - v * v), 2 * PIECE + 3, lambda rep: rep.max_residual),
         (ball_image_occupancy, (ANGLE,), 2000, lambda rep: rep.hit_histogram),
     ]
-    for probe_fn, args, samples, key in runs:
-        cfg = SamplerConfig(samples=samples, **base)
-        shared = probe_fn(*args, cfg, draw=draw)
-        assert threading.active_count() == before
-        assert np.array_equal(key(shared), key(probe_fn(*args, cfg)))
+    with SharedBallSamples([(2, samples, 3) for _, _, samples, _ in runs]) as draw:
+        for probe_fn, args, samples, key in runs:
+            cfg = SamplerConfig(samples=samples, **base)
+            shared = probe_fn(*args, cfg, draw=draw)
+            assert np.array_equal(key(shared), key(probe_fn(*args, cfg)))
+    assert threading.active_count() == before
 
 
 def test_producer_and_probe_errors_reach_the_caller_after_the_join(monkeypatch):
     """An error on the producer or on the probe's side is raised once the producer is joined.
 
-    A failed draw leaves its stream as it was.
+    A producer error is raised by the request that waits for its rows,
+    or, when no request does, on leaving the draw.
     """
 
     class Planted(RuntimeError):
@@ -252,9 +339,12 @@ def test_producer_and_probe_errors_reach_the_caller_after_the_join(monkeypatch):
     producers = []
     fill, bin_rows = probe._draw_chunk, kernels._bin_rows
 
+    failed = threading.Event()
+
     def failing_fill(rng, gauss, uniform):
         if threading.current_thread() is not caller:
             producers.append(threading.current_thread())
+            failed.set()
             raise Planted("_draw_chunk")
         fill(rng, gauss, uniform)
 
@@ -263,31 +353,37 @@ def test_producer_and_probe_errors_reach_the_caller_after_the_join(monkeypatch):
             raise Planted("_bin_rows")
         return bin_rows(*args)
 
-    draw = SharedBallSamples()
-    draw(2, 1000, seed=3)
     cfg = SamplerConfig(epsilon=0.2, target_radius=0.01, samples=3 * PIECE, seed=3)
+    plan = [(2, 1000, 3), (2, 3 * PIECE, 3)]
     calls = [
-        lambda: ball_image_occupancy(ANGLE, cfg, draw=draw),
-        lambda: germ_stability_probe(ANGLE, 0.2, 0.05, cfg, draw=draw),
-        lambda: curve_residual_probe(CUSP, u - v, cfg, draw=draw),
-        lambda: draw(2, 5000, seed=3),
+        lambda draw: ball_image_occupancy(ANGLE, cfg, draw=draw),
+        lambda draw: germ_stability_probe(ANGLE, 0.2, 0.05, cfg, draw=draw),
+        lambda draw: curve_residual_probe(CUSP, u - v, cfg, draw=draw),
+        lambda draw: _whole(draw, 2, 3 * PIECE, seed=3),
+        lambda draw: failed.wait(60),  # no request: the error is raised on leaving
     ]
     for call in calls:
         monkeypatch.setattr(probe, "_draw_chunk", failing_fill)
         producers.clear()
+        failed.clear()
         with pytest.raises(Planted, match="_draw_chunk"):
-            call()
+            with SharedBallSamples(plan) as draw:
+                call(draw)
         assert producers and not any(thread.is_alive() for thread in producers)
         assert threading.active_count() == before
         monkeypatch.undo()
     monkeypatch.setattr(kernels, "_bin_rows", failing_bin)
     with pytest.raises(Planted, match="_bin_rows"):
-        ball_image_occupancy(ANGLE, cfg, draw=draw)
+        with SharedBallSamples(plan) as draw:
+            _whole(draw, 2, 1000, seed=3)
+            ball_image_occupancy(ANGLE, cfg, draw=draw)
     assert threading.active_count() == before
     monkeypatch.undo()
-    for count in (1000, 5000, 3 * PIECE):
-        fresh = unit_ball_samples(2, count, seed=3)
-        assert np.array_equal(draw(2, count, seed=3).view(np.uint64), fresh.view(np.uint64))
+    with SharedBallSamples(plan) as draw:
+        for count in (1000, 3 * PIECE):
+            fresh = unit_ball_samples(2, count, seed=3)
+            shared = _whole(draw, 2, count, seed=3)
+            assert np.array_equal(shared.view(np.uint64), fresh.view(np.uint64))
 
 
 def test_unit_ball_samples_inside_at_n6():
@@ -319,6 +415,32 @@ def test_batch_matches_scalar_evaluate():
     vals = kernels.evaluate_batch(poly, pts)
     for k in range(0, 64, 7):
         assert vals[k] == poly.evaluate(pts[k])
+
+
+def test_batch_matches_scalar_evaluate_on_every_term_path():
+    """Bit for bit on each way a term starts, across blocks and the thread cut.
+
+    Unit, real and complex coefficients, a term's first factor as its
+    last multiply, a constant, and the zero polynomial; some coordinates
+    are zero, so the sign of zero parts is compared too.
+    """
+    pts = 0.9 * unit_ball_samples(2, 2 * ROWS + 3, seed=8)
+    pts[::5, 0] = 0.0
+    half = GaussianRational(Fraction(1, 2), Fraction(-3))
+    polys = [
+        x,
+        y + x * x,
+        x.scale(-1) * y + y.scale(3),
+        (x * y).scale(half) - x,
+        x.scale(half) + y * y * y,
+        Polynomial.constant(2, half),
+        Polynomial.zero(2),
+    ]
+    for poly in polys:
+        vals = kernels.evaluate_batch(poly, pts)
+        for k in range(0, pts.shape[0], 97):
+            scalar = np.array([poly.evaluate(pts[k])])
+            assert vals[k : k + 1].view(np.uint64).tolist() == scalar.view(np.uint64).tolist()
 
 
 def test_stability_nesting_exact():
