@@ -2,7 +2,8 @@
 
 Multivariate gcd (one certified modular path), squarefree parts, the
 germ-inclusion test for zero sets at 0, the gcd decomposition
-f = h*fhat, g = h*ghat, the resultant, and the Jacobian rank test.
+f = h*fhat, g = h*ghat, the resultant (Poisson's formula, for a first
+argument with a constant leading coefficient), and the Jacobian rank test.
 
 No irreducible factorization anywhere: germ inclusion of zero sets is
 decided by the gcd-stripping/constant-term trick.  Dividing ``p`` by its
@@ -61,72 +62,60 @@ def _coeffs_in(p, var):
     return [Polynomial._ordered(p.nvars, tuple(b)) for b in buckets]
 
 
-def _trim(coeffs):
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
+def _bareiss_det(m):
+    """det of a square matrix of polynomials, by fraction-free elimination.
 
-
-def _prem(a, b):
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, on coefficient lists."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    steps_left = len(a) - len(b) + 1
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        k = len(r) - 1 - db
-        nxt = [lb * c if c else c for c in r]
-        for i in range(db + 1):
-            nxt[i + k] = nxt[i + k] - lr * b[i]
-        nxt.pop()  # the top coefficient cancels exactly
-        r = _trim(nxt)
-        steps_left -= 1
-    if steps_left > 0 and r:
-        f = lb**steps_left
-        r = [f * c for c in r]
-    return r
-
-
-def _subresultant_prs(a, b, nvars):
-    """Run the subresultant PRS of lists a, b with deg a >= deg b to its end.
-
-    Returns ``(a, b, h, sign)`` for the last pair: ``b`` is constant when
-    a, b are coprime, else the last nonzero member; ``h`` is the scale of
-    the last step and ``sign`` the product of (-1)^(deg a_k * deg b_k) over
-    the steps.  All divisions are exact (Collins 1967; Brown & Traub 1971).
+    After step k each entry right of and below the pivot is a (k+1)-minor
+    of ``m`` (Bareiss, Math. Comp. 22, 1968), so the division by the
+    previous pivot is exact.  ``m`` is overwritten.
     """
-    g = h = Polynomial.one(nvars)
-    sign = 1
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
-            sign = -sign
-        r = _prem(a, b)
-        if not r:
-            break
-        divisor = g * h**delta
-        a, b = b, [c.exact_divide(divisor) for c in r]
-        g = a[-1]
-        if delta > 0:
-            h = (g**delta).exact_divide(h ** (delta - 1))
-    return a, b, h, sign
+    sign, prev = 1, Polynomial.one(m[0][0].nvars)
+    for k in range(len(m) - 1):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Polynomial.zero(prev.nvars)
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        top, pk = m[k][k + 1 :], m[k][k]
+        for row in m[k + 1 :]:
+            row[k + 1 :] = [
+                (c * pk - row[k] * t if row[k] else c * pk).exact_divide(prev)
+                for c, t in zip(row[k + 1 :], top)
+            ]
+        prev = pk
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
 def resultant(p, q, var):
-    """Res_var(p, q), the Sylvester determinant, as a polynomial free of ``var``."""
+    """Res_var(p, q), the Sylvester determinant, as a polynomial free of ``var``.
+
+    ``p`` must be free of ``var``, giving p^n (n = deg q in ``var``), or
+    have a nonzero constant leading coefficient lc in ``var``; any other
+    ``p`` is refused.  Then Res(p, q) = lc^n * det(m_q) (Poisson's
+    formula): row k of the d x d matrix m_q, d = deg p, holds x^k * q mod p
+    with x = ``var``, so det(m_q) is the product of q over the roots of p.
+    As lc is constant, the reduction divides by no polynomial.
+    """
     p._check_same_ring(q)
     if p.is_zero() or q.is_zero():
         return Polynomial.zero(p.nvars)
-    a, b = _coeffs_in(p, var), _coeffs_in(q, var)
-    sign = -1 if (len(a) - 1) % 2 and (len(b) - 1) % 2 and len(a) < len(b) else 1
-    a, b = sorted((a, b), key=len, reverse=True)
-    a, b, h, s = _subresultant_prs(a, b, p.nvars)
-    if len(b) > 1:
-        return Polynomial.zero(p.nvars)
-    da = len(a) - 1
-    res = (b[0] ** da).exact_divide(h ** max(da - 1, 0))
-    return res if sign * s > 0 else -res
+    a, r = _coeffs_in(p, var), _coeffs_in(q, var)
+    d, n = len(a) - 1, len(r) - 1
+    if not d:
+        return p**n
+    if not a[-1].is_constant():
+        raise PreconditionError("resultant: p has a nonconstant leading coefficient")
+    lc, zero = a[-1].leading_coefficient(), Polynomial.zero(p.nvars)
+    # p / lc = x^d + sum c_j x^j: x^d = -sum c_j x^j mod p, over the nonzero c_j
+    monic, rows = [(j, c.scale(ONE / lc)) for j, c in enumerate(a[:-1]) if c], []
+    for _ in range(d):
+        for k in reversed(range(len(r) - d)):
+            top = r.pop()
+            for j, c in monic if top else ():
+                r[k + j] = r[k + j] - top * c
+        rows.append(r + [zero] * (d - len(r)))
+        r = [zero] + rows[-1]
+    return _bareiss_det(rows).scale(lc**n)
 
 
 # ---------------------------------------------------------------------------

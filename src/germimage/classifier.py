@@ -184,7 +184,9 @@ def _line_resultant(first, second, locus, a, d):
     R = lc^k * prod(first(p) + c*second(p)) over the points p of L n Z(C):
     its roots are the ratios [c : 1] there.  None when L loses points of
     Z(C) at infinity (deg_t C_L < deg C) or meets Z(C) where both pencil
-    polynomials vanish (R = 0).
+    polynomials vanish (R = 0).  Otherwise deg_t C_L = deg C, so lc_t(C_L)
+    is the top form of C at d, a nonzero constant, as
+    :func:`germimage.algebra.resultant` requires of its first argument.
     """
     c_line = _exact_on_line(locus, a, d)
     if c_line.max_degree_in(0) < locus.degree():

@@ -88,10 +88,13 @@ def _entry(args):
     raise GermImageError(f"no corpus entry named {args.entry!r}")
 
 
-def _resolve_input(args):
-    """``(name, varnames, f_text, g_text, germ)`` of a corpus entry or of --vars/--f/--g."""
+def _resolve_input(args, entry=None):
+    """``(name, varnames, f_text, g_text, germ)`` of a corpus entry or of --vars/--f/--g.
+
+    ``entry`` is the entry --entry names, if the caller has loaded it.
+    """
     if args.entry:
-        entry = _entry(args)
+        entry = entry or _entry(args)
         return entry.name, entry.varnames, entry.f_text, entry.g_text, entry.germ()
     if not (args.vars and args.f_text and args.g_text):
         raise GermImageError("provide --vars, --f and --g (or --entry NAME)")
@@ -201,9 +204,9 @@ def cmd_image_curve(args):
 
 
 def cmd_probe(args):
-    name, varnames, f_text, g_text, germ = _resolve_input(args)
     # an entry's probe protocol, with the flags given over it
     entry = _entry(args) if args.entry else None
+    name, varnames, f_text, g_text, germ = _resolve_input(args, entry)
     kind = entry.probe_kind if entry and entry.probe_kind else "occupancy"
     params = dict(entry.probe_params) if entry else {}
     params.update({k: v for k in _SAMPLER_KEYS if (v := getattr(args, k)) is not None})

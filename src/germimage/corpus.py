@@ -19,7 +19,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .classifier import classify, witness_kind
+from .classifier import _WITNESS_KINDS, Status, classify, witness_kind
 from .errors import GermImageError
 from .parsing import parse_map_germ
 from .probe import (
@@ -32,17 +32,17 @@ from .probe import (
 )
 from .report import build_classify_report, dumps_report, probe_json
 
-_INT_KEYS = {"samples", "bins"}
-_FLOAT_KEYS = {
-    "epsilon",
-    "target_radius",
-    "eps1",
-    "eps2",
-    "min_occupancy",
-    "min_divergence",
-    "max_residual",
-}
+# The type of each numeric key: a probe's knobs, radii and threshold.
+_NUMBER_KEYS = {"samples": int, "bins": int} | dict.fromkeys(
+    ("epsilon", "target_radius", "eps1", "eps2", "min_occupancy", "min_divergence", "max_residual"),
+    float,
+)
 _TEXT_KEYS = {"vars", "f", "g", "expected_status", "expected_witness", "provenance", "probe"}
+# The values an expectation may take; an absent expected_witness is "".
+_EXPECTED = {
+    "expected_status": [s.value for s in Status],
+    "expected_witness": ["", "None", *_WITNESS_KINDS.values()],
+}
 # The SamplerConfig field of each sampler knob's corpus key and CLI flag.
 _SAMPLER_KEYS = {"epsilon": "epsilon", "target_radius": "target_radius", "samples": "samples",
                  "bins": "grid_bins_per_axis"}
@@ -93,11 +93,13 @@ def parse_corpus(text):
             raise GermImageError(
                 f"corpus entry [{block_name}] is missing keys: {', '.join(missing)}"
             )
-        params = {
-            k: v for k, v in block.items() if k in _INT_KEYS | _FLOAT_KEYS
-        }
+        params = {k: v for k, v in block.items() if k in _NUMBER_KEYS}
         varnames = tuple(block["vars"].replace(",", " ").split())
         try:
+            for key, known in _EXPECTED.items():
+                if block.get(key, "") not in known:
+                    listed = ", ".join(filter(None, known))
+                    raise GermImageError(f"unknown {key} {block[key]!r} (expected one of {listed})")
             entry = CorpusEntry(
                 name=block_name,
                 varnames=varnames,
@@ -119,36 +121,32 @@ def parse_corpus(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"corpus line {lineno}"
         if line.startswith("[") and line.endswith("]"):
             finish()
             block_name = line[1:-1].strip()
             if block_name in ("", ".", "..") or any(c in block_name for c in "/\\"):
-                raise GermImageError(
-                    f"corpus line {lineno}: entry name {block_name!r} is not a "
-                    "plain file name"
-                )
+                raise GermImageError(f"{where}: entry name {block_name!r} is not a plain file name")
             if block_name in seen:
-                raise GermImageError(
-                    f"corpus line {lineno}: duplicate entry name {block_name!r}"
-                )
+                raise GermImageError(f"{where}: duplicate entry name {block_name!r}")
             seen.add(block_name)
             block = {}
             continue
         if "=" not in line:
-            raise GermImageError(f"corpus line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+            raise GermImageError(f"{where}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
         if block_name is None:
-            raise GermImageError(f"corpus line {lineno}: key outside any [entry]")
-        if key in _INT_KEYS:
-            block[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            block[key] = float(value)
+            raise GermImageError(f"{where}: key outside any [entry]")
+        if key in _NUMBER_KEYS:
+            try:
+                block[key] = _NUMBER_KEYS[key](value)
+            except ValueError:
+                what = "an integer" if _NUMBER_KEYS[key] is int else "a number"
+                raise GermImageError(f"{where}: {key} = {value!r} is not {what}") from None
         elif key in _TEXT_KEYS:
             block[key] = value
         else:
-            raise GermImageError(f"corpus line {lineno}: unknown key {key!r}")
+            raise GermImageError(f"{where}: unknown key {key!r}")
     finish()
     return entries
 

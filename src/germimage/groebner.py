@@ -7,7 +7,9 @@ When the Jacobian of F = (f, g) is rank deficient, the closure of F(C^n)
 is one irreducible plane curve Gamma, and its equation phi is found on a
 single line through the origin (the elimination and closure theorems of
 Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 3; the
-resultant is the subresultant PRS of Collins 1967).
+resultant is Poisson's formula with a fraction-free determinant, see
+:func:`germimage.algebra.resultant`, whose first argument f(t*d) - u
+meets its condition as shown below).
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from germimage.algebra import (
     gcd,
     intersection_dimension_case,
     jacobian_rank_deficient,
+    resultant,
     squarefree_part,
     zero_set_germ_included,
 )
@@ -248,6 +249,16 @@ def test_univariate_views_are_canonical(p):
         for e, view in enumerate(views):
             rebuilt = rebuilt + view * power**e
         assert rebuilt.terms == p.terms
+
+
+def test_resultant_refuses_a_nonconstant_leading_coefficient():
+    """Poisson's formula needs lc_var(p) constant: x*y + 1 has lc x in y and lc y in x."""
+    for var in (0, 1):
+        with pytest.raises(PreconditionError, match="nonconstant leading coefficient"):
+            resultant(x * y + one, y, var)
+    # a constant leading coefficient, or a first argument free of the variable, is accepted
+    assert resultant(y * y + x, y + one, 1) == x + one
+    assert resultant(x, y * y + one, 1) == x * x
 
 
 # -- the certified modular gcd and its attempts ------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from germimage import algebra, classifier
+from germimage import algebra, classifier, groebner
 from germimage.algebra import (
     decompose,
     gaussian_rational_roots,
@@ -320,12 +320,13 @@ def test_weighted_nomination_decides_a_gap_curve_family():
     assert verify_witness(sheared, verdict) is True
 
 
-def test_gcds_of_large_germs_stay_within_a_prs_bound(monkeypatch):
+def test_gcds_of_large_germs_stay_within_a_resultant_bound(monkeypatch):
     """Germs whose gcds once ran 1169 and 272 subresultant PRSs (about 20 s and 1.3 s).
 
-    The certified gcd settles every one of those gcds without a PRS; the
-    PRSs left are the resultants of the gap-curve nominations.  The bounds
-    count work, not wall time.
+    The certified gcd settles every one of those gcds without a resultant;
+    the resultants left are those of the gap-curve nominations, each one
+    PRS before resultants took Poisson's formula.  The bounds count work,
+    not wall time.
     """
     x4, y4, z4, w4 = variables(4)
     h = x4 + w4 * w4 * x4 + w4 * w4 * y4 + z4.scale(2)
@@ -333,13 +334,15 @@ def test_gcds_of_large_germs_stay_within_a_prs_bound(monkeypatch):
         h * (y4 + x4 * x4 * w4 + x4 * x4 * y4 * z4 + w4 * w4),
         h**3 * (w4 * w4 - x4**4 + w4 * w4 * x4 + y4.scale(I)),
     )
-    calls, real = [], algebra._subresultant_prs
+    calls, real = [], algebra.resultant
 
     def counted(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(algebra, "_subresultant_prs", counted)
+    # every module that binds the name
+    for mod in (algebra, classifier, groebner):
+        monkeypatch.setattr(mod, "resultant", counted)
     assert classify(germ).status is Status.UNDETERMINED
     assert len(calls) <= 20
     # the k = 3 member of the gap-curve family above, after the shear v -> v + 3u

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from germimage import algebra, classifier, probe
+from germimage import algebra, classifier, cli, probe
 from germimage.classifier import classify, witness_kind
 from germimage.cli import main
 from germimage.corpus import CorpusEntry, load_corpus, run_entry, run_probe
@@ -381,6 +381,42 @@ def test_probe_entry_runs_the_entry_protocol(capsys):
         capsys, "--seed", "3", "--json", "probe", "--entry", "angle", "--samples", "20000"
     )
     assert code == 0 and json.loads(out)["probes"] == [section]
+
+
+def test_probe_entry_loads_the_corpus_once(monkeypatch, capsys):
+    """``probe --entry`` resolves its entry once; the output is that of the entry's protocol."""
+    loads = []
+
+    def counted(*args, **kwargs):
+        loads.append(None)
+        return load_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_corpus", counted)
+    code, out, _ = run_cli(
+        capsys, "--seed", "3", "--json", "probe", "--entry", "angle", "--samples", "2000"
+    )
+    assert code == 0 and len(loads) == 1
+    (entry,) = [e for e in load_corpus() if e.name == "angle"]
+    smaller = CorpusEntry(**{**vars(entry), "probe_params": {**entry.probe_params, "samples": 2000}})
+    section, _, _ = run_probe(smaller, entry.germ(), classify(entry.germ()), seed=3)
+    assert json.loads(out)["probes"] == [section]
+
+
+def test_corpus_file_with_bad_values_exits_2(tmp_path, capsys):
+    """A malformed number names its line; an unknown expectation names its entry."""
+    good = "[first]\nvars = x y\nf = x\ng = y\nexpected_status = LocallyOpen\n"
+    bad = tmp_path / "bad.txt"
+    for extra, message in (
+        ("probe = occupancy\nsamples = 2e5\n", "corpus line 7: samples = '2e5' is not an integer"),
+        ("epsilon = abc\n", "corpus line 6: epsilon = 'abc' is not a number"),
+        ("expected_witness = Codim2\n", "corpus entry [first]: unknown expected_witness 'Codim2'"),
+        ("[second]\nvars = x y\nf = x\ng = y\nexpected_status = Open\n",
+         "corpus entry [second]: unknown expected_status 'Open'"),
+    ):
+        bad.write_text(good + extra)
+        code, out, err = run_cli(capsys, "corpus", "--corpus-file", str(bad))
+        assert code == 2 and out == "" and message in err
+        assert "Traceback" not in err
 
 
 def test_entry_lookup(capsys):

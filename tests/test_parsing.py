@@ -83,6 +83,50 @@ def test_parse_corpus_rejects_probes_that_cannot_run(probe, message):
         parse_corpus(text)
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("samples = 2e5", "corpus line 7: samples = '2e5' is not an integer"),
+        ("bins = 8.0", "corpus line 7: bins = '8.0' is not an integer"),
+        ("epsilon = abc", "corpus line 7: epsilon = 'abc' is not a number"),
+        ("min_occupancy =", "corpus line 7: min_occupancy = '' is not a number"),
+    ],
+)
+def test_parse_corpus_refuses_malformed_numbers(line, message):
+    text = "[bad]\n" + _ENTRY_BODY + "probe = occupancy\n" + line + "\n"
+    with pytest.raises(GermImageError, match=message):
+        parse_corpus(text)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("expected_status = Open", "unknown expected_status 'Open'"),
+        ("expected_status = locallyopen", "unknown expected_status 'locallyopen'"),
+        ("expected_witness = Codim2", "unknown expected_witness 'Codim2'"),
+    ],
+)
+def test_parse_corpus_refuses_unknown_expectations(line, message):
+    text = "[good]\n" + _ENTRY_BODY + "[bad]\n" + _ENTRY_BODY + line + "\n"
+    with pytest.raises(GermImageError, match=r"corpus entry \[bad\]: " + message):
+        parse_corpus(text)
+
+
+def test_parse_corpus_accepts_every_known_expectation():
+    statuses = ["LocallyOpen", "CurveImage", "NotAGerm", "Undetermined"]
+    witnesses = ["None", "CodimTwo", "PropCritCertificate", "GapLine", "GapCurve",
+                 "ContainmentNonvanishingJacobian", "CurveEquation", "ProbeOnly"]
+    body = "vars = x y\nf = x\ng = y\n"
+    text = "".join(
+        f"[s{k}]\n{body}expected_status = {s}\nexpected_witness = {w}\n"
+        for k, (s, w) in enumerate(zip(statuses * 2, witnesses))
+    )
+    entries = parse_corpus(text)
+    assert [(e.expected_status, e.expected_witness) for e in entries] == list(
+        zip(statuses * 2, witnesses)
+    )
+
+
 def test_parse_constant_term_rejected():
     with pytest.raises(NotAGermError, match="not a germ through the origin"):
         parse_map_germ(["x", "y"], "x+1", "y")

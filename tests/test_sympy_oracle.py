@@ -271,35 +271,63 @@ def _random_poly(rng, nvars, degree, terms):
     return Polynomial(nvars, acc)
 
 
+def _in_var_below(rng, nvars, var, below):
+    """A random polynomial whose degree in ``var`` is below ``below``."""
+    p = _random_poly(rng, nvars, rng.randint(1, 4), rng.randint(1, 5))
+    return Polynomial(nvars, [(m, c) for m, c in p.terms if m[var] < below])
+
+
+def _constant_lead(rng, nvars, var):
+    """A random polynomial with a nonzero constant leading coefficient in ``var``."""
+    d = rng.randint(1, 3)
+    lc = rng.choice([1, -2, GaussianRational(1, 1), GaussianRational(0, 3)])
+    return (Polynomial.variable(nvars, var) ** d).scale(lc) + _in_var_below(rng, nvars, var, d)
+
+
 def test_resultant_matches_sympy():
     """Res_var(p, q) equals sympy's, zero exactly when p and q share a factor in var.
 
-    ``sympy.resultant`` is called with the operand of higher degree first;
-    with the lower one first it returns the same value, not (-1)^(m*n)
-    times it, so the swap sign is checked on our side.
+    ``p`` is in the domain ``resultant`` accepts: a constant leading
+    coefficient in ``var``, or free of ``var``.  The cases cycle through
+    both arguments in that domain (so the swap sign is checked too), a
+    general ``q``, a common factor (a zero resultant) and a ``p`` free of
+    ``var``.  ``sympy.resultant`` is called with the operand of higher
+    degree first; with the lower one first it returns the same value, not
+    (-1)^(m*n) times it, so the swap sign is checked on our side.
     """
     rng = random.Random(11)
-    zeros = 0
-    for _ in range(40):
+    seen = {"cases": 0, "zero": 0, "free": 0, "swapped": 0}
+    for case in range(60):
         nvars = rng.choice([1, 2, 3])
-        p = _random_poly(rng, nvars, rng.randint(1, 4), rng.randint(1, 5))
+        var = rng.randrange(nvars)
+        p = _constant_lead(rng, nvars, var)
         q = _random_poly(rng, nvars, rng.randint(1, 4), rng.randint(1, 5))
-        if rng.random() < 0.25:
-            common = _random_poly(rng, nvars, 2, 3)
+        if case % 4 == 0:
+            q = _constant_lead(rng, nvars, var)
+        elif case % 4 == 2:
+            common = _constant_lead(rng, nvars, var)
             p, q = p * common, q * common
+        elif case % 4 == 3:
+            p = _in_var_below(rng, nvars, var, 1)
         if p.is_zero() or q.is_zero():
             continue
-        var = rng.randrange(nvars)
         m, n = p.max_degree_in(var), q.max_degree_in(var)
-        if m < n:
-            p, q, m, n = q, p, n, m
         res = resultant(p, q, var)
-        expected = sympy.resultant(to_sympy(p), to_sympy(q), GENS[var])
+        if m >= n:
+            expected = sympy.resultant(to_sympy(p), to_sympy(q), GENS[var])
+        else:
+            expected = (-1) ** (m * n) * sympy.resultant(to_sympy(q), to_sympy(p), GENS[var])
         assert sympy.expand(to_sympy(res) - expected) == 0
-        swapped = resultant(q, p, var)
-        assert swapped == (res if (m * n) % 2 == 0 else -res)
-        zeros += res.is_zero()
-    assert zeros
+        if not m:
+            assert res == p**n
+            seen["free"] += 1
+        if case % 4 == 0:
+            swapped = resultant(q, p, var)
+            assert swapped == (res if (m * n) % 2 == 0 else -res)
+            seen["swapped"] += 1
+        seen["zero"] += res.is_zero()
+        seen["cases"] += 1
+    assert seen["cases"] >= 40 and min(seen.values()) >= 5, seen
 
 
 def _linear(root):
