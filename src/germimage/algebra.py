@@ -40,26 +40,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import DivisibilityError, GcdUndefinedError, PreconditionError
-from .poly import MapGerm, Polynomial, _descending_key
-from .rationals import ONE, ZERO, GaussianRational, _canonical
+from .poly import MapGerm, Polynomial, _coeffs_in, _from_triples, _monomials, _pack
+from .rationals import ONE, ZERO, GaussianRational
 
 # ---------------------------------------------------------------------------
-# univariate views: coefficient lists in a chosen main variable
+# the resultant
 # ---------------------------------------------------------------------------
-
-
-def _coeffs_in(p, var):
-    """Coefficients of ``p`` as a univariate polynomial in ``var``.
-
-    Index = power of ``var``; entries are polynomials (same ring) with zero
-    exponent on ``var``.  Zeroing the exponent of ``var`` in monomials that
-    share it keeps their grevlex order, so each bucket is already canonical.
-    """
-    d = p.max_degree_in(var)
-    buckets = [[] for _ in range(d + 1)]
-    for m, c in p.terms:
-        buckets[m[var]].append((m[:var] + (0,) + m[var + 1 :], c))
-    return [Polynomial._ordered(p.nvars, tuple(b)) for b in buckets]
 
 
 def _bareiss_det(m):
@@ -149,6 +135,18 @@ _POINT = (314159265, 271828182, 141421356, 173205080, 223606797, 264575131)
 # Images that one interpolation skips before it gives up, in the first
 # attempt; each later attempt allows one more (see ``gcd``).
 _UNLUCKY_POINTS = 4
+# The largest degree in one variable that a dense image in F_P may have:
+# ``_image`` and ``_brown`` hold lists of degree + 1 residues.
+_DENSE_DEGREE = 1 << 20
+
+
+def _check_dense(degree, var):
+    """Refuse a dense image of ``degree`` in x_var before it is allocated."""
+    if degree > _DENSE_DEGREE:
+        raise PreconditionError(
+            f"gcd: degree {degree} in variable {var + 1} exceeds {_DENSE_DEGREE}, "
+            "the largest degree of a dense image in F_P"
+        )
 
 
 def _prime(attempt):
@@ -181,20 +179,19 @@ def _point(attempt, nvars):
     return point
 
 
-def _residues(p, iota, prime):
-    """{monomial: residue} of ``p`` in F_P under i -> iota, zeros dropped.
+def _residues(p, monomials, iota, prime):
+    """{exponent tuple: residue} of ``p`` in F_P under i -> iota, zeros dropped.
 
-    None if P divides a denominator, or every residue is 0.
+    ``monomials`` lists the exponent tuples of p's terms.  The numerators
+    share one denominator D, inverted once.  None if P divides D (so a
+    denominator), or every residue is 0.
     """
-    out = {}
-    for m, c in p.terms:
-        a, b, d = c.triple()
-        r = a + b * iota
-        if d != 1:
-            if d % prime == 0:
-                return None
-            r *= pow(d, -1, prime)
-        r %= prime
+    if p._den % prime == 0:
+        return None
+    inv, out = pow(p._den, -1, prime), {}
+    im = itertools.repeat(0) if p._im is None else p._im
+    for m, a, b in zip(monomials, p._re, im):
+        r = (a + b * iota) * inv % prime
         if r:
             out[m] = r
     return out or None
@@ -390,29 +387,33 @@ def _rational(r, modulus):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _modular_image(p, q, residues, degrees, bounds, prime, iota, allowance):
+def _modular_image(p, q, monomials, residues, degrees, bounds, prime, iota, allowance):
     """``(key, image)`` of the grevlex-monic gcd of p, q in F_P, or None.
 
-    ``residues`` holds the residue dicts of p and q under i -> iota, and
-    ``degrees`` their degrees in each variable.  When a coefficient is not
-    real, the images under i -> -iota are taken too: a + b*i maps to
-    a + b*iota and a - b*iota, so ``image`` maps each monomial to the
-    residues (a, b).  Variables are ordered by falling bound, so the
-    univariate gcds run in the variable of highest degree and the fewest
-    points are interpolated; ``key`` is the larger leading monomial of
-    the two gcds in lex order on that order.  None when p and q each lose
-    a term mod P under i -> -iota or i -> iota, or an interpolation gives up.
+    ``monomials`` holds the exponent tuples of p and q, ``residues`` their
+    residue dicts under i -> iota, and ``degrees`` their degrees in each
+    variable.  When a coefficient is not real, the images under
+    i -> -iota are taken too: a + b*i maps to a + b*iota and a - b*iota,
+    so ``image`` maps each monomial to the residues (a, b).  Variables are
+    ordered by falling bound, so the univariate gcds run in the variable
+    of highest degree and the fewest points are interpolated; ``key`` is
+    the larger leading monomial of the two gcds in lex order on that
+    order.  None when p and q each lose a term mod P under i -> -iota or
+    i -> iota, or an interpolation gives up.
     """
     n = p.nvars
     used = [v for v, ds in enumerate(zip(*degrees)) if any(ds)]
+    for v in used:
+        _check_dense(max(degrees[0][v], degrees[1][v]), v)
     order = sorted(used, key=lambda v: (-bounds[v], v))
     images = [residues]
-    if not all(c.is_real() for r in (p, q) for _, c in r.terms):
-        images.append((_residues(p, prime - iota, prime), _residues(q, prime - iota, prime)))
+    if p._im is not None or q._im is not None:
+        conjugate = prime - iota
+        images.append(tuple(_residues(r, m, conjugate, prime) for r, m in zip((p, q), monomials)))
     key, lifted = (), []
     for rp, rq in images:
         # an argument that keeps every term keeps the leading coefficients of the gcd
-        if rp is None or rq is None or len(rp) < len(p.terms) and len(rq) < len(q.terms):
+        if rp is None or rq is None or len(rp) < len(p._keys) and len(rq) < len(q._keys):
             return None
         g = _brown(
             {tuple(m[v] for v in order): c for m, c in rp.items()},
@@ -430,7 +431,7 @@ def _modular_image(p, q, residues, degrees, bounds, prime, iota, allowance):
             for v, e in zip(order, m):
                 exps[v] = e
             full[tuple(exps)] = c
-        inv = pow(full[min(full, key=_descending_key)], -1, prime)
+        inv = pow(full[max(full, key=_pack)], -1, prime)
         lifted.append({m: c * inv % prime for m, c in full.items()})
     plus, minus = lifted[0], lifted[-1]
     half, half_iota = pow(2, -1, prime), pow(2 * iota, -1, prime)
@@ -446,20 +447,20 @@ def _lift(residues, modulus, nvars):
 
     Each of a, b is the small rational of its residue; None when one has none.
     """
-    acc = {}
+    triples = {}
     for m, (a, b) in residues.items():
         re, im = _rational(a, modulus), _rational(b, modulus)
         if re is None or im is None:
             return None
         # over the lcm of the lowest-terms denominators the triple is canonical
         d = math.lcm(re[1], im[1])
-        acc[m] = _canonical(re[0] * (d // re[1]), im[0] * (d // im[1]), d)
-    return Polynomial._trusted(nvars, acc)
+        triples[m] = re[0] * (d // re[1]), im[0] * (d // im[1]), d
+    return _from_triples(nvars, triples)
 
 
-def _degrees(p):
-    """[deg_v p for every variable v] of a nonzero ``p``."""
-    return [max(exps) for exps in zip(*(m for m, _ in p.terms))]
+def _degrees(monomials):
+    """[the largest exponent of x_v in ``monomials`` for every variable v]."""
+    return [max(exps) for exps in zip(*monomials)]
 
 
 def _quotient(a, b):
@@ -473,17 +474,19 @@ def _quotient(a, b):
 def _certified(p, q):
     """``(h, p/h, q/h)`` with h = gcd(p, q), for nonconstant p, q; the proof is in ``gcd``."""
     n = p.nvars
-    degrees = _degrees(p), _degrees(q)
+    monomials = _monomials(p._keys, n), _monomials(q._keys, n)
+    degrees = tuple(map(_degrees, monomials))
     bounds = [dp if dp < dq else dq for dp, dq in zip(*degrees)]
     seen = group = None
     for attempt in itertools.count():
         prime, iota = _prime(attempt)
-        rp, rq = _residues(p, iota, prime), _residues(q, iota, prime)
+        rp, rq = (_residues(r, m, iota, prime) for r, m in zip((p, q), monomials))
         if rp is None or rq is None:
             continue
         point = _point(attempt, n)
         for v, (dp, dq) in enumerate(zip(*degrees)):
             if bounds[v]:
+                _check_dense(max(dp, dq), v)
                 ip, iq = _image(rp, v, dp, point, prime), _image(rq, v, dq, point, prime)
                 if len(ip) - 1 == dp or len(iq) - 1 == dq:
                     e = len(_u_gcd(ip, iq, prime)) - 1
@@ -497,7 +500,7 @@ def _certified(p, q):
             nominated = [pair for pair, ds in zip(((p, q), (q, p)), degrees) if ds == bounds]
             if nominated:
                 # a gcd divides s and has the degrees of s only when it is s
-                s, b = min(nominated, key=lambda pair: len(pair[0].terms))
+                s, b = min(nominated, key=lambda pair: len(pair[0]._keys))
                 quotient = _quotient(b, s)
                 if quotient is not None:
                     lc = s.leading_coefficient()
@@ -505,7 +508,9 @@ def _certified(p, q):
                     return (s.monic(), *(cofactors if s is p else cofactors[::-1]))
         if nominated:
             continue  # until the bounds fall below the degrees of s
-        image = _modular_image(p, q, (rp, rq), degrees, bounds, prime, iota, _UNLUCKY_POINTS + attempt)
+        image = _modular_image(
+            p, q, monomials, (rp, rq), degrees, bounds, prime, iota, _UNLUCKY_POINTS + attempt
+        )
         if image is None:
             continue
         key, residues = image
@@ -523,7 +528,7 @@ def _certified(p, q):
         h = _lift(residues, modulus, n)
         if (
             h is not None
-            and _degrees(h) == bounds
+            and _degrees(_monomials(h._keys, n)) == bounds
             and (p_hat := _quotient(p, h)) is not None
             and (q_hat := _quotient(q, h)) is not None
         ):
@@ -808,10 +813,9 @@ def gaussian_rational_roots(p):
     with rest = s / prod(c - root), or None past either cap.
     """
     s = squarefree_part(p)
-    triples = [c.triple() for _, c in s.terms]
-    den = math.lcm(*(d for _, _, d in triples))
-    content = math.gcd(*(x * (den // d) for a, b, d in triples for x in (a, b)))
-    s = s.scale(GaussianRational(den) / content)
+    # the numerators over the common denominator, freed of their content
+    content = math.gcd(*s._re, *(s._im or ()))
+    s = s.scale(GaussianRational(s._den) / content)
     roots = []
     if s.constant_term().is_zero():
         roots.append(ZERO)

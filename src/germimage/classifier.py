@@ -175,7 +175,8 @@ _NOMINATION_LINES = 64  # lines of the fixed list tried before giving up
 
 def _exact_on_line(poly, a, d):
     """poly(a + t*d) exactly, in the ring (t, c) of the nomination."""
-    return substitute(poly, [Polynomial(2, {(1, 0): dj, (0, 0): aj}) for aj, dj in zip(a, d)])
+    t = Polynomial.variable(2, 0)
+    return substitute(poly, [t.scale(dj) + Polynomial.constant(2, aj) for aj, dj in zip(a, d)])
 
 
 def _line_resultant(first, second, locus, a, d):

@@ -195,7 +195,7 @@ def evaluate_batch(poly, points):
     """
     points = _checked_points(points, poly.nvars)
     npts = points.shape[0]
-    if not poly.terms or npts == 0:
+    if poly.is_zero() or npts == 0:
         return np.zeros(npts, dtype=np.complex128)
     out = np.empty(npts, dtype=np.complex128)
     rows = min(_ROWS, npts)

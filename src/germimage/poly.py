@@ -1,47 +1,86 @@
-"""Exact multivariate polynomials over Gaussian rationals.
+"""Exact multivariate polynomials over Gaussian rationals, in packed form.
 
-Monomials are exponent tuples of fixed length ``nvars``.  A polynomial
-stores its nonzero terms as a tuple of ``(exponents, coefficient)`` pairs
-sorted in descending graded-reverse-lexicographic order, so two equal
-polynomials have identical representations regardless of how they were
-assembled.
+A polynomial in n = ``nvars`` variables stores one denominator D > 0 and,
+for each nonzero term in canonical order, one int key for its monomial
+and the two ints (a, b) of its numerator: the term is (a + b*i)/D * x^e.
 
-The public constructor ``Polynomial(nvars, terms)`` validates its input:
-exponent count and sign, and coefficient type.  Results of ring
-operations (and the univariate views of :mod:`germimage.algebra`) are
-built by the private ``Polynomial._trusted``, which trusts its dict of
-exponent tuples to ``GaussianRational``.  Both end in ``_canonical_terms``,
-the one place that drops zeros and orders the terms.  Operations that keep
-the order of the terms (``neg``, ``scale``, ``monic``) skip it, and so do
-the constants, which have at most one term.
+Keys.  With fields of W = ``_WIDTH`` bits and B = 2^W, the monomial x^e of
+total degree d = e_0 + ... + e_(n-1) has the key
+
+    key(e) = d * B^n - (e_0 + e_1 * B + ... + e_(n-1) * B^(n-1)),
+
+the total degree in the top field and the exponents, negated, in the n
+fixed-width fields below it (x_(n-1) highest, x_0 lowest).  As every
+exponent is below B, the sum subtracted is below B^n.
+
+- Integer order is grevlex.  A larger total degree gives a larger key
+  whatever the lower fields hold.  At equal degree the key is larger when
+  e_(n-1) is smaller, then e_(n-2), and so on: of two monomials of one
+  degree, the one with the smaller exponent in the last variable where
+  they differ is the larger, which is graded reverse lexicographic order.
+  Terms are stored by descending key, so the first term leads.
+- A product is an addition.  The degree and the weighted sum of the
+  exponents are both additive, so key(e + f) = key(e) + key(f), and
+  key(e) - key(f) is the key of x^e / x^f when x^f divides x^e.
+- The field check.  A key is right only while no field carries into the
+  next, and every exponent is at most the total degree.  So a polynomial
+  of total degree ``_DEGREE_LIMIT`` = B/2 or more is refused with
+  ``PreconditionError`` (by the constructor, and by a product before it
+  is formed): every exponent then stays below B/2, and the top bit of
+  each field is free.  ``exact_divide`` uses those bits as guards to test
+  whether x^f divides x^e without unpacking either key.
+
+Canonical form.  D > 0 and gcd(D, every a, every b) = 1, so D is the least
+common denominator of the coefficients, and two equal polynomials store
+equal ints; ``==`` and ``hash`` compare them.  An operation reduces its
+result by one gcd over D and the numerators, and skips it where D = 1.
+The imaginary parts are stored as None when every b is 0.
+
+``terms``, the canonical tuple of (exponent tuple, ``GaussianRational``)
+pairs, is built on each read for code that wants the terms one by one
+(parsing, reports, the probes); the ring operations never build it.  The
+public constructor ``Polynomial(nvars, terms)`` validates its input:
+exponent count, sign and degree, and coefficient type.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from operator import add
+from itertools import repeat
+from math import gcd, lcm
+from struct import iter_unpack
 
-from .errors import DimensionError, DivisibilityError, NotAGermError
-from .rationals import GaussianRational, ONE, ZERO
+from .errors import DimensionError, DivisibilityError, NotAGermError, PreconditionError
+from .rationals import GaussianRational, ONE, ZERO, _reduced
 
-
-def _descending_key(exps):
-    """The canonical term order: ascending in this key is descending grevlex."""
-    return (-sum(exps), exps[::-1])
-
-
-def monomial_mul(a, b):
-    return tuple(map(add, a, b))
+_WIDTH = 32  # one 32-bit word per field: see _monomials
+_FIELD = (1 << _WIDTH) - 1
+_DEGREE_LIMIT = 1 << (_WIDTH - 1)
 
 
-def monomial_divides(a, b):
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+def _pack(exps):
+    """The key of the monomial with exponent tuple ``exps``."""
+    low = 0
+    for e in reversed(exps):
+        low = low << _WIDTH | e
+    return (sum(exps) << _WIDTH * len(exps)) - low
 
 
-def monomial_div(a, b):
-    """Exponents of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+def _monomials(keys, nvars):
+    """The exponent tuples of ``keys``, in order.
+
+    Field v of the low part -key mod B^n is bits 32v to 32v + 31, so the
+    low parts, written out as little-endian bytes, are rows of n unsigned
+    32-bit words.
+    """
+    size, low = 4 * nvars, (1 << _WIDTH * nvars) - 1
+    words = b"".join([(-k & low).to_bytes(size, "little") for k in keys])
+    return list(iter_unpack(f"<{nvars}I", words))
+
+
+def _exponent(key, var):
+    """The exponent of x_var in ``key``."""
+    return -key >> _WIDTH * var & _FIELD
 
 
 def _coerce_coeff(c):
@@ -50,40 +89,109 @@ def _coerce_coeff(c):
     return GaussianRational(c)
 
 
+def _check_degree(degree):
+    if degree >= _DEGREE_LIMIT:
+        raise PreconditionError(
+            f"total degree {degree} exceeds the packed monomial limit {_DEGREE_LIMIT - 1}"
+        )
+
+
 _new = object.__new__
-_setattr = object.__setattr__
-
-# One tuple per exponent vector for the terms of every polynomial, so that
-# equal monomials of different polynomials share memory.  Sharing is only
-# an economy: the table is emptied when it outgrows the cap.
-_MONOMIALS = {}
-_MONOMIAL_TABLE_CAP = 1 << 16
 
 
-def _canonical_terms(acc):
-    """The canonical terms tuple of ``acc`` ({exponents: GaussianRational}).
+def _build(nvars, keys, re, im, den):
+    """The polynomial of these parts, taken as canonical already."""
+    p = _new(Polynomial)
+    p._n = nvars
+    p._keys = keys
+    p._re = re
+    p._im = im
+    p._den = den
+    return p
 
-    Zero coefficients are dropped and the terms sorted by ``_descending_key``.
+
+def _make(nvars, keys, re, im, den):
+    """The polynomial of descending ``keys`` and nonzero numerators over ``den`` > 0.
+
+    Reduced to canonical form: one gcd unless den = 1, and None for
+    imaginary parts that are all 0.
     """
-    if len(_MONOMIALS) > _MONOMIAL_TABLE_CAP:
-        _MONOMIALS.clear()
-    share = _MONOMIALS.setdefault
-    # the keys are distinct, so m and c are never compared
-    keyed = [(_descending_key(m), share(m, m), c) for m, c in acc.items() if c]
-    keyed.sort()
-    return tuple([(m, c) for _, m, c in keyed])
+    if im is not None and not any(im):
+        im = None
+    if den != 1:
+        g = gcd(den, *re, *im) if im else gcd(den, *re)
+        if g != 1:
+            re = tuple([a // g for a in re])
+            if im:
+                im = tuple([b // g for b in im])
+            den //= g
+    return _build(nvars, keys, re, im, den)
+
+
+def _collect(nvars, re, im, den):
+    """The polynomial of {key: a} and {key: b} (None: all b are 0) over ``den``.
+
+    Zero terms are dropped and the keys sorted; ``im`` holds every key of
+    ``re`` when it is not None.
+    """
+    if im is None:
+        keys = sorted([k for k, a in re.items() if a], reverse=True)
+        return _make(nvars, tuple(keys), tuple([re[k] for k in keys]), None, den)
+    keys = sorted([k for k, a in re.items() if a or im[k]], reverse=True)
+    return _make(
+        nvars, tuple(keys), tuple([re[k] for k in keys]), tuple([im[k] for k in keys]), den
+    )
+
+
+def _from_triples(nvars, triples):
+    """The polynomial of {exponent tuple: (a, b, d)}, each (a + b*i)/d canonical."""
+    # over the lcm of the lowest-terms denominators the form is canonical
+    den = lcm(*(d for _, _, d in triples.values()))
+    re, im = {}, {}
+    for m, (a, b, d) in triples.items():
+        k = _pack(m)
+        re[k], im[k] = a * (den // d), b * (den // d)
+    return _collect(nvars, re, im, den)
+
+
+def _scaled(nvars, keys, re, im, den, a, b, d):
+    """The polynomial of these parts (as ``_build`` takes them) times (a + b*i)/d.
+
+    (a + b*i)/d is nonzero and d > 0.
+    """
+    if not b:
+        new_re = tuple([x * a for x in re])
+        new_im = None if im is None else tuple([y * a for y in im])
+    elif im is None:
+        new_re, new_im = tuple([x * a for x in re]), tuple([x * b for x in re])
+    else:
+        new_re = tuple([x * a - y * b for x, y in zip(re, im)])
+        new_im = tuple([x * b + y * a for x, y in zip(re, im)])
+    return _make(nvars, keys, new_re, new_im, den * d)
+
+
+def _divided(nvars, keys, re, im, den, a, b, d):
+    """The polynomial of these parts divided by (a + b*i)/d, nonzero, d > 0.
+
+    Times d * conj over the norm: d/|a| with the sign of a when b = 0.
+    """
+    if not b:
+        return _scaled(nvars, keys, re, im, den, d if a > 0 else -d, 0, abs(a))
+    return _scaled(nvars, keys, re, im, den, d * a, -d * b, a * a + b * b)
 
 
 class Polynomial:
-    """Immutable sparse polynomial in ``nvars`` variables over Q(i)."""
+    """Immutable sparse polynomial in ``nvars`` variables over Q(i).
 
-    __slots__ = ("nvars", "terms")
+    Every slot is private; ``nvars`` and ``terms`` are read-only views.
+    """
+
+    __slots__ = ("_n", "_keys", "_re", "_im", "_den")
 
     def __init__(self, nvars, terms):
         """``terms``: mapping or iterable of (exponent tuple, coefficient).
 
-        Zero coefficients are dropped; like terms are merged; the result is
-        stored in canonical (descending grevlex) order.
+        Zero coefficients are dropped and like terms merged.
         """
         if nvars < 1:
             raise DimensionError("nvars must be positive")
@@ -97,47 +205,29 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
+            _check_degree(sum(exps))
             c = _coerce_coeff(c)
-            if exps in acc:
-                acc[exps] = acc[exps] + c
-            else:
-                acc[exps] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", _canonical_terms(acc))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def _ordered(cls, nvars, terms):
-        """The last step of ``_trusted``: ``terms`` is already a canonical tuple."""
-        p = _new(cls)
-        _setattr(p, "nvars", nvars)
-        _setattr(p, "terms", terms)
-        return p
-
-    @classmethod
-    def _trusted(cls, nvars, acc):
-        """Trusted: ``acc`` maps exponent tuples of length ``nvars`` to GaussianRationals.
-
-        No validation or coercion; the terms are made canonical as the
-        public constructor makes them.
-        """
-        return cls._ordered(nvars, _canonical_terms(acc))
+            acc[exps] = acc[exps] + c if exps in acc else c
+        p = _from_triples(nvars, {m: c.triple() for m, c in acc.items() if c})
+        self._n, self._keys, self._re, self._im, self._den = p._n, p._keys, p._re, p._im, p._den
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars, ())
+        if nvars < 1:
+            raise DimensionError("nvars must be positive")
+        return _build(nvars, (), (), None, 1)
 
     @classmethod
     def constant(cls, nvars, c):
-        """The constant ``c``, built as one term (none when ``c`` is 0) without validation."""
+        """The constant ``c``: one term, or none when ``c`` is 0."""
         if nvars < 1:
             raise DimensionError("nvars must be positive")
-        c = _coerce_coeff(c)
-        return cls._ordered(nvars, (((0,) * nvars, c),) if c else ())
+        a, b, d = _coerce_coeff(c).triple()
+        if not (a or b):
+            return _build(nvars, (), (), None, 1)
+        return _build(nvars, (0,), (a,), (b,) if b else None, d)
 
     @classmethod
     def one(cls, nvars):
@@ -147,181 +237,280 @@ class Polynomial:
     def variable(cls, nvars, index):
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for {nvars} vars")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, [(exps, 1)])
+        key = (1 << _WIDTH * nvars) - (1 << _WIDTH * index)
+        return _build(nvars, (key,), (1,), None, 1)
 
     # -- structure ------------------------------------------------------------
 
+    @property
+    def nvars(self):
+        return self._n
+
+    @property
+    def terms(self):
+        """The canonical tuple of (exponent tuple, GaussianRational) pairs, built on each read."""
+        den = self._den
+        im = repeat(0) if self._im is None else self._im
+        monomials = _monomials(self._keys, self._n)
+        return tuple([(m, _reduced(a, b, den)) for m, a, b in zip(monomials, self._re, im)])
+
+    def _coefficient_at(self, j):
+        return _reduced(self._re[j], 0 if self._im is None else self._im[j], self._den)
+
     def is_zero(self):
-        return not self.terms
+        return not self._keys
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._keys)
 
     def degree(self):
         """Total degree; ``None`` is the sentinel degree of the zero polynomial."""
-        if not self.terms:
+        if not self._keys:
             return None
-        return sum(self.terms[0][0])
+        return -(-self._keys[0] >> _WIDTH * self._n)
 
     def constant_term(self):
-        if self.terms and not any(self.terms[-1][0]):
-            return self.terms[-1][1]
+        if self._keys and not self._keys[-1]:
+            return self._coefficient_at(-1)
         return ZERO
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and not any(self.terms[0][0]))
+        return not self._keys or not self._keys[0]
 
     def is_unit_germ(self):
         """Invertible in the local ring at 0, i.e. nonzero constant term."""
-        return not self.constant_term().is_zero()
+        return bool(self._keys) and not self._keys[-1]
 
     def leading_coefficient(self):
-        if not self.terms:
+        if not self._keys:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return self._coefficient_at(0)
 
     def coefficient(self, exps):
         exps = tuple(exps)
-        for m, c in self.terms:
-            if m == exps:
-                return c
+        if len(exps) == self._n and min(exps, default=0) >= 0:
+            try:
+                return self._coefficient_at(self._keys.index(_pack(exps)))
+            except ValueError:
+                pass
         return ZERO
 
     def monic(self):
         """Divide by the leading coefficient (canonical-order normalization)."""
-        if not self.terms:
+        if not self._keys:
             return self
-        lc = self.terms[0][1]
-        if lc.is_one():
+        a0, b0 = self._re[0], 0 if self._im is None else self._im[0]
+        if a0 == self._den and not b0:
             return self
-        return Polynomial._ordered(self.nvars, tuple([(m, c / lc) for m, c in self.terms]))
+        # c_j / lc = (a_j + b_j*i) / (a0 + b0*i): D cancels
+        return _divided(self._n, self._keys, self._re, self._im, 1, a0, b0, 1)
 
     def max_degree_in(self, var):
-        return max((m[var] for m, _ in self.terms), default=0)
+        return max((_exponent(k, var) for k in self._keys), default=0)
 
     # -- ring operations --------------------------------------------------------
 
     def _check_same_ring(self, other):
         if not isinstance(other, Polynomial):
             raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        if self.nvars != other.nvars:
+        if self._n != other._n:
             raise DimensionError(
-                f"operands have {self.nvars} and {other.nvars} variables"
+                f"operands have {self._n} and {other._n} variables"
             )
 
     def __add__(self, other):
         self._check_same_ring(other)
-        acc = {m: c for m, c in self.terms}
-        for m, c in other.terms:
-            if m in acc:
-                acc[m] = acc[m] + c
-            else:
-                acc[m] = c
-        return Polynomial._trusted(self.nvars, acc)
+        return _combine(self, other, 1)
 
     def __sub__(self, other):
         self._check_same_ring(other)
-        acc = {m: c for m, c in self.terms}
-        for m, c in other.terms:
-            if m in acc:
-                acc[m] = acc[m] - c
-            else:
-                acc[m] = -c
-        return Polynomial._trusted(self.nvars, acc)
+        return _combine(self, other, -1)
 
     def __neg__(self):
-        return Polynomial._ordered(self.nvars, tuple([(m, -c) for m, c in self.terms]))
+        return _scaled(self._n, self._keys, self._re, self._im, self._den, -1, 0, 1)
 
     def __mul__(self, other):
-        self._check_same_ring(other)
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = monomial_mul(m1, m2)
-                c = c1 * c2
-                if m in acc:
-                    acc[m] = acc[m] + c
-                else:
-                    acc[m] = c
-        return Polynomial._trusted(self.nvars, acc)
+        if other.__class__ is not Polynomial or other._n != self._n:
+            self._check_same_ring(other)
+        p, q, n = self, other, self._n
+        if not p._keys or not q._keys:
+            return Polynomial.zero(n)
+        shift = _WIDTH * n
+        _check_degree(-(-p._keys[0] >> shift) - (-q._keys[0] >> shift))
+        if len(p._keys) > len(q._keys):
+            p, q = q, p
+        if len(p._keys) == 1:
+            # a monomial shifts every key of q by the same amount: the order stays
+            k1, a1, b1 = p._keys[0], p._re[0], 0 if p._im is None else p._im[0]
+            keys = tuple([k1 + k for k in q._keys]) if k1 else q._keys
+            if a1 == 1 and not b1 and p._den == 1:
+                return _build(n, keys, q._re, q._im, q._den)
+            return _scaled(n, keys, q._re, q._im, q._den, a1, b1, p._den)
+        den = p._den * q._den
+        if p._im is None and q._im is None:
+            acc = {}
+            get = acc.get
+            right = list(zip(q._keys, q._re))
+            for k1, a1 in zip(p._keys, p._re):
+                for k2, a2 in right:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + a1 * a2
+            return _collect(n, acc, None, den)
+        re, im = {}, {}
+        rget, iget = re.get, im.get
+        right = list(zip(q._keys, q._re, repeat(0) if q._im is None else q._im))
+        for k1, a1, b1 in zip(p._keys, p._re, repeat(0) if p._im is None else p._im):
+            if b1:
+                for k2, a2, b2 in right:
+                    k = k1 + k2
+                    re[k] = rget(k, 0) + a1 * a2 - b1 * b2
+                    im[k] = iget(k, 0) + a1 * b2 + b1 * a2
+            else:
+                for k2, a2, b2 in right:
+                    k = k1 + k2
+                    re[k] = rget(k, 0) + a1 * a2
+                    im[k] = iget(k, 0) + a1 * b2
+        return _collect(n, re, im, den)
 
     def scale(self, c):
-        c = _coerce_coeff(c)
-        if c.is_zero():
-            return Polynomial.zero(self.nvars)
-        return Polynomial._ordered(self.nvars, tuple([(m, k * c) for m, k in self.terms]))
+        a, b, d = _coerce_coeff(c).triple()
+        if not (a or b):
+            return Polynomial.zero(self._n)
+        if a == d and not b:
+            return self
+        return _scaled(self._n, self._keys, self._re, self._im, self._den, a, b, d)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = Polynomial.one(self.nvars)
-        base = self
+        out, base = None, self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if k:
+                base = base * base
+        return Polynomial.one(self._n) if out is None else out
 
     def exact_divide(self, divisor):
         """Return ``q`` with ``divisor * q == self``; raise if no such q exists.
 
-        Single-divisor multivariate division under grevlex, demanding a zero
-        remainder; no coefficient field extension is involved because Q(i)
-        is a field.  A constant divisor only scales.  Otherwise the
-        remainder's leading term comes off a heap keyed by
-        ``_descending_key``; an entry whose term has cancelled is stale and
-        skipped.  A term, once taken, never comes back: every term it adds
-        is smaller, because grevlex is a monomial order.
+        Single-divisor division under grevlex, demanding a zero remainder.
+        Let N and M be the numerators of ``self`` and ``divisor``,
+        Gaussian-integer polynomials, and c the leading numerator of M.  If
+        M divides N over Q(i), then c*N/M has coefficients in Z[i] (Gauss's
+        lemma over the UFD Z[i]: N/M is an integral polynomial times
+        content(N)/content(M), and content(M) divides c).  So in dividing
+        c*N by M every leading coefficient of the remainder is a multiple
+        of c in Z[i], and a step where it is not proves that M does not
+        divide N.  The remainder's leading key comes off a heap; an entry
+        whose term has cancelled is stale and skipped.  A term, once taken,
+        never comes back: every term it adds is smaller.  The quotient is
+        (c*N/M) * D_M / (c * D_N); a constant divisor only scales.
+
+        The leading monomial x^f of M divides x^e when no field of
+        low(e) - low(f) borrows, low(e) being the exponent fields of
+        key(e): with the guard bit of every field set in low(e), which the
+        field check keeps free, the guards all survive the subtraction.
         """
         self._check_same_ring(divisor)
         if divisor.is_zero():
             raise DivisibilityError("division by the zero polynomial")
         if self.is_zero():
             return self
-        lead_m, lead_c = divisor.terms[0]
+        n = self._n
+        ca, cb = divisor._re[0], 0 if divisor._im is None else divisor._im[0]
         if divisor.is_constant():
-            return self if lead_c.is_one() else self.scale(ONE / lead_c)
-        rem = {m: c for m, c in self.terms}
-        heap = [(_descending_key(m), m) for m in rem]  # self.terms is sorted: a heap already
-        quot = {}
-        while rem:
-            m = heappop(heap)[1]
-            if m not in rem:
-                continue
-            c = rem.pop(m)
-            if not monomial_divides(lead_m, m):
-                raise DivisibilityError("not an exact factor")
-            qm = monomial_div(m, lead_m)
-            qc = c / lead_c
-            quot[qm] = qc
-            for dm, dc in divisor.terms[1:]:
-                t = monomial_mul(qm, dm)
-                old = rem.get(t)
-                if old is None:
-                    rem[t] = -(qc * dc)
-                    heappush(heap, (_descending_key(t), t))
-                elif (nc := old - qc * dc).is_zero():
-                    del rem[t]
-                else:
-                    rem[t] = nc
-        return Polynomial._trusted(self.nvars, quot)
+            # c*N/M is N
+            return _divided(n, self._keys, self._re, self._im, self._den, ca, cb, divisor._den)
+        low = (1 << _WIDTH * n) - 1
+        guard = low // _FIELD << (_WIDTH - 1)
+        lead = divisor._keys[0]
+        lead_low = -lead & low
+        heap = [-k for k in self._keys]  # ascending: a heap already
+        quot_keys, quot_re, quot_im = [], [], []
+        if self._im is None and divisor._im is None:
+            rem = dict(zip(self._keys, self._re if ca == 1 else [a * ca for a in self._re]))
+            tail = list(zip(divisor._keys[1:], divisor._re[1:]))
+            while rem:
+                m = -heappop(heap)
+                r = rem.pop(m, None)
+                if r is None:
+                    continue
+                q, s = divmod(r, ca)
+                if s or (((-m & low) | guard) - lead_low) & guard != guard:
+                    raise DivisibilityError("not an exact factor")
+                qm = m - lead
+                quot_keys.append(qm)
+                quot_re.append(q)
+                for dk, da in tail:
+                    t = qm + dk
+                    old = rem.get(t)
+                    if old is None:
+                        rem[t] = -q * da
+                        heappush(heap, -t)
+                    elif old := old - q * da:
+                        rem[t] = old
+                    else:
+                        del rem[t]
+        else:
+            norm = ca * ca + cb * cb
+            im = repeat(0) if self._im is None else self._im
+            rem = {
+                k: (a * ca - b * cb, a * cb + b * ca) for k, a, b in zip(self._keys, self._re, im)
+            }
+            im = repeat(0) if divisor._im is None else divisor._im[1:]
+            tail = list(zip(divisor._keys[1:], divisor._re[1:], im))
+            while rem:
+                m = -heappop(heap)
+                r = rem.pop(m, None)
+                if r is None:
+                    continue
+                # r / c = r * conj(c) / |c|^2
+                qa, sa = divmod(r[0] * ca + r[1] * cb, norm)
+                qb, sb = divmod(r[1] * ca - r[0] * cb, norm)
+                if sa or sb or (((-m & low) | guard) - lead_low) & guard != guard:
+                    raise DivisibilityError("not an exact factor")
+                qm = m - lead
+                quot_keys.append(qm)
+                quot_re.append(qa)
+                quot_im.append(qb)
+                for dk, da, db in tail:
+                    t = qm + dk
+                    pa, pb = qa * da - qb * db, qa * db + qb * da
+                    old = rem.get(t)
+                    if old is None:
+                        rem[t] = (-pa, -pb)
+                        heappush(heap, -t)
+                    elif old[0] == pa and old[1] == pb:
+                        del rem[t]
+                    else:
+                        rem[t] = (old[0] - pa, old[1] - pb)
+        quot_im = tuple(quot_im) if quot_im else None
+        return _divided(
+            n, tuple(quot_keys), tuple(quot_re), quot_im, self._den, ca, cb, divisor._den
+        )
 
     def partial_derivative(self, var_index):
-        """Formal partial derivative with exact coefficients."""
-        if not 0 <= var_index < self.nvars:
+        """Formal partial derivative with exact coefficients.
+
+        Lowering e_var by one subtracts the same B^n - B^var from every key
+        it applies to, so the order of the surviving terms stays.
+        """
+        n = self._n
+        if not 0 <= var_index < n:
             raise IndexError(
-                f"variable index {var_index} out of range for {self.nvars} vars"
+                f"variable index {var_index} out of range for {n} vars"
             )
-        acc = {}
-        for m, c in self.terms:
-            e = m[var_index]
-            if e == 0:
-                continue
-            dm = tuple(x - 1 if i == var_index else x for i, x in enumerate(m))
-            acc[dm] = c * e
-        return Polynomial._trusted(self.nvars, acc)
+        step = (1 << _WIDTH * n) - (1 << _WIDTH * var_index)
+        keys, re, im = [], [], []
+        for k, a, b in zip(self._keys, self._re, repeat(0) if self._im is None else self._im):
+            e = _exponent(k, var_index)
+            if e:
+                keys.append(k - step)
+                re.append(a * e)
+                im.append(b * e)
+        return _make(n, tuple(keys), tuple(re), tuple(im), self._den)
 
     def evaluate(self, point):
         """Evaluate at a point of C^n in double precision.
@@ -334,9 +523,9 @@ class Polynomial:
         complex(c) * z * ... up to the sign of a zero part, which no probe
         report reads (a binned part is shifted, a residual is an abs).
         """
-        if len(point) != self.nvars:
+        if len(point) != self._n:
             raise DimensionError(
-                f"point has {len(point)} coordinates, expected {self.nvars}"
+                f"point has {len(point)} coordinates, expected {self._n}"
             )
         zs = [complex(z) for z in point]
         acc = None
@@ -358,26 +547,89 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (
+            self._n == other._n
+            and self._keys == other._keys
+            and self._re == other._re
+            and self._im == other._im
+            and self._den == other._den
+        )
 
     def __hash__(self):
-        return hash((self.nvars, self.terms))
+        return hash((self._n, self._keys, self._re, self._im, self._den))
 
     def __repr__(self):
-        return f"Polynomial(nvars={self.nvars}, terms={self.terms!r})"
+        return f"Polynomial(nvars={self._n}, terms={self.terms!r})"
+
+
+def _combine(p, q, sign):
+    """p + sign * q, for sign = 1 or -1."""
+    if not q._keys:
+        return p
+    if not p._keys:
+        return q if sign > 0 else -q
+    dp, dq = p._den, q._den
+    den = dp if dp == dq else lcm(dp, dq)
+    sp, sq = den // dp, sign * (den // dq)
+    re = dict(zip(p._keys, p._re if sp == 1 else [a * sp for a in p._re]))
+    get = re.get
+    for k, a in zip(q._keys, q._re):
+        re[k] = get(k, 0) + a * sq
+    im = None
+    if p._im is not None or q._im is not None:
+        im = dict.fromkeys(re, 0)
+        if p._im is not None:
+            for k, b in zip(p._keys, p._im):
+                im[k] = b * sp
+        if q._im is not None:
+            for k, b in zip(q._keys, q._im):
+                im[k] += b * sq
+    return _collect(p._n, re, im, den)
+
+
+def _coeffs_in(p, var):
+    """Coefficients of ``p`` as a univariate polynomial in ``var``.
+
+    Index = power of ``var``; entries are polynomials (same ring) with zero
+    exponent on ``var``.  Zeroing an exponent e of ``var`` subtracts
+    e * (B^n - B^var) from the key, the same amount for every monomial of
+    a bucket, so each bucket keeps p's order.
+    """
+    n = p._n
+    step = (1 << _WIDTH * n) - (1 << _WIDTH * var)
+    buckets = [([], [], []) for _ in range(p.max_degree_in(var) + 1)]
+    for k, a, b in zip(p._keys, p._re, repeat(0) if p._im is None else p._im):
+        e = _exponent(k, var)
+        keys, re, im = buckets[e]
+        keys.append(k - e * step)
+        re.append(a)
+        im.append(b)
+    return [_make(n, tuple(k), tuple(r), tuple(i), p._den) for k, r, i in buckets]
 
 
 def substitute(poly, args):
-    """Exact substitution poly(args[0], ..., args[n-1]) of polynomials in one ring."""
-    nvars = args[0].nvars
-    powers = [[Polynomial.one(nvars)] for _ in args]
+    """Exact substitution poly(args[0], ..., args[n-1]) of polynomials in one ring.
+
+    The powers of each argument that poly needs are made in ascending
+    order, each from the one below it by a power of the difference, so
+    consecutive exponents cost one product each and x^(10^9) about 30.
+    """
+    nvars = args[0]._n
+    monomials = _monomials(poly._keys, poly._n)
+    powers = []
+    for arg, needed in zip(args, zip(*monomials)):
+        made = {0: Polynomial.one(nvars)}
+        below = 0
+        for e in sorted(set(needed) - {0}):
+            made[e] = made[below] * arg ** (e - below)
+            below = e
+        powers.append(made)
     out = Polynomial.zero(nvars)
-    for m, c in poly.terms:
-        term = Polynomial.constant(nvars, c)
-        for arg, pw, e in zip(args, powers, m):
-            while len(pw) <= e:
-                pw.append(pw[-1] * arg)
-            term = term * pw[e]
+    im = repeat(0) if poly._im is None else poly._im
+    for m, a, b in zip(monomials, poly._re, im):
+        term = Polynomial.constant(nvars, _reduced(a, b, poly._den))
+        for made, e in zip(powers, m):
+            term = term * made[e]
         out = out + term
     return out
 
@@ -399,9 +651,9 @@ class MapGerm:
             raise TypeError("MapGerm components must be Polynomial")
         if f.nvars != g.nvars:
             raise DimensionError("f and g must share the same variable count")
-        if not f.constant_term().is_zero():
+        if f.is_unit_germ():
             raise NotAGermError("f has a nonzero constant term: f(0) != 0")
-        if not g.constant_term().is_zero():
+        if g.is_unit_germ():
             raise NotAGermError("g has a nonzero constant term: g(0) != 0")
         if f.is_zero() and g.is_zero():
             raise ValueError("constant map germ: f and g are both zero")

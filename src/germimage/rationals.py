@@ -1,12 +1,20 @@
 """Exact Gaussian-rational scalars: (a + b*i)/d over Python ints.
 
-The coefficient field for every polynomial in this package.  A value is
-stored as three ints ``(a, b, d)`` with ``d > 0`` and ``gcd(a, b, d) = 1``.
-That form is canonical (d is the least common denominator of the real and
-imaginary parts), so structural equality is exact equality.  A result is
-reduced by one ``math.gcd(a, b, d)``, or not at all where its form is
-canonical already (denominator 1, a sum over coprime denominators).  A
-`Fraction` is made only when ``re`` or ``im`` is read.
+Q(i) is the coefficient field of every polynomial in this package, and
+``GaussianRational`` is its scalar wherever one value stands alone: the
+constants of the parser, the ratios and roots of witnesses, and the
+coefficients that ``Polynomial.terms`` builds.  A polynomial itself keeps
+no scalars: it stores Gaussian-integer numerators over one denominator
+(see :mod:`germimage.poly`), and turns a term into a ``GaussianRational``
+only when ``terms`` or a coefficient is read.
+
+A value is stored as three ints ``(a, b, d)`` with ``d > 0`` and
+``gcd(a, b, d) = 1``.  That form is canonical (d is the least common
+denominator of the real and imaginary parts), so structural equality is
+exact equality.  A result is reduced by one ``math.gcd(a, b, d)``, or not
+at all where its form is canonical already (denominator 1, a sum over
+coprime denominators).  A `Fraction` is made only when ``re`` or ``im`` is
+read.
 """
 
 from __future__ import annotations
@@ -18,13 +26,7 @@ _new = object.__new__
 
 
 def _canonical(a, b, d):
-    """The value (a + b*i)/d, already in canonical form; small integers are shared."""
-    if d == 1 and not b and -_SHARED <= a <= _SHARED:
-        return _SMALL_INTS[a + _SHARED]
-    return _fresh(a, b, d)
-
-
-def _fresh(a, b, d):
+    """The value (a + b*i)/d, already in canonical form."""
     z = _new(GaussianRational)
     z._a = a
     z._b = b
@@ -240,10 +242,6 @@ def _coerce(x):
     return NotImplemented
 
 
-# One object each for the integers -_SHARED..._SHARED, which make up most
-# coefficients; this keeps polynomials that outlive a computation small.
-_SHARED = 8
-_SMALL_INTS = [_fresh(k, 0, 1) for k in range(-_SHARED, _SHARED + 1)]
-ZERO = _SMALL_INTS[_SHARED]
-ONE = _SMALL_INTS[_SHARED + 1]
-I = GaussianRational(0, 1)
+ZERO = _canonical(0, 0, 1)
+ONE = _canonical(1, 0, 1)
+I = _canonical(0, 1, 1)

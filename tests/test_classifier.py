@@ -323,10 +323,12 @@ def test_weighted_nomination_decides_a_gap_curve_family():
 def test_gcds_of_large_germs_stay_within_a_resultant_bound(monkeypatch):
     """Germs whose gcds once ran 1169 and 272 subresultant PRSs (about 20 s and 1.3 s).
 
-    The certified gcd settles every one of those gcds without a resultant;
-    the resultants left are those of the gap-curve nominations, each one
-    PRS before resultants took Poisson's formula.  The bounds count work,
-    not wall time.
+    The certified gcd settles every one of those gcds without a resultant.
+    The first germ takes none at all: its pencil ratio is constant on a
+    component of Z(h), and none of its nominations needs a line
+    resultant.  The sheared germ takes the two of its gap-curve
+    nomination.  The counts are exact, so a
+    gcd or a nomination that falls back on resultants fails the test.
     """
     x4, y4, z4, w4 = variables(4)
     h = x4 + w4 * w4 * x4 + w4 * w4 * y4 + z4.scale(2)
@@ -344,7 +346,7 @@ def test_gcds_of_large_germs_stay_within_a_resultant_bound(monkeypatch):
     for mod in (algebra, classifier, groebner):
         monkeypatch.setattr(mod, "resultant", counted)
     assert classify(germ).status is Status.UNDETERMINED
-    assert len(calls) <= 20
+    assert len(calls) == 0
     # the k = 3 member of the gap-curve family above, after the shear v -> v + 3u
     h, a, b = x3 + y3.scale(I), x3 * y3 + z3, x3 * x3 + y3 + ONE3
     sheared = target_change(MapGerm(h * a, h**3 * (a**3 + h * b)), ((1, 0), (3, 1)))
@@ -352,7 +354,7 @@ def test_gcds_of_large_germs_stay_within_a_resultant_bound(monkeypatch):
     verdict = classify(sheared)
     assert (verdict.status, witness_kind(verdict.witness)) == (Status.NOT_A_GERM, "GapCurve")
     assert verify_witness(sheared, verdict) is True
-    assert len(calls) <= 60
+    assert len(calls) == 2
 
 
 def test_weighted_nomination_decides_a_gap_line_family():

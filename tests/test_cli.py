@@ -2,7 +2,11 @@
 
 import inspect
 import json
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,33 @@ def test_classify_text(capsys):
     assert code == 0
     assert "NotAGerm" in out
     assert "ContainmentNonvanishingJacobian" in out
+
+
+def test_a_degree_past_the_dense_image_bound_exits_2():
+    """x^(10^9)*y packs into one key; the gcd refuses its dense F_P image before allocating it.
+
+    The child runs under a 1 GiB address-space limit, so a refusal that
+    went missing would end in a MemoryError, not in swapping.
+    """
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["classify", "--vars", "x,y", "--f", "x^1000000000*y", "--g", "x*y"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "germimage.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: gcd: degree 1000000000 in variable 1 exceeds 1048576")
 
 
 def test_classify_json_schema(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germimage.errors import DimensionError, DivisibilityError, NotAGermError
-from germimage.poly import MapGerm, Polynomial, compose_target
+from germimage.poly import MapGerm, Polynomial, _monomials, _pack, compose_target
 from germimage.rationals import GaussianRational
 
 from _helpers import variables
@@ -200,10 +200,13 @@ def grevlex_terms(items):
 
 
 @given(term_dicts())
-def test_trusted_constructor_matches_the_public_one(case):
+def test_packed_keys_order_as_grevlex(case):
+    """Descending key order is descending grevlex, and a key unpacks to its exponents."""
     n, acc = case
-    assert Polynomial._trusted(n, acc).terms == grevlex_terms(acc.items())
     assert Polynomial(n, acc).terms == grevlex_terms(acc.items())
+    monomials = sorted(acc, key=grevlex_key, reverse=True)
+    assert sorted(monomials, key=_pack, reverse=True) == monomials
+    assert _monomials([_pack(m) for m in monomials], n) == monomials
 
 
 @given(term_dicts(), term_dicts())

@@ -9,6 +9,7 @@ QQ<I>, and image curves against a lex Groebner basis of the graph ideal.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,13 +23,16 @@ from germimage.algebra import (
     squarefree_part,
 )
 from germimage.classifier import _order_layers, pencil_constancy_locus
+from germimage.errors import DivisibilityError, PreconditionError
 from germimage.groebner import image_curve_equation
-from germimage.poly import MapGerm, Polynomial
+from germimage.poly import MapGerm, Polynomial, substitute
 from germimage.rationals import GaussianRational
 
 from _helpers import compose_case, factor_pool, four_variable_pool, gcd_pair, poly_subs
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import grevlex  # noqa: E402
+from sympy.polys.polyutils import dict_from_expr  # noqa: E402
 
 GENS = sympy.symbols("x y z")
 TARGET = sympy.symbols("u v")
@@ -397,3 +401,132 @@ def test_image_curve_matches_lex_elimination():
         assert len(eliminated) == 1
         expected = sympy.Poly(eliminated[0], u, v, domain="QQ_I").monic()
         assert sympy.Poly(to_sympy(phi, TARGET), u, v, domain="QQ_I").monic() == expected
+
+
+# -- the packed polynomial core against sympy's sparse expressions ------------
+
+FIVE = sympy.symbols("x y z w s")
+# the packed core refuses total degree 2^31; terms of degree about 2^29 leave
+# room for a product of two and a cube
+_NEAR_LIMIT = 2**29
+
+
+def _sparse_terms(expr, gens):
+    """{exponent tuple: coefficient} of ``expr`` expanded, sparse at any degree."""
+    rep, _ = dict_from_expr(sympy.expand(expr), gens=gens)
+    return {m: c for m, c in rep.items() if c != 0}
+
+
+def _assert_matches(p, expr, gens):
+    """``p.terms`` is sympy's expansion of ``expr``, term for term, in sympy's grevlex order."""
+    expected = _sparse_terms(expr, gens)
+    assert [m for m, _ in p.terms] == sorted(expected, key=grevlex, reverse=True)
+    for m, c in p.terms:
+        assert sympy.expand(to_sympy(Polynomial.constant(1, c), gens[:1]) - expected[m]) == 0
+
+
+def _gaussian_rational(rng):
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    return GaussianRational(part(), part())
+
+
+def _near_limit_poly(rng, nvars, large):
+    """1-4 terms with Gaussian-rational coefficients; with ``large``, some exponents near 2^29."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [rng.randint(0, 3) for _ in range(nvars)]
+        if large and rng.random() < 0.6:
+            exps[rng.randrange(nvars)] = _NEAR_LIMIT - rng.randrange(8) - 3 * nvars
+        terms[tuple(exps)] = _gaussian_rational(rng)
+    return Polynomial(nvars, terms)
+
+
+def test_packed_ring_operations_match_sympy():
+    """Sums, products, cubes, exact quotients, derivatives and substitutions in 1-5 variables.
+
+    Half the cases put exponents near 2^29 into the terms, where the key of
+    a product holds fields of about 2^30; sympy's expressions stay sparse
+    there.  ``terms`` is compared with sympy's expansion in its grevlex
+    order, and each result round-trips through the public constructor.
+    """
+    rng = random.Random(26)
+    for case in range(30):
+        n = rng.randint(1, 5)
+        gens, large = FIVE[:n], case % 2 == 1
+        p, q = _near_limit_poly(rng, n, large), _near_limit_poly(rng, n, large)
+        sp, sq = to_sympy(p, gens), to_sympy(q, gens)
+        results = [
+            (p + q, sp + sq),
+            (p - q, sp - sq),
+            (p * q, sp * sq),
+            (p**3, sp**3),
+            ((p * q).exact_divide(q), sp),
+        ]
+        results += [(p.partial_derivative(v), sympy.diff(sp, g)) for v, g in enumerate(gens)]
+        # small arguments keep sympy's expansion quick: at large degrees a
+        # variable times a unit, else c*x_j + c'
+        units = (1, -1, GaussianRational(0, 1), GaussianRational(0, -1))
+        args = [
+            Polynomial.variable(n, rng.randrange(n)).scale(
+                rng.choice(units) if large else _gaussian_rational(rng)
+            )
+            + Polynomial.constant(n, 0 if large else _gaussian_rational(rng))
+            for _ in gens
+        ]
+        images = dict(zip(gens, (to_sympy(a, gens) for a in args)))
+        results.append((substitute(p, args), sp.subs(images, simultaneous=True)))
+        for ours, theirs in results:
+            _assert_matches(ours, theirs, gens)
+            assert Polynomial(n, ours.terms) == ours
+            assert Polynomial(n, ours.terms).terms == ours.terms
+        if not q.is_constant():
+            # q divides p*q + c only if it divides the constant c
+            with pytest.raises(DivisibilityError):
+                (p * q + Polynomial.one(n)).exact_divide(q)
+
+
+def test_packed_exact_division_refuses_what_sympy_does_not_divide():
+    """exact_divide raises exactly when sympy's remainder over QQ<I> is nonzero."""
+    rng = random.Random(27)
+    refused = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        gens = FIVE[:n]
+        p, q = _near_limit_poly(rng, n, False), _near_limit_poly(rng, n, False)
+        dividend = p * q + (_near_limit_poly(rng, n, False) if rng.random() < 0.5 else p.scale(0))
+        _, rem = sympy.div(
+            sympy.Poly(to_sympy(dividend, gens), *gens, domain="QQ_I"),
+            sympy.Poly(to_sympy(q, gens), *gens, domain="QQ_I"),
+        )
+        if rem.is_zero:
+            expected = sympy.quo(to_sympy(dividend, gens), to_sympy(q, gens), *gens)
+            _assert_matches(dividend.exact_divide(q), expected, gens)
+        else:
+            refused += 1
+            with pytest.raises(DivisibilityError):
+                dividend.exact_divide(q)
+    assert refused >= 10
+
+
+def test_a_monomial_of_degree_ten_to_the_nine_packs():
+    """x^(10^9)*y builds, multiplies and divides exactly; a product past 2^31 - 1 is refused."""
+    x, y = (Polynomial.variable(2, k) for k in range(2))
+    big = Polynomial(2, {(10**9, 1): GaussianRational(2, -1)})
+    assert big == (x**10**9 * y).scale(GaussianRational(2, -1))
+    assert big.terms == (((10**9, 1), GaussianRational(2, -1)),)
+    assert big.degree() == 10**9 + 1
+    gx, gy = FIVE[:2]
+    mixed = big + x * y.scale(3) - Polynomial.one(2)
+    _assert_matches(mixed * mixed, sympy.expand(to_sympy(mixed, (gx, gy)) ** 2), (gx, gy))
+    derivative = sympy.diff(to_sympy(mixed, (gx, gy)), gx)
+    _assert_matches(mixed.partial_derivative(0), derivative, (gx, gy))
+    assert (mixed * big).exact_divide(big) == mixed
+    with pytest.raises(DivisibilityError):
+        big.exact_divide(x * y * y)
+    assert (x**(2**31 - 2) * y).degree() == 2**31 - 1
+    with pytest.raises(PreconditionError, match="packed monomial limit"):
+        big * big * big
+    with pytest.raises(PreconditionError, match="packed monomial limit"):
+        Polynomial(2, {(2**31, 0): 1})
